@@ -19,7 +19,15 @@
 //     oracle reads (see internal/mcmc's oracle routes) is cached in
 //     the pool per target, so the μ computation and every chain —
 //     batch requests for the same vertex included — share one
-//     target-side BFS.
+//     target-side BFS;
+//   - the dependency column μ(r) is derived from is not computed
+//     twice: the μ derivation parks it in the pool, and the first
+//     chain run on r afterwards (normally the planned estimate that
+//     asked for μ) reads its memo misses from it instead of
+//     traversing. A first-touch planned estimate therefore costs one
+//     O(nm) column plus a chain of memo hits and array reads. Later
+//     chains traverse; Stats.MuColumnChains counts the column-served
+//     ones.
 //
 // # Dynamic graphs
 //
@@ -99,6 +107,12 @@ type snapshot struct {
 	g       *graph.Graph
 	pool    *mcmc.BufferPool
 	version uint64
+
+	// columnBase is the ColumnChains total of the pools SwapGraph
+	// replaced before this snapshot's pool, so Stats keeps counting
+	// across full rebuilds. Chains that start on a replaced pool after
+	// its swap are not counted.
+	columnBase uint64
 
 	// μ-cache: one entry per requested (measure, target) pair, computed
 	// once in a detached goroutine so concurrent first requests share
@@ -326,22 +340,23 @@ func (e *Engine) SwapGraph(next *graph.Graph, edited [][2]int) (SwapReport, erro
 	// allows. A fresh CSR gets a fresh pool (old buffers would rebuild on
 	// every checkout anyway) and invalidates the stream tracker's forest
 	// baseline.
-	var pool *mcmc.BufferPool
+	pool, columnBase := cur.pool, cur.columnBase
 	if graph.SameStorage(cur.g, next) {
-		pool = cur.pool
 		pool.Advance(next, affected)
 		if e.tracker != nil {
 			e.tracker.Absorb(affected)
 		}
 	} else {
+		columnBase += pool.ColumnChains()
 		pool = mcmc.NewBufferPool(next)
 		e.tracker = nil
 	}
 	fresh := &snapshot{
-		g:       next,
-		pool:    pool,
-		version: next.Version(),
-		mu:      make(map[muKey]*muEntry),
+		g:          next,
+		pool:       pool,
+		version:    next.Version(),
+		columnBase: columnBase,
+		mu:         make(map[muKey]*muEntry),
 	}
 	report := SwapReport{Version: next.Version(), Affected: nAffected}
 	cur.muMtx.Lock()
@@ -408,10 +423,11 @@ func (e *Engine) StreamSwap(next *graph.Graph, pairs [][2]int) (SwapReport, erro
 	}
 	cur.pool.Advance(next, affected)
 	fresh := &snapshot{
-		g:       next,
-		pool:    cur.pool,
-		version: next.Version(),
-		mu:      make(map[muKey]*muEntry),
+		g:          next,
+		pool:       cur.pool,
+		version:    next.Version(),
+		columnBase: cur.columnBase,
+		mu:         make(map[muKey]*muEntry),
 	}
 	report := SwapReport{Version: next.Version(), Affected: nAffected}
 	cur.muMtx.Lock()
@@ -456,10 +472,11 @@ func (e *Engine) InstallCompacted(next *graph.Graph) error {
 		return fmt.Errorf("engine: InstallCompacted changes the graph shape")
 	}
 	fresh := &snapshot{
-		g:       next,
-		pool:    cur.pool,
-		version: cur.version,
-		mu:      make(map[muKey]*muEntry),
+		g:          next,
+		pool:       cur.pool,
+		version:    cur.version,
+		columnBase: cur.columnBase,
+		mu:         make(map[muKey]*muEntry),
 	}
 	cur.muMtx.Lock()
 	for r, ent := range cur.mu {
@@ -650,6 +667,12 @@ type Stats struct {
 	MuCached      int    `json:"mu_cached"`
 	MuRetained    uint64 `json:"mu_retained"`
 	MuInvalidated uint64 `json:"mu_invalidated"`
+	// MuColumnChains counts chains that read the dependency column
+	// their target's μ derivation computed instead of traversing on
+	// memo misses (see mcmc.BufferPool). Evals and cache hits are
+	// counted as for a traversing chain, so this is where the saving
+	// shows.
+	MuColumnChains uint64 `json:"mu_column_chains"`
 	// ResultHits and ResultMisses count completed-estimate LRU lookups.
 	ResultHits   uint64 `json:"result_hits"`
 	ResultMisses uint64 `json:"result_misses"`
@@ -671,18 +694,19 @@ func (e *Engine) Stats() Stats {
 	muCached := len(sn.mu)
 	sn.muMtx.Unlock()
 	return Stats{
-		Version:       sn.version,
-		Swaps:         e.swaps.Load(),
-		MuHits:        e.muHits.Load(),
-		MuMisses:      e.muMisses.Load(),
-		MuCached:      muCached,
-		MuRetained:    e.muRetained.Load(),
-		MuInvalidated: e.muInvalidated.Load(),
-		ResultHits:    e.resultHits.Load(),
-		ResultMisses:  e.resultMisses.Load(),
-		ResultCached:  e.results.len(),
-		InFlight:      e.inFlight.Load(),
-		Estimates:     e.estimates.Load(),
-		Batches:       e.batches.Load(),
+		Version:        sn.version,
+		Swaps:          e.swaps.Load(),
+		MuHits:         e.muHits.Load(),
+		MuMisses:       e.muMisses.Load(),
+		MuCached:       muCached,
+		MuRetained:     e.muRetained.Load(),
+		MuInvalidated:  e.muInvalidated.Load(),
+		MuColumnChains: sn.columnBase + sn.pool.ColumnChains(),
+		ResultHits:     e.resultHits.Load(),
+		ResultMisses:   e.resultMisses.Load(),
+		ResultCached:   e.results.len(),
+		InFlight:       e.inFlight.Load(),
+		Estimates:      e.estimates.Load(),
+		Batches:        e.batches.Load(),
 	}
 }

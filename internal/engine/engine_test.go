@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -26,28 +27,49 @@ func newKarateEngine(t testing.TB) *Engine {
 
 func TestEstimateMatchesCore(t *testing.T) {
 	// The engine must be a pure cache in front of core.EstimateBC:
-	// same options and seed, bit-identical estimate — pooled buffers
-	// and the cached μ change where memory lives and who computes μ,
-	// never the chain itself.
-	g := graph.KarateClub()
-	e := newKarateEngine(t)
-	for _, r := range []int{0, 2, 33} {
-		for _, opts := range []core.Options{
-			{Steps: 400, Seed: 7},
-			{Epsilon: 0.05, Delta: 0.1, MaxSteps: 512, Seed: 9},
-			{Steps: 300, Chains: 4, Seed: 11},
-		} {
-			want, err := core.EstimateBC(g, r, opts)
-			if err != nil {
-				t.Fatal(err)
+	// same options and seed, bit-identical estimate — pooled buffers,
+	// the cached μ, and the planned chain reading the dependency column
+	// its μ derivation parked change where memory lives and who
+	// computes what, never the chain itself. The whole Estimate is
+	// compared, Diagnostics (Evals and CacheHits included) and PerChain
+	// too. The 40×40 grid runs on the classic BFS loop with σ far above
+	// 2^53.
+	fixtures := []struct {
+		name    string
+		g       *graph.Graph
+		targets []int
+	}{
+		{"karate", graph.KarateClub(), []int{0, 2, 33}},
+		{"grid40x40", graph.Grid(40, 40), []int{20*40 + 20, 41, 5*40 + 30}},
+	}
+	for _, fx := range fixtures {
+		e, err := New(fx.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range fx.targets {
+			for _, opts := range []core.Options{
+				{Steps: 400, Seed: 7},
+				{Epsilon: 0.05, Delta: 0.1, MaxSteps: 512, Seed: 9},
+				{Steps: 300, Chains: 4, Seed: 11},
+			} {
+				want, err := core.EstimateBC(fx.g, r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.Estimate(r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s vertex %d opts %+v: engine %+v != core %+v", fx.name, r, opts, got, want)
+				}
 			}
-			got, err := e.Estimate(r, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Value != want.Value || got.PlannedSteps != want.PlannedSteps || got.MuUsed != want.MuUsed {
-				t.Fatalf("vertex %d opts %+v: engine %+v != core %+v", r, opts, got, want)
-			}
+		}
+		// Each target's planned request is the first chain after its μ
+		// derivation, so it, and only it, read the column.
+		if got := e.Stats().MuColumnChains; got != uint64(len(fx.targets)) {
+			t.Fatalf("%s: %d column-served chains, want %d", fx.name, got, len(fx.targets))
 		}
 	}
 }

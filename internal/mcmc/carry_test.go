@@ -148,7 +148,7 @@ func TestMemoCarryDecision(t *testing.T) {
 	const target = 2
 	pool := NewBufferPool(g)
 	b := newChainBuffers(g)
-	o1, err := newOracleBuffered(g, target, true, b, nil, nil, pool)
+	o1, err := newOracleBuffered(g, target, true, b, targetState{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMemoCarryDecision(t *testing.T) {
 	b.bfs.Reseat(next)
 	b.g = next
 
-	o2, err := newOracleBuffered(next, target, true, b, nil, nil, pool)
+	o2, err := newOracleBuffered(next, target, true, b, targetState{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestMemoCarryDecision(t *testing.T) {
 	pool.Advance(next2, affected2)
 	b.bfs.Reseat(next2)
 	b.g = next2
-	o3, err := newOracleBuffered(next2, target, true, b, nil, nil, pool)
+	o3, err := newOracleBuffered(next2, target, true, b, targetState{}, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

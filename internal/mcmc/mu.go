@@ -74,8 +74,11 @@ func MuExact(g *graph.Graph, r int) (MuStats, error) {
 // snapshot cache: the target-side BFS the dependency column needs is
 // the same one the chains' fast oracle reads, so a μ computation warms
 // the cache for every subsequent estimation of the same vertex (and
-// vice versa). A nil pool — or a graph on the Brandes route — computes
-// standalone.
+// vice versa). The column itself is parked in the same cache entry for
+// the next chain run on the target to take (see BufferPool), so the
+// chain a μ was derived for reads its dependencies instead of
+// re-traversing. A nil pool — or a graph on the Brandes route —
+// computes standalone.
 func MuExactPooled(g *graph.Graph, r int, pool *BufferPool) (MuStats, error) {
 	return MuExactPooledContext(context.Background(), g, r, pool)
 }
@@ -89,18 +92,18 @@ func MuExactPooledContext(ctx context.Context, g *graph.Graph, r int, pool *Buff
 		return MuStats{}, fmt.Errorf("mcmc: MuExact target %d out of range", r)
 	}
 	if pool != nil {
-		if ts := pool.targetSPD(g, r); ts != nil {
-			deps, err := brandes.DependencyVectorWithTargetContext(ctx, g, ts, 0)
+		if ent := pool.target(g, r); ent != nil {
+			var deps []float64
+			var err error
+			if ent.spd != nil {
+				deps, err = brandes.DependencyVectorWithTargetContext(ctx, g, ent.spd, 0)
+			} else {
+				deps, err = brandes.DependencyVectorWithWeightedTargetContext(ctx, g, ent.wspd, 0)
+			}
 			if err != nil {
 				return MuStats{}, err
 			}
-			return MuFromDeps(deps), nil
-		}
-		if ts := pool.weightedTargetSPD(g, r); ts != nil {
-			deps, err := brandes.DependencyVectorWithWeightedTargetContext(ctx, g, ts, 0)
-			if err != nil {
-				return MuStats{}, err
-			}
+			ent.col.Store(&deps)
 			return MuFromDeps(deps), nil
 		}
 	}

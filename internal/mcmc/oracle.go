@@ -74,6 +74,11 @@ func routeFor(g *graph.Graph) oracleRoute {
 //     plus backward accumulation, via the reference
 //     brandes.DependencyOnTarget.
 //
+// An oracle of the chain run that took a μ derivation's parked column
+// (see BufferPool) reads δ_v•(target) from that column instead: the
+// column was filled by the same identity kernels, so every value, and
+// the Evals/Hits accounting, is what a traversal would have produced.
+//
 // The memo is a dense epoch-stamped array, not a map: at chain lengths
 // in the thousands, map hashing on every step is measurable.
 type Oracle struct {
@@ -89,6 +94,9 @@ type Oracle struct {
 	// Dijkstra identity route state.
 	dij   *sssp.Dijkstra
 	wtspd *sssp.WeightedTargetSPD
+	// col, when non-nil, is the exact column δ_·•(target) parked by a μ
+	// derivation; memo misses read it instead of traversing.
+	col []float64
 
 	// Dense memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch —
 	// and, when the memo was carried across graph versions, iff v's
@@ -116,14 +124,16 @@ type Oracle struct {
 // evaluation route. When useCache is false every Dep call performs a
 // full evaluation (ablation T8d).
 func NewOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
-	return newOracleBuffered(g, target, useCache, newChainBuffers(g), nil, nil, nil)
+	return newOracleBuffered(g, target, useCache, newChainBuffers(g), targetState{}, nil)
 }
 
 // newOracleBuffered wires an Oracle around recycled chain buffers. The
 // buffers may have served a previous target; bumping the memo epoch
-// invalidates every stale entry in O(1). A non-nil tspd/wtspd supplies
-// the target-side snapshot for the matching identity route (from the
-// BufferPool's shared cache); nil makes the oracle compute its own.
+// invalidates every stale entry in O(1). A non-nil ts.spd/ts.wspd
+// supplies the target-side snapshot for the matching identity route
+// (from the BufferPool's shared cache); nil makes the oracle compute
+// its own. A non-nil ts.col is a parked μ column the oracle answers
+// memo misses from (counted in pool's ColumnChains).
 //
 // With a non-nil pool, the memo survives graph-version bumps when it is
 // provably still exact: the buffers last served the same target, at a
@@ -135,7 +145,7 @@ func NewOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
 // block *was* edited are rejected individually by Dep's lastAffected
 // check. Chains restarted on a new snapshot therefore keep their warm
 // memos instead of re-evaluating every revisited state from scratch.
-func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffers, tspd *sssp.TargetSPD, wtspd *sssp.WeightedTargetSPD, pool *BufferPool) (*Oracle, error) {
+func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffers, ts targetState, pool *BufferPool) (*Oracle, error) {
 	if target < 0 || target >= g.N() {
 		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
 	}
@@ -146,7 +156,12 @@ func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffer
 		delta:  b.delta,
 		bfs:    b.bfs,
 		dij:    b.dij,
+		col:    ts.col,
 	}
+	if o.col != nil && pool != nil {
+		pool.columnChains.Add(1)
+	}
+	tspd, wtspd := ts.spd, ts.wspd
 	if o.bfs != nil {
 		if tspd == nil || tspd.Target != target {
 			tspd = sssp.NewTargetSPD(o.bfs, target)
@@ -220,6 +235,8 @@ func (o *Oracle) Dep(v int) float64 {
 	o.Evals++
 	var d float64
 	switch {
+	case o.col != nil:
+		d = o.col[v]
 	case o.bfs != nil:
 		o.bfs.Run(v)
 		d = brandes.DependencyOnTargetIdentity(o.bfs, o.tspd, v)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bcmh/internal/brandes"
@@ -372,6 +373,150 @@ func TestEstimateBCPooledMatchesUnpooled(t *testing.T) {
 			}
 		}
 	}
+	t.Run("mu-first", testPooledMatchesUnpooledAfterMu)
+}
+
+// testPooledMatchesUnpooledAfterMu is the pooled/unpooled equivalence
+// with a μ derivation on the pool first. The first run reads the
+// column μ parked instead of traversing and must still match the
+// unpooled run in every Result field, Evals and CacheHits included;
+// it leaves no column behind, and the next run, which traverses,
+// matches too. The graphs cover hybrid BFS (BA), Dijkstra (weighted
+// BA), the classic loop with σ far above 2^53 (Grid(40,40): corner to
+// corner σ = C(78,39) ≈ 2.7e22), and a streamed overlay snapshot
+// whose chain buffers reseat from the base graph.
+func testPooledMatchesUnpooledAfterMu(t *testing.T) {
+	ba := graph.BarabasiAlbert(200, 3, rng.New(59))
+	grid := graph.Grid(40, 40)
+	overlayPool := NewBufferPool(ba)
+	// Seat the pool's buffers on the base graph, so the overlay chains
+	// below reseat them.
+	if _, err := EstimateBCParallelPooled(ba, 5, DefaultConfig(50), 1, 4, overlayPool); err != nil {
+		t.Fatal(err)
+	}
+	v := 1
+	for ba.HasEdge(0, v) {
+		v++
+	}
+	overlay, _, err := graph.ApplyEditsOverlay(ba, []graph.Edit{{Op: graph.EditAdd, U: 0, V: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlayPool.Advance(overlay, nil)
+
+	fixtures := []struct {
+		name string
+		g    *graph.Graph
+		r    int
+		pool func() *BufferPool
+	}{
+		{"bfs-hybrid", ba, 0, nil},
+		{"dijkstra", graph.WithUniformWeights(ba, 1, 7, rng.New(60)), 5, nil},
+		{"grid40x40-classic", grid, 20*40 + 20, nil},
+		{"overlay", overlay, 0, func() *BufferPool { return overlayPool }},
+	}
+	chains := DefaultConfig(400)
+	degree := DefaultConfig(400)
+	degree.DegreeProposal = true
+	nocache := DefaultConfig(150)
+	nocache.DisableCache = true
+	variants := []struct {
+		name   string
+		cfg    Config
+		chains int
+	}{
+		{"chains4", chains, 4},
+		{"degree-proposal", degree, 1},
+		{"disable-cache", nocache, 1},
+	}
+	run := func(t *testing.T, g *graph.Graph, r int, cfg Config, chains int, pool *BufferPool) any {
+		t.Helper()
+		if chains > 1 {
+			m, err := EstimateBCParallelPooled(g, r, cfg, 71, chains, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		res, err := EstimateBCPooled(g, r, cfg, rng.New(71), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, fx := range fixtures {
+		for _, vr := range variants {
+			t.Run(fx.name+"/"+vr.name, func(t *testing.T) {
+				pool := NewBufferPool(fx.g)
+				if fx.pool != nil {
+					pool = fx.pool()
+				}
+				want := run(t, fx.g, fx.r, vr.cfg, vr.chains, nil)
+				if _, err := MuExactPooled(fx.g, fx.r, pool); err != nil {
+					t.Fatal(err)
+				}
+				ent := pool.target(fx.g, fx.r)
+				if ent.col.Load() == nil {
+					t.Fatal("μ derivation parked no column")
+				}
+				before := pool.ColumnChains()
+				if got := run(t, fx.g, fx.r, vr.cfg, vr.chains, pool); !reflect.DeepEqual(got, want) {
+					t.Fatalf("column-served run differs from unpooled:\n got %+v\nwant %+v", got, want)
+				}
+				if ent.col.Load() != nil {
+					t.Fatal("column still parked after the first run")
+				}
+				if got := pool.ColumnChains() - before; got != uint64(vr.chains) {
+					t.Fatalf("ColumnChains grew by %d, want %d", got, vr.chains)
+				}
+				if got := run(t, fx.g, fx.r, vr.cfg, vr.chains, pool); !reflect.DeepEqual(got, want) {
+					t.Fatal("traversing run after the column run differs from unpooled")
+				}
+				if got := pool.ColumnChains() - before; got != uint64(vr.chains) {
+					t.Fatalf("second run was column-served (ColumnChains grew by %d)", got)
+				}
+			})
+		}
+	}
+}
+
+// TestParkedColumnTakenOnce races several runs on one target right
+// after its μ derivation: exactly one run takes the parked column, the
+// others traverse, and every run matches the unpooled result.
+func TestParkedColumnTakenOnce(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 3, rng.New(59))
+	pool := NewBufferPool(g)
+	cfg := DefaultConfig(300)
+	want, err := EstimateBCPooled(g, 0, cfg, rng.New(71), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MuExactPooled(g, 0, pool); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 6
+	got := make([]Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = EstimateBCPooled(g, 0, cfg, rng.New(71), pool)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("run %d differs from unpooled", i)
+		}
+	}
+	if n := pool.ColumnChains(); n != 1 {
+		t.Fatalf("%d runs took the column, want 1", n)
+	}
 }
 
 // TestDegreeProposalAliasCached checks the pool builds the degree table
@@ -421,48 +566,48 @@ func TestPooledOutOfRangeTargetErrors(t *testing.T) {
 func TestTargetSPDCacheLRU(t *testing.T) {
 	g := graph.BarabasiAlbert(260, 2, rng.New(67))
 	pool := NewBufferPool(g)
-	first := pool.targetSPD(g, 0)
+	first := pool.TargetSnapshot(g, 0)
 	if first == nil || first.Target != 0 {
 		t.Fatal("snapshot missing")
 	}
-	if pool.targetSPD(g, 0) != first {
+	if pool.TargetSnapshot(g, 0) != first {
 		t.Fatal("snapshot not cached")
 	}
 	// Touch more targets than the cache holds; entry 0 must be evicted
 	// and rebuilt (a different pointer), newer entries still cached.
 	for r := 1; r <= targetSPDCacheSize+10; r++ {
-		pool.targetSPD(g, r%g.N())
+		pool.TargetSnapshot(g, r%g.N())
 	}
 	if pool.tspdLRU.Len() > targetSPDCacheSize {
 		t.Fatalf("cache grew to %d", pool.tspdLRU.Len())
 	}
-	if pool.targetSPD(g, 0) == first {
+	if pool.TargetSnapshot(g, 0) == first {
 		t.Fatal("evicted snapshot pointer resurrected")
 	}
 	// Each route serves only its own snapshot kind.
-	if pool.weightedTargetSPD(g, 0) != nil {
+	if pool.target(g, 0).wspd != nil {
 		t.Fatal("unweighted pool returned a weighted snapshot")
 	}
 	w := graph.WithUniformWeights(g, 1, 3, rng.New(68))
 	wpool := NewBufferPool(w)
-	if wpool.targetSPD(w, 0) != nil {
+	if wpool.TargetSnapshot(w, 0) != nil {
 		t.Fatal("weighted pool returned an unweighted snapshot")
 	}
-	wfirst := wpool.weightedTargetSPD(w, 0)
+	wfirst := wpool.target(w, 0).wspd
 	if wfirst == nil || wfirst.Target != 0 {
 		t.Fatal("weighted snapshot missing")
 	}
-	if wpool.weightedTargetSPD(w, 0) != wfirst {
+	if wpool.target(w, 0).wspd != wfirst {
 		t.Fatal("weighted snapshot not cached")
 	}
 	// Same LRU bound and eviction behaviour as the unweighted kind.
 	for r := 1; r <= targetSPDCacheSize+10; r++ {
-		wpool.weightedTargetSPD(w, r%w.N())
+		wpool.target(w, r%w.N())
 	}
 	if wpool.tspdLRU.Len() > targetSPDCacheSize {
 		t.Fatalf("weighted cache grew to %d", wpool.tspdLRU.Len())
 	}
-	if wpool.weightedTargetSPD(w, 0) == wfirst {
+	if wpool.target(w, 0).wspd == wfirst {
 		t.Fatal("evicted weighted snapshot pointer resurrected")
 	}
 }

@@ -65,18 +65,17 @@ func EstimateBCParallelPooledContext(ctx context.Context, g *graph.Graph, r int,
 		return MultiResult{}, fmt.Errorf("mcmc: oracle target %d out of range", r)
 	}
 	// Target-side state is chain-independent and read-only: compute the
-	// snapshot and the proposal table once, share them with every chain.
-	var tspd *sssp.TargetSPD
-	var wtspd *sssp.WeightedTargetSPD
+	// snapshot and the proposal table once, share them with every chain
+	// (a parked μ column too, when this run takes one).
+	var ts targetState
 	if pool != nil {
-		tspd = pool.targetSPD(g, r)
-		wtspd = pool.weightedTargetSPD(g, r)
+		ts = pool.chainTarget(g, r)
 	} else {
 		switch routeFor(g) {
 		case routeBFSIdentity:
-			tspd = sssp.NewTargetSPD(sssp.NewBFS(g), r)
+			ts.spd = sssp.NewTargetSPD(sssp.NewBFS(g), r)
 		case routeDijkstraIdentity:
-			wtspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), r)
+			ts.wspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), r)
 		}
 	}
 	var degAlias *rng.Alias
@@ -107,7 +106,7 @@ func EstimateBCParallelPooledContext(ctx context.Context, g *graph.Graph, r int,
 			} else {
 				b = newChainBuffers(g)
 			}
-			oracle, err := newOracleBuffered(g, r, !cfg.DisableCache, b, tspd, wtspd, pool)
+			oracle, err := newOracleBuffered(g, r, !cfg.DisableCache, b, ts, pool)
 			if err != nil {
 				errs[i] = err
 				return

@@ -13,7 +13,8 @@ import (
 // targetSPDCacheSize bounds the per-pool LRU of target-side shortest
 // path snapshots. Each entry is O(n) memory; 128 covers a large working
 // set of distinct chain targets while keeping worst-case residency at
-// 128·12 bytes per vertex.
+// 128·12 bytes per vertex, plus 128·8 while every entry also holds a
+// parked μ column (see tspdEntry).
 const targetSPDCacheSize = 128
 
 // aliasCacheSize bounds the per-version degree-proposal alias cache. A
@@ -112,10 +113,28 @@ func (b *chainBuffers) nextVisEpoch() uint32 {
 // tspdEntry is one cached target snapshot — the kind matching the
 // graph's identity route is set, the other stays nil; once deduplicates
 // concurrent first requests to a single traversal.
+//
+// col is the exact dependency column δ_·•(target) on this version, if
+// a μ derivation parked one (MuExactPooledContext) and no chain run
+// has taken it yet. The first run set up on the entry swaps it out
+// (chainTarget) and drops it when its chains end. Take-once keeps a
+// column alive only between a first touch and its chain: keeping
+// columns for the entry's lifetime would pin one per cached target.
 type tspdEntry struct {
 	once sync.Once
 	spd  *sssp.TargetSPD
 	wspd *sssp.WeightedTargetSPD
+	col  atomic.Pointer[[]float64]
+}
+
+// targetState is what a chain's oracles read from the pool for their
+// target: the snapshot of the graph's identity route (the other kind
+// stays nil) and, for the chain run that took it, the parked exact
+// dependency column.
+type targetState struct {
+	spd  *sssp.TargetSPD
+	wspd *sssp.WeightedTargetSPD
+	col  []float64
 }
 
 // tspdKey addresses one target snapshot of one graph version. Target
@@ -139,6 +158,18 @@ type tspdKey struct {
 // kernels to it on checkout, and caches are keyed by version — so a
 // mutation no longer rebuilds the pool. Safe for concurrent use; every
 // buffer set it hands out is private to one chain until returned.
+//
+// The snapshot entry is also where a μ derivation hands its work to
+// the chain it was planned for. MuExactPooledContext computes the whole
+// dependency column δ_·•(target) and parks it in the entry; the next
+// chain run on that (version, target) takes it in the same lookup that
+// fetches the snapshot, and its oracles answer memo misses by reading
+// the column instead of traversing. Later runs, runs with no μ before
+// them (fixed steps, rank jobs), directed graphs and non-bc measures
+// traverse on every memo miss. A parked column nobody takes (an
+// exact-only query, a zero-BC target) costs 8n bytes until its entry
+// leaves the LRU, so a pool holds at most targetSPDCacheSize parked
+// columns.
 type BufferPool struct {
 	g    *graph.Graph // creation-time snapshot (sizing; N is fixed per lineage)
 	pool sync.Pool
@@ -163,6 +194,10 @@ type BufferPool struct {
 	// the carry-over actually happens.
 	carried   atomic.Uint64
 	discarded atomic.Uint64
+
+	// columnChains counts chains whose oracle read a parked μ column
+	// instead of traversing (one per chain, so a Chains=4 run adds 4).
+	columnChains atomic.Uint64
 }
 
 type tspdNode struct {
@@ -217,6 +252,10 @@ func (p *BufferPool) CarryStats() (carried, discarded uint64) {
 	return p.carried.Load(), p.discarded.Load()
 }
 
+// ColumnChains returns how many chains were served from a dependency
+// column a μ derivation parked, instead of traversing on memo misses.
+func (p *BufferPool) ColumnChains() uint64 { return p.columnChains.Load() }
+
 // get checks out a buffer set seated on g, reseating or rebuilding the
 // kernels of a recycled set that last served another snapshot.
 func (p *BufferPool) get(g *graph.Graph) *chainBuffers {
@@ -263,45 +302,54 @@ func (p *BufferPool) tspdLookup(key tspdKey) *tspdEntry {
 	return ent
 }
 
-// targetSPD returns the cached target-side snapshot of g for target,
-// building it on first request (concurrent first requests share one
-// build). It returns nil unless the graph takes the BFS identity route
-// (weighted undirected graphs have their own snapshot kind, see
-// weightedTargetSPD; directed graphs have no identity fast path).
-func (p *BufferPool) targetSPD(g *graph.Graph, target int) *sssp.TargetSPD {
+// target returns the LRU entry for (g's version, r) with the snapshot
+// of g's identity route built on first request (concurrent first
+// requests share one build). It returns nil on the Brandes route:
+// directed graphs have no identity fast path, hence no snapshot.
+func (p *BufferPool) target(g *graph.Graph, r int) *tspdEntry {
+	route := routeFor(g)
+	if route == routeBrandes {
+		return nil
+	}
+	ent := p.tspdLookup(tspdKey{version: g.Version(), target: r})
+	ent.once.Do(func() {
+		if route == routeBFSIdentity {
+			ent.spd = sssp.NewTargetSPD(sssp.NewBFS(g), r)
+		} else {
+			ent.wspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), r)
+		}
+	})
+	return ent
+}
+
+// chainTarget is the one pool lookup a chain run makes for its target:
+// the cached snapshot plus, when a μ derivation parked one, the exact
+// dependency column, taken with one atomic swap so only the first run
+// after the derivation gets it (every chain of that run shares it).
+func (p *BufferPool) chainTarget(g *graph.Graph, r int) targetState {
+	ent := p.target(g, r)
+	if ent == nil {
+		return targetState{}
+	}
+	ts := targetState{spd: ent.spd, wspd: ent.wspd}
+	if col := ent.col.Swap(nil); col != nil {
+		ts.col = *col
+	}
+	return ts
+}
+
+// TargetSnapshot returns the cached BFS target-side snapshot of g for
+// target, or nil off the BFS identity route. It is exported for the
+// measure oracles (internal/measure): coverage and k-path evaluations
+// scan the same target-side distance snapshot the betweenness identity
+// oracle reads, so sharing the pool's per-target LRU means a μ
+// derivation, a BC chain, and a coverage chain on one target all pay
+// for a single target-side BFS between them.
+func (p *BufferPool) TargetSnapshot(g *graph.Graph, target int) *sssp.TargetSPD {
 	if routeFor(g) != routeBFSIdentity {
 		return nil
 	}
-	ent := p.tspdLookup(tspdKey{version: g.Version(), target: target})
-	ent.once.Do(func() {
-		ent.spd = sssp.NewTargetSPD(sssp.NewBFS(g), target)
-	})
-	return ent.spd
-}
-
-// TargetSnapshot is targetSPD exported for the measure oracles
-// (internal/measure): coverage and k-path evaluations scan the same
-// target-side distance snapshot the betweenness identity oracle reads,
-// so sharing the pool's per-target LRU means a μ derivation, a BC
-// chain, and a coverage chain on one target all pay for a single
-// target-side BFS between them. Nil off the BFS identity route.
-func (p *BufferPool) TargetSnapshot(g *graph.Graph, target int) *sssp.TargetSPD {
-	return p.targetSPD(g, target)
-}
-
-// weightedTargetSPD is targetSPD's weighted counterpart: non-nil only
-// on the Dijkstra identity route. Both snapshot kinds share one LRU (a
-// graph is either weighted or not, so in practice every entry is the
-// same kind).
-func (p *BufferPool) weightedTargetSPD(g *graph.Graph, target int) *sssp.WeightedTargetSPD {
-	if routeFor(g) != routeDijkstraIdentity {
-		return nil
-	}
-	ent := p.tspdLookup(tspdKey{version: g.Version(), target: target})
-	ent.once.Do(func() {
-		ent.wspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), target)
-	})
-	return ent.wspd
+	return p.target(g, target).spd
 }
 
 // degreeAlias returns the degree-proposal alias table for the snapshot

@@ -7,7 +7,6 @@ import (
 
 	"bcmh/internal/graph"
 	"bcmh/internal/rng"
-	"bcmh/internal/sssp"
 )
 
 // cancelCheckInterval is how many chain steps pass between context
@@ -275,17 +274,15 @@ func EstimateBCPooledContext(ctx context.Context, g *graph.Graph, r int, cfg Con
 		return Result{}, fmt.Errorf("mcmc: oracle target %d out of range", r)
 	}
 	var b *chainBuffers
-	var tspd *sssp.TargetSPD
-	var wtspd *sssp.WeightedTargetSPD
+	var ts targetState
 	if pool != nil {
 		b = pool.get(g)
 		defer pool.put(b)
-		tspd = pool.targetSPD(g, r)
-		wtspd = pool.weightedTargetSPD(g, r)
+		ts = pool.chainTarget(g, r)
 	} else {
 		b = newChainBuffers(g)
 	}
-	oracle, err := newOracleBuffered(g, r, !cfg.DisableCache, b, tspd, wtspd, pool)
+	oracle, err := newOracleBuffered(g, r, !cfg.DisableCache, b, ts, pool)
 	if err != nil {
 		return Result{}, err
 	}

@@ -20,12 +20,16 @@ import "fmt"
 // per order, silently desynchronizing the hybrid and classic kernels
 // and the identity-oracle ratios built on them.
 //
-// The limit is enormous in practice (σ exceeds 2^53 only on graphs
-// with astronomically many shortest paths between one pair), which is
-// exactly why the assumption was previously implicit. sigmaCheck makes
-// it explicit: tests flip it on, and every Run then verifies the
-// invariant over the reached set, panicking on the first violation
-// instead of letting rounded counts masquerade as exact ones.
+// The limit is reached on ordinary graphs. In an a×b grid the
+// corner-to-corner count is σ = C(a+b−2, a−1), which passes 2^53 from
+// 30×30 on (C(58,29) ≈ 3.0e16) and reaches C(78,39) ≈ 2.7e22 on a
+// 40×40 grid. Such uniform-degree graphs stay on the classic loop,
+// because the heavy-tail gate in NewBFS keeps the hybrid kernel off
+// them, so the two kernels never have to agree there. Nothing in
+// production checks the limit. sigmaCheck makes it explicit for tests:
+// they flip it on, and every Run then verifies the invariant over the
+// reached set, panicking on the first violation instead of letting
+// rounded counts masquerade as exact ones.
 const SigmaExactLimit = float64(1 << 53)
 
 // sigmaCheck, when true, makes every BFS Run verify σ ≤

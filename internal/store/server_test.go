@@ -211,6 +211,53 @@ func TestDefaultSessionAliasRoutes(t *testing.T) {
 	}
 }
 
+// TestMuColumnChainsCounted drives the HTTP surface with N first-touch
+// planned estimates, M fixed-step reads and one /exact first touch:
+// only the planned first touches are chains served from the column
+// their μ derivation parked. Repeats, later chains on a target and
+// fixed-step reads traverse, and the /exact column stays parked with
+// no chain to take it. Both stats routes report the count.
+func TestMuColumnChainsCounted(t *testing.T) {
+	st := New(Config{})
+	t.Cleanup(st.Close)
+	if _, err := st.CreateFromGraph("karate", graph.KarateClub(), nil, true); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(st, "karate"))
+	t.Cleanup(srv.Close)
+	estimate := func(req engine.EstimateRequest) {
+		t.Helper()
+		var est engine.EstimateResponse
+		if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/estimate", req, &est); code != http.StatusOK {
+			t.Fatalf("estimate %+v: status %d", req, code)
+		}
+	}
+	planned := []int64{0, 33, 2, 31, 32}
+	for _, v := range planned {
+		req := engine.EstimateRequest{Vertex: v, Epsilon: 0.05, Delta: 0.1, MaxSteps: 512, Seed: 1}
+		estimate(req) // first touch: μ derivation, then the column-served chain
+		estimate(req) // result-cache hit: no chain
+		req.Seed = 2
+		estimate(req) // μ-cache hit: the chain traverses
+	}
+	for _, v := range []int64{0, 33, 1, 5} {
+		estimate(engine.EstimateRequest{Vertex: v, Steps: 200, Seed: 3})
+	}
+	var exact engine.ExactResponse
+	if code := doJSON(t, http.MethodGet, srv.URL+"/graphs/karate/exact/8", nil, &exact); code != http.StatusOK {
+		t.Fatalf("exact: status %d", code)
+	}
+	for _, path := range []string{"/stats", "/graphs/karate/stats"} {
+		var stats map[string]any
+		if code := doJSON(t, http.MethodGet, srv.URL+path, nil, &stats); code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, code)
+		}
+		if got, want := stats["mu_column_chains"], float64(len(planned)); got != want {
+			t.Fatalf("%s: mu_column_chains = %v, want %v", path, got, want)
+		}
+	}
+}
+
 func TestAliasRoutesWithoutDefaultSession(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, "")
 	var errResp map[string]string
