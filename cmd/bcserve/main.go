@@ -72,10 +72,9 @@
 //
 // The `stream` subcommand is mutate's bulk counterpart: it pipes an
 // NDJSON file (or stdin) of edit batches — one PATCH-shaped request per
-// line — to POST /graphs/{id}/stream, which applies them over the
-// overlay fast path (O(batch) per batch instead of a full rebuild),
-// printing one acknowledgement per batch as the server emits it and the
-// stream totals at the end. Rejected batches are reported and the
+// line — to POST /graphs/{id}/stream, which applies each exactly as a
+// PATCH would, printing one acknowledgement per batch as the server
+// emits it and the stream totals at the end. Rejected batches are reported and the
 // stream continues; the exit status is non-zero if any batch was
 // rejected:
 //

@@ -27,9 +27,10 @@
 //     graph handle serving concurrent requests with a shared μ-cache,
 //     a bounded LRU of completed estimates, pooled traversal buffers,
 //     and a deterministic batch worker pool; serves a *versioned*
-//     graph (SwapGraph installs mutated CSRs atomically, with requests
-//     snapshot-isolated on capture); includes the single-graph
-//     HTTP/JSON handlers the store mounts per session.
+//     graph (SwapGraph installs each edit batch's overlay descendant
+//     atomically, with requests snapshot-isolated on capture);
+//     includes the single-graph HTTP/JSON handlers the store mounts
+//     per session.
 //   - internal/store — the multi-tenant graph store: named sessions
 //     (each an engine plus label table and lifecycle context) created
 //     from uploaded edge lists, listed, and deleted over the /graphs
@@ -100,49 +101,45 @@
 //
 // # Dynamic graphs
 //
-// Graphs are versioned and mutable in place: graph.ApplyEdits builds
-// a fresh CSR one version ahead by a linear merge (batch-validated:
-// no parallel edges, no self-loops, no blind deletes, no weight-class
-// changes, vertex ids stable), and engine.SwapGraph installs it
-// atomically. Estimation is snapshot-isolated — every request,
-// batch, and ranking job captures one (graph, pool, version) tuple at
-// entry and completes on it bit-identically, no matter how many
-// mutations land mid-run — while result-cache keys carry the version
-// so stale entries never serve the new graph. μ-cache entries survive
-// a swap exactly when the biconnected-component retention rule
-// (graph.AffectedByEdits) proves the target's dependency column
-// unchanged: edits confined to other blocks of the block-cut tree
-// cannot move μ(r) or BC(r). Over HTTP this is
-// PATCH /graphs/{id}/edges (label-addressed edits, optional
-// if_version precondition answered with 409 on conflict, 400 for
-// batches that would disconnect the graph), session cost/budget
-// re-accounting on every batch, version stamps in Info and /stats,
-// and a per-job on_mutate policy (finish on the start snapshot, or
-// cancel with a versioned cause). cmd/bcserve's mutate subcommand is
-// the CLI client; examples/dynamic is the offline walkthrough.
+// Graphs are versioned and mutable in place through one pipeline,
+// store.Mutate. PATCH /graphs/{id}/edges sends one batch of
+// label-addressed edits; POST /graphs/{id}/stream is NDJSON framing of
+// the same call (one batch per line, one acknowledgement line per
+// batch, rejected lines reported without ending the stream). A batch
+// is validated as a whole (no parallel edges, no self-loops, no blind
+// deletes, no weight-class changes, vertex ids stable), costs
+// O(batch), and lands as follows:
 //
-// # Streaming mutations
+//   - graph.ApplyEditsOverlay absorbs it into a copy-on-write delta
+//     overlay over the shared base CSR, one version ahead, which the
+//     BFS/Dijkstra kernels patch into their seating arrays — the
+//     traversal inner loop is identical clean or overlaid;
+//   - each removed pair is vetted with graph.PairConnected (400 for a
+//     batch that would disconnect the graph), and an if_version
+//     precondition is answered with 409 on conflict;
+//   - the WAL records it before it becomes visible (one group-
+//     committed record per batch);
+//   - engine.SwapGraph installs it atomically, carrying the buffer
+//     pool, the μ-cache entries the biconnected-component retention
+//     rule proves unaffected (graph.AffectedByEdits, answered by the
+//     amortized graph.AffectedTracker), and warm chain memos across
+//     the version bump;
+//   - an outgrown overlay is folded back into a flat CSR off-lock
+//     (graph.Compact; graph.RebaseCompacted re-anchors batches that
+//     land mid-fold), and the WAL compacts by absolute size or by
+//     sustained growth rate — both single-flight per session.
 //
-// POST /graphs/{id}/stream is the high-rate counterpart of PATCH:
-// NDJSON batches in, NDJSON acknowledgements out, each batch absorbed
-// in O(batch) instead of O(n+m). A streamed batch lands as a delta
-// overlay over the shared base CSR (graph.ApplyEditsOverlay) that the
-// BFS/Dijkstra kernels patch into their seating arrays — the
-// traversal inner loop is identical clean or overlaid, and
-// bit-identical when the overlay is empty. engine.StreamSwap carries
-// the buffer pool, unaffected μ entries, and warm chain memos across
-// the version bump (affected region answered by an amortized
-// block-forest tracker), connectivity is vetted per removed pair, and
-// the WAL sees one group-committed record per batch. Background
-// compaction folds an outgrown overlay back into a flat CSR off-lock
-// (graph.RebaseCompacted re-anchors batches that land mid-fold), and
-// the WAL compacts by absolute size or by sustained growth rate —
-// both single-flight per session. cmd/bcserve's stream subcommand
-// pipes an NDJSON feed from a file or stdin; BenchmarkStreamEdits and
-// BenchmarkOverlayBFS in bench_test.go pin the speedup (≥10x
-// sustained edit rate vs the rebuild path on BA-2000 under concurrent
-// estimate traffic) and the kernel overhead budget (≤10% with a
-// non-empty overlay).
+// Estimation is snapshot-isolated: every request, batch, and ranking
+// job captures one (graph, pool, version) tuple at entry and completes
+// on it bit-identically, no matter how many mutations land mid-run,
+// while result-cache keys carry the version so stale entries never
+// serve the new graph. Sessions re-account their memory cost on every
+// batch, Info and /stats carry the version, and ranking jobs follow a
+// per-job on_mutate policy (finish on the start snapshot, or cancel
+// with a versioned cause). graph.ApplyEdits — the overlay plus an
+// immediate Compact — is what WAL replay uses. cmd/bcserve's mutate
+// and stream subcommands are the CLI clients; examples/dynamic is the
+// offline walkthrough.
 //
 // # Top-k ranking jobs
 //

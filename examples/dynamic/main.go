@@ -6,9 +6,9 @@
 //
 // The example builds a scale-free graph with a pendant ring community
 // hanging off it, stands up an estimation engine, and then *rewires
-// the hub* with a copy-on-write edit batch (graph.ApplyEdits +
-// engine.SwapGraph): a few hub edges are deleted and replaced by
-// periphery shortcuts. It prints how the hub's exact betweenness and
+// the hub* with a copy-on-write edit batch (graph.ApplyEditsOverlay +
+// engine.SwapGraph, the pipeline every PATCH runs): a few hub edges
+// are deleted and replaced by periphery shortcuts. It prints how the hub's exact betweenness and
 // its MH estimate move, and shows the engine's version-aware μ-cache
 // at work — the ring vertex's cached profile survives the swap
 // (provably unaffected, by the biconnected-component retention rule),
@@ -94,8 +94,8 @@ func main() {
 		if len(edits) == rewires {
 			break
 		}
-		trial, _, err := graph.ApplyEdits(cur, []graph.Edit{{Op: graph.EditRemove, U: hub, V: nb}})
-		if err != nil || !graph.IsConnected(trial) {
+		trial, _, err := graph.ApplyEditsOverlay(cur, []graph.Edit{{Op: graph.EditRemove, U: hub, V: nb}})
+		if err != nil || !graph.PairConnected(trial, hub, nb) {
 			continue // that edge was load-bearing; keep it
 		}
 		edits = append(edits, graph.Edit{Op: graph.EditRemove, U: hub, V: nb})
@@ -107,13 +107,13 @@ func main() {
 			continue
 		}
 		edits = append(edits, graph.Edit{Op: graph.EditAdd, U: u, V: v})
-		cur, _, err = graph.ApplyEdits(cur, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}})
+		cur, _, err = graph.ApplyEditsOverlay(cur, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		added++
 	}
-	next, rep, err := graph.ApplyEdits(g, edits)
+	next, rep, err := graph.ApplyEditsOverlay(eng.Graph(), edits)
 	if err != nil {
 		log.Fatal(err)
 	}

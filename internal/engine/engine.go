@@ -32,18 +32,24 @@
 // # Dynamic graphs
 //
 // The engine serves a *versioned* graph: SwapGraph atomically installs
-// a mutated CSR (built by graph.ApplyEdits) as the new current
-// snapshot. Snapshots are immutable — a request captures exactly one
-// (graph, pool, μ-cache, version) tuple at entry and runs on it to
+// an overlay descendant of the serving graph (graph.ApplyEditsOverlay
+// on it) as the new current snapshot, in O(batch) plus cache
+// bookkeeping. Snapshots are immutable — a request captures exactly
+// one (graph, pool, μ-cache, version) tuple at entry and runs on it to
 // completion, so an estimate in flight across a swap finishes
 // bit-identically to a run with no mutation at all, while the next
 // request sees the new graph. Result-cache keys carry the version, so
-// a stale entry can never answer a post-mutation request. μ-cache
-// entries survive a swap when the edit batch provably cannot have
-// changed the target's dependency column: the biconnected-component
-// retention rule of graph.AffectedByEdits (targets outside every
-// edited block's block-cut-tree span keep their exact μ, BC, and
-// concentration profile); all other entries are invalidated.
+// a stale entry can never answer a post-mutation request. One buffer
+// pool serves the whole lineage: kernels reseat in O(overlay), and
+// warm chain memos carry across the bump for targets the batch cannot
+// have affected. μ-cache entries survive a swap under the same rule:
+// the biconnected-component argument of graph.AffectedByEdits
+// (targets outside every edited block's block-cut-tree span keep their
+// exact μ, BC, and concentration profile), answered by an amortized
+// block-forest tracker (graph.AffectedTracker) that may be coarser
+// than the exact rule but never unsound; all other entries are
+// invalidated. InstallCompacted swaps in the background-folded CSR of
+// the serving version without changing anything logical.
 //
 // Engine.Estimate serves one target; Engine.EstimateBatch fans a target
 // list over a bounded worker pool with per-target seeds derived
@@ -99,7 +105,7 @@ type Config struct {
 }
 
 // snapshot is one immutable serving state: a graph version, the CSR it
-// serves, the buffer pool sized to it, and the version's μ-cache.
+// serves, the lineage's buffer pool, and the version's μ-cache.
 // Requests capture one snapshot at entry and never re-read the current
 // pointer, which is what makes estimation snapshot-isolated across
 // SwapGraph.
@@ -107,12 +113,6 @@ type snapshot struct {
 	g       *graph.Graph
 	pool    *mcmc.BufferPool
 	version uint64
-
-	// columnBase is the ColumnChains total of the pools SwapGraph
-	// replaced before this snapshot's pool, so Stats keeps counting
-	// across full rebuilds. Chains that start on a replaced pool after
-	// its swap are not counted.
-	columnBase uint64
 
 	// μ-cache: one entry per requested (measure, target) pair, computed
 	// once in a detached goroutine so concurrent first requests share
@@ -138,11 +138,10 @@ type Engine struct {
 	lifecycle context.Context
 
 	snap    atomic.Pointer[snapshot]
-	swapMtx sync.Mutex // serializes SwapGraph/StreamSwap/InstallCompacted
+	swapMtx sync.Mutex // serializes SwapGraph/InstallCompacted
 
-	// tracker amortizes affected-set computation across StreamSwap
-	// batches (guarded by swapMtx; nil until the first stream batch,
-	// reset by a full-CSR SwapGraph).
+	// tracker amortizes affected-set computation across SwapGraph
+	// batches (guarded by swapMtx; nil until the first swap).
 	tracker *graph.AffectedTracker
 
 	results *lruCache
@@ -233,19 +232,19 @@ func (e *Engine) Version() uint64 { return e.current().version }
 // core.Prepare, or nil when the input graph was usable as-is.
 func (e *Engine) Mapping() []int { return e.mapping }
 
-// Pool returns the current snapshot's chain-buffer pool. A pool is
-// only valid for the graph of the snapshot it came from — callers that
-// run chains beside the engine's own traffic must take Graph and Pool
-// from one Snapshot call, never from separate Graph()/Pool() reads
-// that a concurrent SwapGraph could split across versions.
+// Pool returns the chain-buffer pool of the engine's graph lineage.
+// Callers that run chains beside the engine's own traffic must still
+// take Graph and Pool from one Snapshot call, never from separate
+// Graph()/Pool() reads that a concurrent SwapGraph could split across
+// versions.
 func (e *Engine) Pool() *mcmc.BufferPool { return e.current().pool }
 
 // Snapshot is an exported consistent view of one serving state.
 type Snapshot struct {
 	// Graph is the snapshot's immutable CSR.
 	Graph *graph.Graph
-	// Pool is the buffer pool sized to (and caching target SPDs of)
-	// exactly that graph.
+	// Pool is the lineage's buffer pool; it serves Graph and caches
+	// its target SPDs by version.
 	Pool *mcmc.BufferPool
 	// Version is the snapshot's graph version.
 	Version uint64
@@ -281,82 +280,72 @@ type SwapReport struct {
 	// Version is the version now being served.
 	Version uint64
 	// Affected is the number of vertices inside the edit's affected
-	// region (see graph.AffectedByEdits).
+	// region, as the tracker bounds it (see graph.AffectedTracker).
 	Affected int
 	// MuRetained and MuInvalidated count μ-cache entries carried over
 	// versus dropped.
 	MuRetained, MuInvalidated int
 }
 
-// SwapGraph atomically replaces the serving graph with next — a
-// mutated CSR produced by graph.ApplyEdits on the current one — and
-// edited is the applied batch's endpoint pairs (EditReport.Pairs).
+// SwapGraph atomically replaces the serving graph with next, an
+// overlay descendant of it (graph.ApplyEditsOverlay on the serving
+// graph, sharing its backing storage), with a strictly greater
+// Version; pairs are the batch's endpoint pairs (EditReport.Pairs).
+// It runs in O(batch + caches):
 //
-// Requirements: next must be undirected, connected, have the same
-// vertex count as the current graph (vertex ids are stable across a
-// mutation lineage; that stability is what lets caches and label
-// tables survive), and carry a strictly greater Version.
+//   - the affected region comes from an amortized block-forest
+//     tracker (graph.AffectedTracker), a sound overapproximation of
+//     graph.AffectedByEdits that can be coarser after many edits in one
+//     region;
+//   - connectivity is the caller's contract, not checked here: the
+//     store vets every removed pair with graph.PairConnected before the
+//     batch is logged (additions never disconnect, and removals whose
+//     endpoints stay connected leave the graph connected);
+//   - the buffer pool is carried forward (pool.Advance), so kernels
+//     reseat in O(overlay) and warm chain memos survive per the carry
+//     rules in internal/mcmc.
 //
 // In-flight estimates are untouched: they hold the previous snapshot
 // and complete on it bit-identically. The result LRU needs no sweep —
 // its keys carry the version, so old entries can never answer
 // new-version requests and simply age out. μ-cache entries (including
 // ones still being computed) are carried into the new snapshot exactly
-// when the target lies outside the edit's affected region, where the
+// when the target lies outside the affected region, where the
 // dependency column is provably unchanged; retained exact values are
 // mathematically exact for the new graph, though not necessarily
-// bit-identical to what a cold recomputation on the new CSR would
-// produce (shortest-path counts may regroup floating-point sums).
-// Passing nil edited pairs invalidates every entry — the safe call
-// when the mutation's provenance is unknown.
-func (e *Engine) SwapGraph(next *graph.Graph, edited [][2]int) (SwapReport, error) {
+// bit-identical to what a cold recomputation would produce
+// (shortest-path counts may regroup floating-point sums). Nil pairs
+// mark every vertex affected — the safe call when the mutation's
+// provenance is unknown.
+func (e *Engine) SwapGraph(next *graph.Graph, pairs [][2]int) (SwapReport, error) {
 	if next == nil {
 		return SwapReport{}, fmt.Errorf("engine: SwapGraph on nil graph")
-	}
-	if next.Directed() {
-		return SwapReport{}, fmt.Errorf("engine: SwapGraph requires an undirected graph")
 	}
 	e.swapMtx.Lock()
 	defer e.swapMtx.Unlock()
 	cur := e.current()
-	if next.N() != cur.g.N() {
-		return SwapReport{}, fmt.Errorf("engine: SwapGraph changes the vertex count (%d -> %d); mutations must keep vertex ids stable", cur.g.N(), next.N())
+	if !graph.SameStorage(cur.g, next) {
+		return SwapReport{}, fmt.Errorf("engine: SwapGraph requires an overlay descendant of the serving graph (graph.ApplyEditsOverlay on it)")
 	}
 	if next.Version() <= cur.version {
 		return SwapReport{}, fmt.Errorf("engine: %w (serving %d, offered %d)", ErrVersionRegression, cur.version, next.Version())
 	}
-	if !graph.IsConnected(next) {
-		return SwapReport{}, fmt.Errorf("engine: SwapGraph rejects a disconnected graph (the estimators require connectivity)")
+	if e.tracker == nil {
+		e.tracker = graph.NewAffectedTracker(cur.g)
 	}
-	affected := graph.AffectedByEdits(next, edited)
+	affected := e.tracker.Affected(next, pairs)
 	nAffected := 0
 	for _, a := range affected {
 		if a {
 			nAffected++
 		}
 	}
-	// An overlay descendant keeps the current pool: kernels reseat in
-	// O(overlay) and warm chain memos survive where the affected set
-	// allows. A fresh CSR gets a fresh pool (old buffers would rebuild on
-	// every checkout anyway) and invalidates the stream tracker's forest
-	// baseline.
-	pool, columnBase := cur.pool, cur.columnBase
-	if graph.SameStorage(cur.g, next) {
-		pool.Advance(next, affected)
-		if e.tracker != nil {
-			e.tracker.Absorb(affected)
-		}
-	} else {
-		columnBase += pool.ColumnChains()
-		pool = mcmc.NewBufferPool(next)
-		e.tracker = nil
-	}
+	cur.pool.Advance(next, affected)
 	fresh := &snapshot{
-		g:          next,
-		pool:       pool,
-		version:    next.Version(),
-		columnBase: columnBase,
-		mu:         make(map[muKey]*muEntry),
+		g:       next,
+		pool:    cur.pool,
+		version: next.Version(),
+		mu:      make(map[muKey]*muEntry),
 	}
 	report := SwapReport{Version: next.Version(), Affected: nAffected}
 	cur.muMtx.Lock()
@@ -383,71 +372,6 @@ func (e *Engine) SwapGraph(next *graph.Graph, edited [][2]int) (SwapReport, erro
 	return report, nil
 }
 
-// StreamSwap is SwapGraph's streaming fast path: next must be an
-// overlay descendant of the serving graph (graph.ApplyEditsOverlay on
-// it — same backing storage), and pairs the batch's endpoint pairs.
-// Instead of the full O(n+m) swap pipeline it runs in O(batch + caches):
-// the affected set comes from an amortized block-forest tracker rather
-// than a fresh decomposition, the connectivity check is skipped (the
-// caller vets removals with graph.PairConnected before applying them —
-// an overlay edit batch that passes cannot disconnect the graph, since
-// additions never disconnect and vetted removals by definition leave
-// their endpoints connected), and the buffer pool is the same object
-// carried forward, so warm chain memos and kernels survive per the
-// carry rules in internal/mcmc. Nil pairs mark every vertex affected.
-func (e *Engine) StreamSwap(next *graph.Graph, pairs [][2]int) (SwapReport, error) {
-	if next == nil {
-		return SwapReport{}, fmt.Errorf("engine: StreamSwap on nil graph")
-	}
-	if next.Directed() {
-		return SwapReport{}, fmt.Errorf("engine: StreamSwap requires an undirected graph")
-	}
-	e.swapMtx.Lock()
-	defer e.swapMtx.Unlock()
-	cur := e.current()
-	if !graph.SameStorage(cur.g, next) {
-		return SwapReport{}, fmt.Errorf("engine: StreamSwap requires an overlay descendant of the serving graph (use SwapGraph for a rebuilt CSR)")
-	}
-	if next.Version() <= cur.version {
-		return SwapReport{}, fmt.Errorf("engine: %w (serving %d, offered %d)", ErrVersionRegression, cur.version, next.Version())
-	}
-	if e.tracker == nil {
-		e.tracker = graph.NewAffectedTracker(cur.g)
-	}
-	affected := e.tracker.Affected(next, pairs)
-	nAffected := 0
-	for _, a := range affected {
-		if a {
-			nAffected++
-		}
-	}
-	cur.pool.Advance(next, affected)
-	fresh := &snapshot{
-		g:          next,
-		pool:       cur.pool,
-		version:    next.Version(),
-		columnBase: cur.columnBase,
-		mu:         make(map[muKey]*muEntry),
-	}
-	report := SwapReport{Version: next.Version(), Affected: nAffected}
-	cur.muMtx.Lock()
-	for k, ent := range cur.mu {
-		// Same retention rule as SwapGraph: bc-only (see there).
-		if !k.spec.IsBC() || affected[k.vertex] {
-			report.MuInvalidated++
-			continue
-		}
-		fresh.mu[k] = ent
-		report.MuRetained++
-	}
-	cur.muMtx.Unlock()
-	e.snap.Store(fresh)
-	e.swaps.Add(1)
-	e.muRetained.Add(uint64(report.MuRetained))
-	e.muInvalidated.Add(uint64(report.MuInvalidated))
-	return report, nil
-}
-
 // InstallCompacted replaces the serving graph with an equivalent
 // compacted representation of the *same version* — the tail end of
 // background overlay compaction (graph.Compact + graph.RebaseCompacted
@@ -455,9 +379,9 @@ func (e *Engine) StreamSwap(next *graph.Graph, pairs [][2]int) (SwapReport, erro
 // the version, the μ-cache, and the buffer pool all carry over intact
 // (pool caches are version-keyed, and Compact preserves adjacency
 // order, so even cached target snapshots stay bit-identical). The
-// stream tracker survives too — its soundness ledger tracks the
+// affected-set tracker survives too — its soundness ledger tracks the
 // logical graph, not its storage. In-flight estimates keep their old
-// snapshot; later stream batches chain off the compacted storage.
+// snapshot; later edit batches chain off the compacted storage.
 func (e *Engine) InstallCompacted(next *graph.Graph) error {
 	if next == nil {
 		return fmt.Errorf("engine: InstallCompacted on nil graph")
@@ -472,11 +396,10 @@ func (e *Engine) InstallCompacted(next *graph.Graph) error {
 		return fmt.Errorf("engine: InstallCompacted changes the graph shape")
 	}
 	fresh := &snapshot{
-		g:          next,
-		pool:       cur.pool,
-		version:    cur.version,
-		columnBase: cur.columnBase,
-		mu:         make(map[muKey]*muEntry),
+		g:       next,
+		pool:    cur.pool,
+		version: cur.version,
+		mu:      make(map[muKey]*muEntry),
 	}
 	cur.muMtx.Lock()
 	for r, ent := range cur.mu {
@@ -701,7 +624,7 @@ func (e *Engine) Stats() Stats {
 		MuCached:       muCached,
 		MuRetained:     e.muRetained.Load(),
 		MuInvalidated:  e.muInvalidated.Load(),
-		MuColumnChains: sn.columnBase + sn.pool.ColumnChains(),
+		MuColumnChains: sn.pool.ColumnChains(),
 		ResultHits:     e.resultHits.Load(),
 		ResultMisses:   e.resultMisses.Load(),
 		ResultCached:   e.results.len(),

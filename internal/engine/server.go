@@ -222,10 +222,20 @@ func (s *server) labelFor(v int) int64 {
 const StatusClientClosedRequest = 499
 
 // WriteJSON writes v as the JSON response body with the given status.
+// v is encoded before anything is written, so a value JSON cannot
+// carry (NaN or ±Inf in a float field) gets a 500 error reply instead
+// of the success status with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("engine: encoding reply: %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone; there is no one left
+	// to report it to.
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // WriteError writes the error-shape reply every endpoint of this

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"bcmh/internal/core"
@@ -289,5 +291,35 @@ func TestServerMuxErrorsAreJSON(t *testing.T) {
 	}
 	if errBody.Error == "" {
 		t.Fatal("GET /estimate: empty error message in 405 body")
+	}
+}
+
+// TestWriteJSONUnencodableValue pins the reply to a value JSON cannot
+// carry: a NaN field gets a 500 in the {"error": ...} shape, never the
+// success status with an empty body. An encodable value keeps its
+// status and the encoder's trailing newline.
+func TestWriteJSONUnencodableValue(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, EstimateResponse{Vertex: 3, Value: math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN reply: status %d, want 500", rec.Code)
+	}
+	var errBody struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &errBody); err != nil {
+		t.Fatalf("NaN reply body %q is not JSON: %v", rec.Body.String(), err)
+	}
+	if !strings.Contains(errBody.Error, "NaN") {
+		t.Fatalf("NaN reply error %q does not name the value", errBody.Error)
+	}
+
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, http.StatusCreated, map[string]float64{"bc": 0.5})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"bc\":0.5}\n" {
+		t.Fatalf("finite reply: status %d body %q", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("finite reply: Content-Type %q", ct)
 	}
 }

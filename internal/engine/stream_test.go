@@ -9,19 +9,11 @@ import (
 	"bcmh/internal/graph"
 )
 
-func mustOverlay(t *testing.T, g *graph.Graph, edits []graph.Edit) (*graph.Graph, *graph.EditReport) {
-	t.Helper()
-	next, rep, err := graph.ApplyEditsOverlay(g, edits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return next, rep
-}
-
-// TestStreamSwapReusesPoolAndRetainsMu pins the fast path's two
-// promises: the buffer pool object survives the swap (no rebuild), and
-// μ retention matches SwapGraph's block rule (the tracker is exact on
-// its first batch, when the forest is fresh).
+// TestStreamSwapReusesPoolAndRetainsMu pins SwapGraph's carry-over:
+// the buffer pool object survives the swap (no rebuild), μ retention
+// follows the block rule (the tracker is exact on its first batch,
+// when the forest is fresh), and estimates on the overlay snapshot
+// match a fresh engine over its clean CSR.
 func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	g := twoRingsGraph(8, 8) // A = 0..7, cut = 7, B = 7..14
 	e, err := New(g)
@@ -40,15 +32,15 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	pool := e.Pool()
 
 	next, rep := mustOverlay(t, e.Graph(), []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
-	swap, err := e.StreamSwap(next, rep.Pairs)
+	swap, err := e.SwapGraph(next, rep.Pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if swap.Version != 1 || e.Version() != 1 || e.Graph() != next {
-		t.Fatalf("stream swap not installed: %+v, serving %d", swap, e.Version())
+		t.Fatalf("swap not installed: %+v, serving %d", swap, e.Version())
 	}
 	if e.Pool() != pool {
-		t.Fatal("StreamSwap rebuilt the buffer pool; the fast path must carry it over")
+		t.Fatal("SwapGraph rebuilt the buffer pool; it must carry it over")
 	}
 	if swap.MuRetained != 1 || swap.MuInvalidated != 1 {
 		t.Fatalf("retained/invalidated = %d/%d, want 1/1", swap.MuRetained, swap.MuInvalidated)
@@ -79,7 +71,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 		t.Fatalf("recomputed BC(%d) = %v, exact on new graph = %v", inB, msB2.BC, wantB)
 	}
 
-	// Estimates on the streamed snapshot are bit-identical to a fresh
+	// Estimates on the overlay snapshot are bit-identical to a fresh
 	// engine over the same logical graph.
 	opts := core.Options{Steps: 2048, Seed: 11}
 	got, err := e.Estimate(inB, opts)
@@ -95,7 +87,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Value != want.Value {
-		t.Fatalf("streamed estimate %v != fresh-engine reference %v", got.Value, want.Value)
+		t.Fatalf("overlay-snapshot estimate %v != fresh-engine reference %v", got.Value, want.Value)
 	}
 }
 
@@ -111,7 +103,7 @@ func TestStreamSwapChained(t *testing.T) {
 	for gen, uv := range edits {
 		cur := e.Graph()
 		next, rep := mustOverlay(t, cur, []graph.Edit{{Op: graph.EditAdd, U: uv[0], V: uv[1]}})
-		if _, err := e.StreamSwap(next, rep.Pairs); err != nil {
+		if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
 		if e.Pool() != pool {
@@ -130,9 +122,9 @@ func TestStreamSwapChained(t *testing.T) {
 	}
 }
 
-// TestSwapGraphOverlayDescendantReusesPool: the classic SwapGraph entry
-// point also keeps the pool when handed an overlay descendant (the two
-// entry points share the storage test, not the affected-set machinery).
+// TestSwapGraphOverlayDescendantReusesPool: SwapGraph keeps the pool
+// for an overlay descendant, and rejects a rebuilt CSR of the next
+// batch without touching the pool, the serving graph or the version.
 func TestSwapGraphOverlayDescendantReusesPool(t *testing.T) {
 	e, err := New(twoRingsGraph(8, 8))
 	if err != nil {
@@ -146,46 +138,54 @@ func TestSwapGraphOverlayDescendantReusesPool(t *testing.T) {
 	if e.Pool() != pool {
 		t.Fatal("SwapGraph should reuse the pool for an overlay descendant")
 	}
-	// A rebuilt CSR drops it.
-	rebuilt, rep2 := mustApply(t, next.Compact(), []graph.Edit{{Op: graph.EditAdd, U: 9, V: 13}})
-	if _, err := e.SwapGraph(rebuilt, rep2.Pairs); err != nil {
+	// A rebuilt CSR is refused; nothing is swapped.
+	rebuilt, rep2, err := graph.ApplyEdits(next.Compact(), []graph.Edit{{Op: graph.EditAdd, U: 9, V: 13}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Pool() == pool {
-		t.Fatal("SwapGraph must rebuild the pool for a fresh CSR")
+	if _, err := e.SwapGraph(rebuilt, rep2.Pairs); err == nil {
+		t.Fatal("SwapGraph accepted a rebuilt CSR")
+	}
+	if e.Pool() != pool || e.Graph() != next || e.Version() != 1 {
+		t.Fatalf("rejected swap changed state: pool kept %v, graph kept %v, version %d",
+			e.Pool() == pool, e.Graph() == next, e.Version())
 	}
 }
 
-// TestStreamSwapValidation pins the fast path's preconditions.
+// TestStreamSwapValidation pins SwapGraph's descendant preconditions:
+// a rebuilt CSR is not an overlay descendant, and a version already
+// installed cannot be installed again.
 func TestStreamSwapValidation(t *testing.T) {
 	e, err := New(twoRingsGraph(6, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := e.Graph()
-	// A rebuilt CSR is not an overlay descendant.
-	rebuilt, _ := mustApply(t, g, []graph.Edit{{Op: graph.EditAdd, U: 0, V: 2}})
-	if _, err := e.StreamSwap(rebuilt, [][2]int{{0, 2}}); err == nil {
-		t.Fatal("StreamSwap accepted a rebuilt CSR")
+	rebuilt, _, err := graph.ApplyEdits(g, []graph.Edit{{Op: graph.EditAdd, U: 0, V: 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.StreamSwap(nil, nil); err == nil {
-		t.Fatal("StreamSwap accepted a nil graph")
+	if _, err := e.SwapGraph(rebuilt, [][2]int{{0, 2}}); err == nil {
+		t.Fatal("SwapGraph accepted a rebuilt CSR")
+	}
+	if _, err := e.SwapGraph(nil, nil); err == nil {
+		t.Fatal("SwapGraph accepted a nil graph")
 	}
 	// Version must advance: install an overlay bump, then offer it again.
 	next, rep := mustOverlay(t, g, []graph.Edit{{Op: graph.EditAdd, U: 0, V: 2}})
-	if _, err := e.StreamSwap(next, rep.Pairs); err != nil {
+	if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.StreamSwap(next, rep.Pairs); !errors.Is(err, ErrVersionRegression) {
+	if _, err := e.SwapGraph(next, rep.Pairs); !errors.Is(err, ErrVersionRegression) {
 		t.Fatalf("replayed version not rejected: %v", err)
 	}
 	if e.Version() != 1 {
-		t.Fatalf("failed stream swaps moved the version to %d", e.Version())
+		t.Fatalf("failed swaps moved the version to %d", e.Version())
 	}
 }
 
 // TestInstallCompacted pins the compaction handoff: same version, same
-// pool, μ-cache intact, and later stream batches chain off the new
+// pool, μ-cache intact, and later edit batches chain off the new
 // storage.
 func TestInstallCompacted(t *testing.T) {
 	e, err := New(twoRingsGraph(8, 8))
@@ -193,7 +193,7 @@ func TestInstallCompacted(t *testing.T) {
 		t.Fatal(err)
 	}
 	next, rep := mustOverlay(t, e.Graph(), []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
-	if _, err := e.StreamSwap(next, rep.Pairs); err != nil {
+	if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.MuStats(2); err != nil {
@@ -224,9 +224,9 @@ func TestInstallCompacted(t *testing.T) {
 		t.Fatalf("μ-cache lost across compaction: misses %d -> %d", missesBefore, got)
 	}
 
-	// The stream keeps flowing on the compacted storage.
+	// Edit batches keep flowing on the compacted storage.
 	next2, rep2 := mustOverlay(t, c, []graph.Edit{{Op: graph.EditAdd, U: 9, V: 13}})
-	if _, err := e.StreamSwap(next2, rep2.Pairs); err != nil {
+	if _, err := e.SwapGraph(next2, rep2.Pairs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.ExactBCOf(10)

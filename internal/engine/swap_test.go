@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -29,9 +30,11 @@ func twoRingsGraph(a, b int) *graph.Graph {
 	return bld.MustBuild()
 }
 
-func mustApply(t *testing.T, g *graph.Graph, edits []graph.Edit) (*graph.Graph, *graph.EditReport) {
+// mustOverlay applies edits to g as an overlay descendant — the only
+// graph SwapGraph installs.
+func mustOverlay(t *testing.T, g *graph.Graph, edits []graph.Edit) (*graph.Graph, *graph.EditReport) {
 	t.Helper()
-	next, rep, err := graph.ApplyEdits(g, edits)
+	next, rep, err := graph.ApplyEditsOverlay(g, edits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func TestSwapGraphRetainsProvablyUnaffectedMu(t *testing.T) {
 	missesBefore := e.Stats().MuMisses
 
 	// Chord inside ring B.
-	next, rep := mustApply(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
+	next, rep := mustOverlay(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
 	swap, err := e.SwapGraph(next, rep.Pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +118,7 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	next, rep := mustApply(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
+	next, rep := mustOverlay(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 12}})
 	if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +126,10 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fresh engine over the mutated graph is the reference: the
-	// post-swap estimate must be bit-identical to it, proving the
-	// pre-mutation cache entry was not served.
-	ref, err := New(next)
+	// A fresh engine over the mutated graph's clean CSR is the
+	// reference: the post-swap estimate must be bit-identical to it,
+	// proving the pre-mutation cache entry was not served.
+	ref, err := New(next.Compact())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestSwapGraphInFlightEstimateIsBitIdentical(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	next, rep := mustApply(t, g, []graph.Edit{
+	next, rep := mustOverlay(t, g, []graph.Edit{
 		{Op: graph.EditAdd, U: 0, V: 41},
 		{Op: graph.EditAdd, U: 100, V: 141},
 	})
@@ -229,6 +232,12 @@ func TestSwapGraphInFlightEstimateIsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSwapGraphValidation pins SwapGraph's preconditions on the
+// serving graph itself and on foreign graphs; failed swaps change
+// nothing. Connectivity is the caller's contract (the store vets
+// removed pairs before logging a batch; see the store's disconnection
+// tests). The descendant and replay checks are in
+// TestStreamSwapValidation.
 func TestSwapGraphValidation(t *testing.T) {
 	g := twoRingsGraph(6, 6)
 	e, err := New(g)
@@ -236,24 +245,13 @@ func TestSwapGraphValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same version (0): regression.
-	if _, err := e.SwapGraph(twoRingsGraph(6, 6), nil); err == nil {
-		t.Fatal("version regression accepted")
+	if _, err := e.SwapGraph(g, nil); !errors.Is(err, ErrVersionRegression) {
+		t.Fatalf("version regression not rejected: %v", err)
 	}
-	// Vertex-count change.
-	bigger, rep := mustApply(t, twoRingsGraph(6, 7), []graph.Edit{{Op: graph.EditAdd, U: 0, V: 2}})
+	// Vertex-count change: an overlay of another graph.
+	bigger, rep := mustOverlay(t, twoRingsGraph(6, 7), []graph.Edit{{Op: graph.EditAdd, U: 0, V: 2}})
 	if _, err := e.SwapGraph(bigger, rep.Pairs); err == nil {
 		t.Fatal("vertex-count change accepted")
-	}
-	// Disconnecting removal.
-	disc, rep2 := mustApply(t, g, []graph.Edit{
-		{Op: graph.EditRemove, U: 4, V: 5},
-		{Op: graph.EditRemove, U: 5, V: 0},
-	})
-	if graph.IsConnected(disc) {
-		t.Fatal("test setup: expected a disconnected graph")
-	}
-	if _, err := e.SwapGraph(disc, rep2.Pairs); err == nil {
-		t.Fatal("disconnected graph accepted")
 	}
 	if _, err := e.SwapGraph(nil, nil); err == nil {
 		t.Fatal("nil graph accepted")
@@ -276,7 +274,7 @@ func TestSwapGraphNilPairsInvalidatesAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	next, _ := mustApply(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 10}})
+	next, _ := mustOverlay(t, g, []graph.Edit{{Op: graph.EditAdd, U: 8, V: 10}})
 	swap, err := e.SwapGraph(next, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +298,7 @@ func TestSwapGraphSequence(t *testing.T) {
 		if cur.HasEdge(u, v) || u == v {
 			continue
 		}
-		next, rep := mustApply(t, cur, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}})
+		next, rep := mustOverlay(t, cur, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}})
 		if !graph.IsConnected(next) {
 			t.Fatal("setup: disconnected")
 		}

@@ -349,22 +349,3 @@ func (t *AffectedTracker) Affected(g *Graph, pairs [][2]int) []bool {
 	}
 	return affected
 }
-
-// Absorb folds an externally computed affected set (e.g. from a full
-// AffectedByEdits on a non-stream mutation path) into the dirty ledger
-// so later stale-forest answers stay sound. Nil marks everything.
-func (t *AffectedTracker) Absorb(affected []bool) {
-	if affected == nil {
-		for i := range t.dirty {
-			t.dirty[i] = true
-		}
-		t.nDirty = len(t.dirty)
-		return
-	}
-	for v, a := range affected {
-		if a && !t.dirty[v] {
-			t.dirty[v] = true
-			t.nDirty++
-		}
-	}
-}

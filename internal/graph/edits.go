@@ -1,18 +1,19 @@
 package graph
 
-// Batched copy-on-write edge mutation: ApplyEdits takes an immutable
-// CSR graph and an edit batch and produces a *new* CSR one version
-// ahead, leaving the input untouched — the substrate of the serving
-// stack's dynamic-graph support. The old graph stays valid forever, so
-// estimates that captured it keep running bit-identically while new
-// traffic sees the new version (snapshot isolation; see
-// internal/engine.SwapGraph).
+// Batched copy-on-write edge mutation. An edit batch is validated as
+// a whole against an immutable graph and applied one version ahead,
+// leaving the input untouched, so estimates that captured it keep
+// running bit-identically while new traffic sees the new version
+// (snapshot isolation; see internal/engine.SwapGraph).
 //
-// The merge is linear: per-vertex deltas are grouped once (O(k log k)
-// for k edits), then every adjacency list is either copied wholesale
-// (unchanged vertices) or rebuilt by a two-pointer merge of the old
-// sorted list against its sorted additions and removals — no global
-// re-sort of the adjacency arrays.
+// There is one merge: ApplyEditsOverlay (overlay.go) rebuilds the
+// adjacency of each edited vertex by a two-pointer merge of its sorted
+// list against its sorted additions and removals, and layers the
+// results over the shared base CSR in O(batch + overlay). The serving
+// path keeps that overlay and folds it into a flat CSR in the
+// background (Compact). ApplyEdits is the same batch followed by
+// Compact, for callers that want a clean CSR at once (WAL replay,
+// tools).
 
 import (
 	"fmt"
@@ -43,7 +44,7 @@ func (op EditOp) String() string {
 
 // Edit is one edge mutation. W is the weight of an added edge on a
 // weighted graph (0 means 1); it is ignored for removals and must be
-// 0 or 1 on unweighted graphs — ApplyEdits never changes a graph's
+// 0 or 1 on unweighted graphs — an edit never changes a graph's
 // weightedness class, so caches keyed on it stay coherent.
 type Edit struct {
 	Op   EditOp
@@ -66,7 +67,7 @@ type EditReport struct {
 
 // Version returns the graph's monotonic mutation stamp: 0 for graphs
 // built by a Builder (or any generator/reader on top of one), and one
-// more than the input's for every ApplyEdits product. Versions order
+// more than the input's for every applied edit batch. Versions order
 // the snapshots of one mutation lineage; they carry no meaning across
 // unrelated graphs.
 func (g *Graph) Version() uint64 { return g.version }
@@ -92,11 +93,11 @@ type halfEdit struct {
 	add      bool
 }
 
-// editGroups is a validated, grouped edit batch, shared between
-// ApplyEdits (full CSR rebuild) and ApplyEditsOverlay (delta overlay):
-// halves sorted by (from, to) so each vertex's delta is one sorted
-// run, pairs in input order (u < v), changed the sorted distinct
-// endpoints, and the add/remove totals.
+// editGroups is a validated, grouped edit batch, the input of
+// ApplyEditsOverlay's per-vertex merges: halves sorted by (from, to)
+// so each vertex's delta is one sorted run, pairs in input order
+// (u < v), changed the sorted distinct endpoints, and the add/remove
+// totals.
 type editGroups struct {
 	halves         []halfEdit
 	pairs          [][2]int
@@ -107,7 +108,7 @@ type editGroups struct {
 // groupEdits validates an edit batch against g (endpoint range,
 // self-loops, one-edit-per-pair, weight class) and groups it for the
 // per-vertex merges. Edge-existence violations are not checked here —
-// both appliers detect them during their merge, with identical errors.
+// the merge detects them.
 func groupEdits(g *Graph, edits []Edit) (*editGroups, error) {
 	n := g.N()
 	weighted := g.Weighted()
@@ -195,8 +196,9 @@ func groupEdits(g *Graph, edits []Edit) (*editGroups, error) {
 }
 
 // ApplyEdits applies a batch of edge edits to an undirected graph and
-// returns the resulting graph (a fresh CSR, Version()+1) plus a report
-// of what changed. The input graph is not modified.
+// returns the resulting graph as a fresh clean CSR (Version()+1) plus
+// a report of what changed: ApplyEditsOverlay followed by Compact. The
+// input graph is not modified.
 //
 // The batch is validated as a whole and applied atomically — any
 // invalid edit rejects the entire batch with a nil graph:
@@ -213,102 +215,14 @@ func groupEdits(g *Graph, edits []Edit) (*editGroups, error) {
 //     1); on unweighted graphs W must be 0 or 1, keeping the graph
 //     unweighted.
 //
-// ApplyEdits does not check connectivity: removing a bridge yields a
+// Neither applier checks connectivity: removing a bridge yields a
 // valid but disconnected graph, which estimation layers must reject
-// themselves (internal/store does, with an explanatory error).
+// themselves (internal/store does, per removed pair with
+// PairConnected, before the batch is logged or served).
 func ApplyEdits(g *Graph, edits []Edit) (*Graph, *EditReport, error) {
-	if g == nil {
-		return nil, nil, fmt.Errorf("graph: ApplyEdits on nil graph")
-	}
-	if g.directed {
-		return nil, nil, fmt.Errorf("graph: ApplyEdits supports undirected graphs only")
-	}
-	if len(edits) == 0 {
-		return nil, nil, fmt.Errorf("graph: empty edit batch")
-	}
-	n := g.N()
-	weighted := g.Weighted()
-
-	gr, err := groupEdits(g, edits)
+	next, rep, err := ApplyEditsOverlay(g, edits)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Linear merge: new offsets from per-vertex delta counts, then per
-	// vertex either a wholesale copy or a two-pointer merge against the
-	// delta run. Reads go through the accessors so an overlay input
-	// (ApplyEditsOverlay product) merges its current lists, not the
-	// stale base runs.
-	newAdj := make([]int, 0, len(g.adj)+2*(gr.added-gr.removed))
-	var newWeights []float64
-	if weighted {
-		newWeights = make([]float64, 0, cap(newAdj))
-	}
-	newOffsets := make([]int, n+1)
-	hi := 0 // cursor into gr.halves
-	for v := 0; v < n; v++ {
-		newOffsets[v] = len(newAdj)
-		old := g.Neighbors(v)
-		var oldW []float64
-		if weighted {
-			oldW = g.NeighborWeights(v)
-		}
-		if hi >= len(gr.halves) || gr.halves[hi].from != v {
-			// Untouched vertex: copy the old run verbatim.
-			newAdj = append(newAdj, old...)
-			if weighted {
-				newWeights = append(newWeights, oldW...)
-			}
-			continue
-		}
-		oi := 0
-		for hi < len(gr.halves) && gr.halves[hi].from == v {
-			h := gr.halves[hi]
-			// Emit old neighbors below the delta target.
-			for oi < len(old) && old[oi] < h.to {
-				newAdj = append(newAdj, old[oi])
-				if weighted {
-					newWeights = append(newWeights, oldW[oi])
-				}
-				oi++
-			}
-			exists := oi < len(old) && old[oi] == h.to
-			if h.add {
-				if exists {
-					return nil, nil, &EditError{U: v, V: h.to, Reason: "cannot add: edge already exists"}
-				}
-				newAdj = append(newAdj, h.to)
-				if weighted {
-					newWeights = append(newWeights, h.w)
-				}
-			} else {
-				if !exists {
-					return nil, nil, &EditError{U: v, V: h.to, Reason: "cannot remove: no such edge"}
-				}
-				oi++ // skip the removed neighbor
-			}
-			hi++
-		}
-		// Tail of the old run.
-		newAdj = append(newAdj, old[oi:]...)
-		if weighted {
-			newWeights = append(newWeights, oldW[oi:]...)
-		}
-	}
-	newOffsets[n] = len(newAdj)
-
-	out := &Graph{
-		offsets: newOffsets,
-		adj:     newAdj,
-		weights: newWeights,
-		m:       g.m + gr.added - gr.removed,
-		version: g.version + 1,
-	}
-	out.inheritOrdering(g)
-	return out, &EditReport{
-		Added:   gr.added,
-		Removed: gr.removed,
-		Changed: gr.changed,
-		Pairs:   gr.pairs,
-	}, nil
+	return next.Compact(), rep, nil
 }

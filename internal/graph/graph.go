@@ -12,18 +12,18 @@
 // largest connected component when a generator or input file is not
 // connected.
 //
-// Mutation comes in two costs. ApplyEdits builds a fresh CSR one
-// version ahead by a linear O(n+m) merge — the right trade for
-// occasional batches. ApplyEditsOverlay absorbs a batch in O(batch)
-// as a delta overlay: replacement adjacency lists for the touched
-// vertices over the shared, unmoved base CSR, so Neighbors and the
-// traversal kernels see the mutated graph without a rebuild. An
+// Mutation has one path. ApplyEditsOverlay absorbs an edit batch in
+// O(batch) as a delta overlay: replacement adjacency lists for the
+// touched vertices over the shared, unmoved base CSR, so Neighbors and
+// the traversal kernels see the mutated graph without a rebuild. An
 // overlaid graph answers every accessor identically to its compacted
 // form (Compact folds the overlay into a flat CSR preserving version
 // and adjacency order, so traversals are bit-identical), and
 // ShouldCompactOverlay says when a lineage has outgrown the overlay
 // representation; RebaseCompacted re-anchors batches that landed
-// while a background fold ran. AffectedByEdits and the amortized
+// while a background fold ran. ApplyEdits is the batch plus an
+// immediate Compact, for callers that want a clean CSR (WAL replay).
+// AffectedByEdits and the amortized
 // AffectedTracker bound which vertices an edit batch can have
 // affected (by the biconnected-block factorization of shortest
 // paths), which is what lets caches and warm chains survive
@@ -45,7 +45,7 @@ type Graph struct {
 	weights  []float64 // parallel to adj; nil for unweighted graphs
 	m        int       // number of edges (undirected edges counted once)
 	directed bool
-	version  uint64   // mutation stamp: 0 from a Builder, +1 per ApplyEdits
+	version  uint64   // mutation stamp: 0 from a Builder, +1 per edit batch
 	ov       *overlay // delta overlay over the base CSR; nil for clean graphs
 
 	// degOrd caches DegreeOrdering, propagated along the mutation
@@ -56,8 +56,8 @@ type Graph struct {
 
 // inheritOrdering copies g's cached degree ordering into next, keeping
 // a mutation lineage on one ordering value. Called by every derivation
-// that preserves the vertex set (ApplyEdits, ApplyEditsOverlay,
-// Compact, RebaseCompacted).
+// that preserves the vertex set (ApplyEditsOverlay, Compact,
+// RebaseCompacted).
 func (next *Graph) inheritOrdering(g *Graph) {
 	if o := g.degOrd.Load(); o != nil {
 		next.degOrd.Store(o)

@@ -20,7 +20,7 @@ type Ordering struct {
 // — computed once and cached.
 //
 // The cache pointer is propagated along the mutation lineage
-// (ApplyEdits, ApplyEditsOverlay, Compact, RebaseCompacted), so every
+// (ApplyEditsOverlay, Compact, RebaseCompacted), so every
 // version of one graph answers with the *same* Ordering value. That
 // stability is deliberate, and stronger than freshness: traversal
 // kernels reseated across versions and the per-target snapshots they

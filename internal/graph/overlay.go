@@ -1,11 +1,11 @@
 package graph
 
 // Delta-overlay mutation: ApplyEditsOverlay absorbs an edit batch in
-// O(batch + overlay) instead of ApplyEdits' O(n+m) CSR copy. The
-// product is a Graph that *shares* the base CSR arrays with its input
-// and carries a small overlay — a sorted set of vertices whose
-// adjacency lists are replaced wholesale. Accessors (Neighbors, Degree,
-// Weight, ForEachEdge, ...) consult the overlay transparently, so every
+// O(batch + overlay) instead of an O(n+m) CSR copy. The product is a
+// Graph that *shares* the base CSR arrays with its input and carries a
+// small overlay — a sorted set of vertices whose adjacency lists are
+// replaced wholesale. Accessors (Neighbors, Degree, Weight,
+// ForEachEdge, ...) consult the overlay transparently, so every
 // algorithm written against the Graph API — connectivity, block-cut
 // trees, the SSSP kernels' constructors — is overlay-correct without
 // change; clean graphs pay one predicted-not-taken nil check.
@@ -16,7 +16,8 @@ package graph
 // Compact folds the overlay back into a fresh CSR at the *same*
 // version — the logical graph is unchanged, only its storage — which
 // is what the serving layer installs in the background once the
-// overlay passes a size/fraction threshold (ShouldCompactOverlay).
+// overlay passes a size/fraction threshold (ShouldCompactOverlay), and
+// what ApplyEdits returns for callers that want a clean CSR at once.
 
 import (
 	"fmt"
@@ -117,10 +118,9 @@ func (g *Graph) ForEachOverlay(fn func(v int, adj []int, w []float64)) {
 
 // SameStorage reports whether a and b share the same base CSR arrays —
 // i.e. one was derived from the other by overlay-only steps
-// (ApplyEditsOverlay), with no intervening full CSR rebuild. The
-// serving layer uses this to tell an overlay bump (buffer pools and
-// kernels can be reseated in place) from a storage change (they must
-// be rebuilt).
+// (ApplyEditsOverlay), with no compaction in between. The serving
+// layer uses this to accept only overlay descendants of the graph it
+// serves (buffer pools and kernels reseat in place across them).
 func SameStorage(a, b *Graph) bool {
 	return a != nil && b != nil &&
 		len(a.offsets) == len(b.offsets) && &a.offsets[0] == &b.offsets[0]
@@ -132,10 +132,8 @@ func SameStorage(a, b *Graph) bool {
 // write) delta overlay in O(batch + overlay) time. The input graph is
 // not modified and keeps serving reads bit-identically.
 //
-// Validation is identical to ApplyEdits — same rules, same errors —
-// and the resulting graph is logically identical to the ApplyEdits
-// product (Compact folds it into that exact CSR). Only the cost and
-// the storage sharing differ.
+// Validation rules are listed on ApplyEdits, which is this function
+// followed by Compact.
 func ApplyEditsOverlay(g *Graph, edits []Edit) (*Graph, *EditReport, error) {
 	if g == nil {
 		return nil, nil, fmt.Errorf("graph: ApplyEditsOverlay on nil graph")
@@ -154,7 +152,7 @@ func ApplyEditsOverlay(g *Graph, edits []Edit) (*Graph, *EditReport, error) {
 
 	// Build the replacement adjacency for each changed vertex: the
 	// current list (base or previous overlay) two-pointer-merged with
-	// its sorted delta run, exactly as ApplyEdits does per vertex.
+	// its sorted delta run.
 	newLists := make([][]int, len(gr.changed))
 	var newWLists [][]float64
 	if weighted {
@@ -273,29 +271,52 @@ func ApplyEditsOverlay(g *Graph, edits []Edit) (*Graph, *EditReport, error) {
 // unchanged, only its storage. Clean graphs are returned as-is.
 // Adjacency order is preserved, so traversals over the compacted graph
 // are bit-identical to traversals over the overlay form.
+//
+// One pass walks the sorted overlay in lockstep with the vertex range:
+// each run of untouched vertices is one bulk copy of its base CSR
+// slice (offsets shifted by a constant), each touched vertex one copy
+// of its replacement list — no per-vertex overlay lookup.
 func (g *Graph) Compact() *Graph {
-	if g.ov == nil {
+	ov := g.ov
+	if ov == nil {
 		return g
 	}
 	n := g.N()
-	offsets := make([]int, n+1)
-	sz := 0
-	for v := 0; v < n; v++ {
-		offsets[v] = sz
-		sz += g.Degree(v)
+	sz := len(g.adj)
+	for i, v := range ov.touched {
+		sz += len(ov.lists[i]) - (g.offsets[v+1] - g.offsets[v])
 	}
-	offsets[n] = sz
+	offsets := make([]int, n+1)
 	adj := make([]int, 0, sz)
 	var weights []float64
-	if g.Weighted() {
+	if g.weights != nil {
 		weights = make([]float64, 0, sz)
 	}
-	for v := 0; v < n; v++ {
-		adj = append(adj, g.Neighbors(v)...)
-		if weights != nil {
-			weights = append(weights, g.NeighborWeights(v)...)
+	lo := 0 // first vertex not yet emitted
+	for i := 0; ; i++ {
+		hi := n
+		if i < len(ov.touched) {
+			hi = ov.touched[i]
 		}
+		shift := len(adj) - g.offsets[lo]
+		for v := lo; v < hi; v++ {
+			offsets[v] = g.offsets[v] + shift
+		}
+		adj = append(adj, g.adj[g.offsets[lo]:g.offsets[hi]]...)
+		if weights != nil {
+			weights = append(weights, g.weights[g.offsets[lo]:g.offsets[hi]]...)
+		}
+		if hi == n {
+			break
+		}
+		offsets[hi] = len(adj)
+		adj = append(adj, ov.lists[i]...)
+		if weights != nil {
+			weights = append(weights, ov.wlists[i]...)
+		}
+		lo = hi + 1
 	}
+	offsets[n] = len(adj)
 	c := &Graph{
 		offsets:  offsets,
 		adj:      adj,
@@ -325,8 +346,8 @@ func (g *Graph) Compact() *Graph {
 // already equals c's row (folded by the compaction) are dropped.
 //
 // The second return is false — and the first nil — when the inputs do
-// not form that shape: cur not storage-shared with from (a full CSR
-// swap intervened), c not a clean compaction of from's version, or a
+// not form that shape: cur not storage-shared with from (another
+// compaction was installed meanwhile), c not a clean compaction of from's version, or a
 // version regression.
 func RebaseCompacted(c, from, cur *Graph) (*Graph, bool) {
 	if c == nil || from == nil || cur == nil ||

@@ -3,6 +3,7 @@ package mcmc
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"bcmh/internal/graph"
 	"bcmh/internal/rng"
@@ -280,5 +281,95 @@ func TestSetOracleCarryTo(t *testing.T) {
 	}
 	if o.Evals != evalsBefore+g.N() {
 		t.Fatalf("dropped memo should re-evaluate all %d states, got %d", g.N(), o.Evals-evalsBefore)
+	}
+}
+
+// TestAdvanceDropsSupersededSnapshots pins the pool's memory bound
+// across versions: Advance drops the cached target snapshots and alias
+// tables of older versions, while a chain that set up on a dropped
+// entry before the swap keeps its own pointers and still matches its
+// unpooled run bit for bit. A straggler that starts on the superseded
+// snapshot afterwards rebuilds its entry (matching too), and the next
+// Advance drops that entry again.
+func TestAdvanceDropsSupersededSnapshots(t *testing.T) {
+	g0 := graph.BarabasiAlbert(600, 3, rng.New(71))
+	pool := NewBufferPool(g0)
+	cfg := DefaultConfig(8000)
+	cfg.DisableCache = true // every step traverses: the chain stays in flight
+	cfg.DegreeProposal = true
+	const r, seed = 0, 5
+	want, err := EstimateBC(g0, r, cfg, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 8; v++ {
+		pool.TargetSnapshot(g0, v)
+	}
+	cached := func() (snapshots, aliases int) {
+		pool.tspdMtx.Lock()
+		snapshots = pool.tspdLRU.Len()
+		pool.tspdMtx.Unlock()
+		pool.aliasMtx.Lock()
+		aliases = len(pool.aliases)
+		pool.aliasMtx.Unlock()
+		return snapshots, aliases
+	}
+
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := EstimateBCPooled(g0, r, cfg, rng.New(seed), pool)
+		done <- outcome{res, err}
+	}()
+	// The chain looks up its target entry, then its alias table; once
+	// both are cached it holds both pointers for the rest of its run.
+	for {
+		if snapshots, aliases := cached(); snapshots == 9 && aliases == 1 {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	g1, rep, err := graph.ApplyEditsOverlay(g0, []graph.Edit{{Op: graph.EditAdd, U: 3, V: 599}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Advance(g1, graph.AffectedByEdits(g1, rep.Pairs))
+	if snapshots, aliases := cached(); snapshots != 0 || aliases != 0 {
+		t.Fatalf("after Advance: %d snapshots and %d alias tables of version 0 still cached", snapshots, aliases)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !reflect.DeepEqual(out.res, want) {
+		t.Fatalf("chain across Advance differs from its unpooled run:\n got %+v\nwant %+v", out.res, want)
+	}
+
+	// A straggler on the superseded snapshot rebuilds what it needs.
+	cfg.Steps = 500
+	want2, err := EstimateBC(g0, 1, cfg, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, err := EstimateBCPooled(g0, 1, cfg, rng.New(seed), pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got2, want2) {
+		t.Fatalf("straggler differs from its unpooled run:\n got %+v\nwant %+v", got2, want2)
+	}
+	if snapshots, aliases := cached(); snapshots != 1 || aliases != 1 {
+		t.Fatalf("straggler cached %d snapshots and %d alias tables, want 1 and 1", snapshots, aliases)
+	}
+	g2, rep2, err := graph.ApplyEditsOverlay(g1, []graph.Edit{{Op: graph.EditAdd, U: 4, V: 598}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Advance(g2, graph.AffectedByEdits(g2, rep2.Pairs))
+	if snapshots, aliases := cached(); snapshots != 0 || aliases != 0 {
+		t.Fatalf("after the second Advance: %d snapshots and %d alias tables still cached", snapshots, aliases)
 	}
 }

@@ -14,14 +14,16 @@ import (
 // path snapshots. Each entry is O(n) memory; 128 covers a large working
 // set of distinct chain targets while keeping worst-case residency at
 // 128·12 bytes per vertex, plus 128·8 while every entry also holds a
-// parked μ column (see tspdEntry).
+// parked μ column (see tspdEntry). Advance drops the entries of
+// superseded versions, so the bound is spent on the serving version
+// (plus whatever stragglers on older snapshots rebuild meanwhile).
 const targetSPDCacheSize = 128
 
 // aliasCacheSize bounds the per-version degree-proposal alias cache. A
-// pool normally serves at most two versions at once (the current one
-// plus stragglers on the previous snapshot), so a handful of entries
-// is plenty; past the bound the cache is dropped wholesale rather than
-// tracking LRU order for something this cheap to rebuild.
+// pool normally serves one version (Advance drops older ones), plus
+// stragglers still running on superseded snapshots, so a handful of
+// entries is plenty; past the bound the cache is dropped wholesale
+// rather than tracking LRU order for something this cheap to rebuild.
 const aliasCacheSize = 8
 
 // chainBuffers is one chain's worth of reusable state. Which traversal
@@ -36,7 +38,7 @@ const aliasCacheSize = 8
 // A buffer set remembers which graph its kernels are seated on (g).
 // When the pool hands it to a chain running on a different snapshot of
 // the same lineage, the kernels are reseated in O(overlay) instead of
-// rebuilt (sssp.BFS.Reseat) — the mutation fast path's per-chain cost.
+// rebuilt (sssp.BFS.Reseat) — the mutation path's per-chain cost.
 type chainBuffers struct {
 	g *graph.Graph // the snapshot the kernels are currently seated on
 
@@ -140,9 +142,9 @@ type targetState struct {
 // tspdKey addresses one target snapshot of one graph version. Target
 // snapshots are not invariant across versions even for targets outside
 // the affected blocks (distances into an edited block change), so they
-// are never carried: each version recomputes its own and old versions'
-// entries keep serving in-flight estimates until they age out of the
-// LRU.
+// are never carried: each version recomputes its own, and Advance
+// drops the entries of older versions. Chains already running on an
+// older snapshot keep the snapshot pointers they took at setup.
 type tspdKey struct {
 	version uint64
 	target  int
@@ -152,12 +154,22 @@ type tspdKey struct {
 // graph lineage and owns the caches every chain wants to share: the
 // target-side shortest-path snapshots the identity oracle reads (one
 // per distinct (version, target), LRU-bounded) and the
-// degree-proposal alias tables (one per version in flight). Since the
-// streaming fast path, one pool serves *all* snapshots of its lineage
-// — methods take the snapshot being served, buffers reseat their
-// kernels to it on checkout, and caches are keyed by version — so a
-// mutation no longer rebuilds the pool. Safe for concurrent use; every
-// buffer set it hands out is private to one chain until returned.
+// degree-proposal alias tables (one per version in flight). One pool
+// serves *all* snapshots of its lineage — methods take the snapshot
+// being served, buffers reseat their kernels to it on checkout, and
+// caches are keyed by version — so a mutation never rebuilds the
+// pool. Safe for concurrent use; every buffer set it hands out is
+// private to one chain until returned.
+//
+// Memory: because the pool outlives every version, Advance is what
+// keeps its caches from filling with superseded versions. It drops the
+// target snapshots (and any μ column parked in them) and the alias
+// tables of versions older than the one it installs, so between swaps
+// the caches hold at most targetSPDCacheSize snapshots of the serving
+// version plus those that stragglers on older snapshots rebuild. A
+// straggler (a "finish" rank job, a long estimate) that needs a target
+// it had not set up before the swap rebuilds that snapshot once per
+// version bump it straddles.
 //
 // The snapshot entry is also where a μ derivation hands its work to
 // the chain it was planned for. MuExactPooledContext computes the whole
@@ -171,7 +183,6 @@ type tspdKey struct {
 // leaves the LRU, so a pool holds at most targetSPDCacheSize parked
 // columns.
 type BufferPool struct {
-	g    *graph.Graph // creation-time snapshot (sizing; N is fixed per lineage)
 	pool sync.Pool
 
 	aliasMtx sync.Mutex
@@ -210,33 +221,44 @@ type tspdNode struct {
 // unrelated graphs (snapshots of one mutation lineage are exactly what
 // it is for).
 func NewBufferPool(g *graph.Graph) *BufferPool {
-	p := &BufferPool{
-		g:            g,
+	return &BufferPool{
 		aliases:      make(map[uint64]*rng.Alias, aliasCacheSize),
 		tspdByKey:    make(map[tspdKey]*list.Element, targetSPDCacheSize),
 		tspdLRU:      list.New(),
 		lastAffected: make([]uint64, g.N()),
 	}
-	return p
 }
 
 // Advance records a swap to next whose affected-block vertex set is
 // affected (nil = everything affected): chains that later check out
-// buffers judge their memos against these marks. Call under the same
-// lock that serializes swaps so versions advance monotonically.
+// buffers judge their memos against these marks. It also drops the
+// cached target snapshots and alias tables of versions older than
+// next's (see BufferPool). Call under the same lock that serializes
+// swaps so versions advance monotonically.
 func (p *BufferPool) Advance(next *graph.Graph, affected []bool) {
 	v := next.Version()
-	if affected == nil {
-		for i := range p.lastAffected {
-			atomic.StoreUint64(&p.lastAffected[i], v)
-		}
-		return
-	}
-	for i, a := range affected {
-		if a {
+	for i := range p.lastAffected {
+		if affected == nil || affected[i] {
 			atomic.StoreUint64(&p.lastAffected[i], v)
 		}
 	}
+	p.tspdMtx.Lock()
+	for el := p.tspdLRU.Front(); el != nil; {
+		nextEl := el.Next()
+		if node := el.Value.(*tspdNode); node.key.version < v {
+			p.tspdLRU.Remove(el)
+			delete(p.tspdByKey, node.key)
+		}
+		el = nextEl
+	}
+	p.tspdMtx.Unlock()
+	p.aliasMtx.Lock()
+	for ver := range p.aliases {
+		if ver < v {
+			delete(p.aliases, ver)
+		}
+	}
+	p.aliasMtx.Unlock()
 }
 
 // affectedAfter reports whether v's block was affected by any swap

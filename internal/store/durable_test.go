@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bcmh/internal/core"
 	"bcmh/internal/durable"
 	"bcmh/internal/graph"
 )
@@ -173,6 +174,11 @@ func TestOpenRecoversCatalog(t *testing.T) {
 		t.Fatalf("mutate: %v", err)
 	}
 	want := graphBytes(t, a.Engine().Graph())
+	opts := core.Options{Steps: 2000, Seed: 9}
+	wantEst, err := a.Engine().Estimate(20, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
 
 	mgr2, err := durable.NewManager(durable.Options{Dir: dir, Logf: t.Logf})
@@ -193,6 +199,15 @@ func TestOpenRecoversCatalog(t *testing.T) {
 	}
 	if a2.Version() != 1 || !bytes.Equal(graphBytes(t, a2.Engine().Graph()), want) {
 		t.Fatalf("recovered session at version %d differs from the persisted lineage", a2.Version())
+	}
+	// The live session served an overlay, the recovered one a replayed
+	// clean CSR: same-seed estimates must not tell them apart.
+	gotEst, err := a2.Engine().Estimate(20, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotEst.Value != wantEst.Value {
+		t.Fatalf("recovered estimate %v, live session gave %v", gotEst.Value, wantEst.Value)
 	}
 }
 

@@ -1,26 +1,44 @@
 package store
 
-// Dynamic graphs: PATCH /graphs/{id}/edges applies a batched edge
-// mutation to a session's graph. The batch is copy-on-write
-// (graph.ApplyEdits builds a fresh CSR one version ahead) and the
-// session's engine swaps to it atomically (engine.SwapGraph), so:
+// Dynamic graphs: every edit batch goes through one pipeline,
+// Store.Mutate. PATCH /graphs/{id}/edges sends one batch; POST
+// /graphs/{id}/stream (stream.go) is NDJSON framing of the same call,
+// one batch per line. A batch costs O(batch) plus cache bookkeeping:
 //
-//   - estimates in flight when the batch lands keep running on their
-//     captured snapshot and return the pre-mutation answer
-//     bit-identically;
-//   - the next request sees the new graph, and the session's /stats
-//     and Info report the bumped version;
-//   - μ-cache entries provably unaffected by the batch (the
-//     biconnected-component retention rule, graph.AffectedByEdits)
-//     survive the swap and keep serving /exact without recomputation;
-//   - ranking jobs follow their on_mutate policy: "finish" (default)
-//     completes on the snapshot the job started on, "cancel" aborts
-//     the job with a versioned cause.
+//   - graph.ApplyEditsOverlay absorbs it into a copy-on-write delta
+//     overlay over the shared base CSR, one version ahead;
+//   - connectivity is vetted per removed pair (graph.PairConnected,
+//     bidirectional BFS) — additions cannot disconnect, and a batch
+//     whose every removal leaves its endpoints connected in the result
+//     leaves the whole graph connected (any old path reroutes through
+//     the removals' replacement paths). A batch that would disconnect
+//     the graph, which the estimators cannot serve, is rejected with
+//     400, naming the removed edge by label, and changes nothing;
+//   - the WAL sees exactly one record per batch before the batch
+//     becomes visible (the version advances one step per batch
+//     regardless of its size); under FsyncInterval a sustained stream
+//     group-commits into a handful of fsyncs per second;
+//   - engine.SwapGraph installs the result atomically and carries the
+//     buffer pool, unaffected μ-cache entries, and warm chain memos
+//     across the version bump, with the affected set answered by an
+//     amortized block-forest tracker (graph.AffectedTracker: sound,
+//     possibly coarser than the exact block rule after many edits in
+//     one region);
+//   - once the overlay outgrows OverlayCompactEdits (or a degree-
+//     weighted fraction of the base, see graph.ShouldCompactOverlay)
+//     a background goroutine folds it into a fresh CSR and re-anchors
+//     the meanwhile-advanced lineage onto it (graph.RebaseCompacted),
+//     so mutations never pause for compaction.
 //
+// Estimates in flight when a batch lands keep running on their
+// captured snapshot and return the pre-mutation answer bit-
+// identically; the next request sees the new graph, and the session's
+// /stats and Info report the bumped version. Ranking jobs follow their
+// on_mutate policy: "finish" (default) completes on the snapshot the
+// job started on, "cancel" aborts the job with a versioned cause.
 // Batches are validated as a whole and applied atomically; an
 // if_version precondition makes read-modify-write loops safe (409 on
-// mismatch). A batch that would disconnect the graph — which the
-// estimators cannot serve — is rejected with 400 and changes nothing.
+// mismatch).
 
 import (
 	"encoding/json"
@@ -32,9 +50,16 @@ import (
 	"bcmh/internal/graph"
 )
 
-// MaxMutationEdits caps the edit count of one PATCH batch, mirroring
-// the other per-request guards (engine.MaxBatchTargets et al.).
+// MaxMutationEdits caps the edit count of one batch, mirroring the
+// other per-request guards (engine.MaxBatchTargets et al.).
 const MaxMutationEdits = 4096
+
+// OverlayCompactEdits is the overlay-size threshold past which a
+// session's mutated graph is folded back into a flat CSR in the
+// background. Compaction also triggers when the overlay's touched
+// adjacency outweighs a fraction of the base CSR (see
+// graph.ShouldCompactOverlay), whichever comes first.
+const OverlayCompactEdits = 4096
 
 // EditRequest is one edge edit of a mutation batch, addressed by input
 // labels like every other vertex in the session API. W is the weight
@@ -46,7 +71,8 @@ type EditRequest struct {
 	W  float64 `json:"w,omitempty"`
 }
 
-// MutateRequest is the JSON body of PATCH /graphs/{id}/edges.
+// MutateRequest is the JSON body of PATCH /graphs/{id}/edges and one
+// NDJSON line of POST /graphs/{id}/stream.
 type MutateRequest struct {
 	Edits []EditRequest `json:"edits"`
 	// IfVersion, when present, is a precondition: the batch applies
@@ -115,6 +141,33 @@ func (s *Session) labelFor(v int) int64 {
 	return s.labels[v]
 }
 
+// editsOfRequest translates a MutateRequest's label-addressed edits to
+// engine vertex ids.
+func (s *Session) editsOfRequest(req *MutateRequest) ([]graph.Edit, error) {
+	edits := make([]graph.Edit, len(req.Edits))
+	for i, e := range req.Edits {
+		var op graph.EditOp
+		switch e.Op {
+		case graph.EditAdd.String():
+			op = graph.EditAdd
+		case graph.EditRemove.String():
+			op = graph.EditRemove
+		default:
+			return nil, fmt.Errorf("edit %d: unknown op %q (want %q or %q)", i, e.Op, graph.EditAdd, graph.EditRemove)
+		}
+		u, err := s.vertexOfLabel(e.U)
+		if err != nil {
+			return nil, fmt.Errorf("edit %d: %w", i, err)
+		}
+		v, err := s.vertexOfLabel(e.V)
+		if err != nil {
+			return nil, fmt.Errorf("edit %d: %w", i, err)
+		}
+		edits[i] = graph.Edit{Op: op, U: u, V: v, W: e.W}
+	}
+	return edits, nil
+}
+
 // mutationSignal returns a channel closed at the next mutation.
 // Watchers must re-check the version after subscribing (a mutation may
 // have landed between their snapshot and the subscription).
@@ -138,10 +191,11 @@ func (s *Session) signalMutation() {
 }
 
 // Mutate applies an edit batch (engine vertex ids) to sess's graph:
-// precondition check, copy-on-write merge, connectivity and budget
-// validation, atomic engine swap, budget re-accounting, and the
-// mutation broadcast for on_mutate=cancel jobs. Batches on one session
-// are serialized; concurrent estimates are never blocked (they run on
+// precondition check, overlay merge, per-removal connectivity and
+// budget validation, the WAL record, the atomic engine swap, budget
+// re-accounting, the mutation broadcast for on_mutate=cancel jobs, and
+// background compaction when due. Batches on one session are
+// serialized; concurrent estimates are never blocked (they run on
 // snapshots).
 func (st *Store) Mutate(sess *Session, edits []graph.Edit, ifVersion *uint64) (MutateOutcome, error) {
 	if len(edits) == 0 {
@@ -163,7 +217,7 @@ func (st *Store) Mutate(sess *Session, edits []graph.Edit, ifVersion *uint64) (M
 		return MutateOutcome{}, fmt.Errorf("%w: if_version %d, session %q is at version %d",
 			ErrVersionConflict, *ifVersion, sess.id, cur.Version())
 	}
-	next, rep, err := graph.ApplyEdits(cur, edits)
+	next, rep, err := graph.ApplyEditsOverlay(cur, edits)
 	if err != nil {
 		// Per-edge rejections carry engine vertex ids; translate them
 		// back to the labels the client actually sent.
@@ -173,8 +227,11 @@ func (st *Store) Mutate(sess *Session, edits []graph.Edit, ifVersion *uint64) (M
 		}
 		return MutateOutcome{}, err
 	}
-	if !graph.IsConnected(next) {
-		return MutateOutcome{}, fmt.Errorf("store: edit batch would disconnect the graph (the estimators require a connected graph); batch rejected")
+	for _, e := range edits {
+		if e.Op == graph.EditRemove && !graph.PairConnected(next, e.U, e.V) {
+			return MutateOutcome{}, fmt.Errorf("store: removing edge (%d,%d) would disconnect the graph (the estimators require a connected graph); batch rejected",
+				sess.labelFor(e.U), sess.labelFor(e.V))
+		}
 	}
 	newCost := sessionCost(next.N(), next.M())
 	if newCost > st.cfg.MaxBytes {
@@ -199,6 +256,7 @@ func (st *Store) Mutate(sess *Session, edits []graph.Edit, ifVersion *uint64) (M
 	st.recost(sess, newCost)
 	sess.mutations.Add(1)
 	sess.signalMutation()
+	st.maybeCompactOverlay(sess, next)
 	st.maybeCompact(sess)
 	return MutateOutcome{
 		Info:    sess.info(),
@@ -207,6 +265,39 @@ func (st *Store) Mutate(sess *Session, edits []graph.Edit, ifVersion *uint64) (M
 		Changed: rep.Changed,
 		Swap:    swap,
 	}, nil
+}
+
+// maybeCompactOverlay folds an outgrown overlay back into a flat CSR.
+// Called with the session's mutation lock held; the O(n+m) fold runs in
+// a goroutine off the lock, concurrent with further batches, and
+// catches up with whatever landed meanwhile via graph.RebaseCompacted —
+// so compaction never blocks mutations. At most one compaction runs per
+// session (compacting CAS).
+func (st *Store) maybeCompactOverlay(sess *Session, g *graph.Graph) {
+	if !g.ShouldCompactOverlay(OverlayCompactEdits) || !sess.compacting.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		c := g.Compact() // the heavy O(n+m) part, off every lock
+		sess.mutMtx.Lock()
+		if sess.Closed() {
+			sess.mutMtx.Unlock()
+			sess.compacting.Store(false)
+			return
+		}
+		if rebased, ok := graph.RebaseCompacted(c, g, sess.eng.Graph()); ok {
+			_ = sess.eng.InstallCompacted(rebased)
+		}
+		cur := sess.eng.Graph()
+		sess.mutMtx.Unlock()
+		sess.compacting.Store(false)
+		// Batches that landed during the fold survive as a rebased
+		// residue; run another round for them rather than waiting for
+		// the next batch (which may never come). Each round folds
+		// everything up to its snapshot, so this converges as soon as
+		// the batches pause.
+		st.maybeCompactOverlay(sess, cur)
+	}()
 }
 
 // maybeCompact kicks off a background compaction when sess's WAL has
@@ -266,30 +357,10 @@ func (s *storeServer) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	edits := make([]graph.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		var op graph.EditOp
-		switch e.Op {
-		case graph.EditAdd.String():
-			op = graph.EditAdd
-		case graph.EditRemove.String():
-			op = graph.EditRemove
-		default:
-			engine.WriteError(w, http.StatusBadRequest,
-				fmt.Errorf("edit %d: unknown op %q (want %q or %q)", i, e.Op, graph.EditAdd, graph.EditRemove))
-			return
-		}
-		u, err := sess.vertexOfLabel(e.U)
-		if err != nil {
-			engine.WriteError(w, mutateStatus(err), fmt.Errorf("edit %d: %w", i, err))
-			return
-		}
-		v, err := sess.vertexOfLabel(e.V)
-		if err != nil {
-			engine.WriteError(w, mutateStatus(err), fmt.Errorf("edit %d: %w", i, err))
-			return
-		}
-		edits[i] = graph.Edit{Op: op, U: u, V: v, W: e.W}
+	edits, err := sess.editsOfRequest(&req)
+	if err != nil {
+		engine.WriteError(w, mutateStatus(err), err)
+		return
 	}
 	out, err := s.st.Mutate(sess, edits, req.IfVersion)
 	if err != nil {

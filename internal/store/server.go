@@ -119,8 +119,8 @@ func NewServerWithOptions(st *Store, opts ServerOptions) http.Handler {
 	// Edge mutation (mutate.go); literal "edges" outranks {rest...}
 	// the same way.
 	mux.HandleFunc("PATCH /graphs/{id}/edges", s.handleMutate)
-	// Bulk streaming ingestion (stream.go): NDJSON batches over the
-	// overlay fast path.
+	// Bulk streaming ingestion (stream.go): NDJSON framing of the same
+	// mutation pipeline, one batch per line.
 	mux.HandleFunc("POST /graphs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /jobs", s.handleJobList)
 	mux.HandleFunc("GET /jobs/{jid}", s.handleJob)

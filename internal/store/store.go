@@ -8,10 +8,10 @@
 // pools, target-snapshot cache), the label table mapping input-file
 // vertex ids to engine ids, and a session-scoped context. Sessions
 // are dynamic: a batched edge-mutation API (mutate.go; PATCH
-// /graphs/{id}/edges over HTTP) rewrites a session's graph
-// copy-on-write, bumping its version, re-accounting its budget share,
-// and leaving in-flight work snapshot-isolated on the old CSR. The
-// store enforces:
+// /graphs/{id}/edges and POST /graphs/{id}/stream over HTTP) rewrites
+// a session's graph copy-on-write, bumping its version, re-accounting
+// its budget share, and leaving in-flight work snapshot-isolated on
+// the old snapshot. The store enforces:
 //
 //   - a total memory budget: when the estimated resident cost of all
 //     sessions exceeds Config.MaxBytes (or their count exceeds
@@ -147,6 +147,7 @@ type buildCall struct {
 	sess      *Session
 	err       error
 	rehydrate bool // loading existing durable state, not creating anew
+	riders    int  // callers parked on done (guarded by Store.mu)
 }
 
 // New returns an empty store. With Config.Durable set the store
@@ -366,6 +367,7 @@ func (st *Store) Create(id string, r io.Reader) (*Session, error) {
 	if bc, ok := st.building[id]; ok {
 		// Singleflight: ride the in-flight build — unless it is a disk
 		// rehydration, whose success means the id is taken.
+		bc.riders++
 		st.mu.Unlock()
 		<-bc.done
 		if bc.rehydrate && bc.err == nil {
@@ -479,6 +481,7 @@ func (st *Store) rehydrate(id string) (*Session, error) {
 		return el.Value.(*Session), nil
 	}
 	if bc, ok := st.building[id]; ok {
+		bc.riders++
 		st.mu.Unlock()
 		<-bc.done
 		return bc.sess, bc.err

@@ -110,17 +110,33 @@ func TestStoreCloseCancelsEverySession(t *testing.T) {
 	st.Close() // idempotent
 }
 
-// barrierReader delays the winning uploader's parse until every
-// uploader has entered Create, so the singleflight path — not a
-// sequential ErrExists — is what the test exercises.
-type barrierReader struct {
-	entered *sync.WaitGroup
-	once    sync.Once
-	r       io.Reader
+// riderReader holds the winning uploader's parse until `want` other
+// Create calls are parked on its in-flight build (the rider count is
+// read under the store lock, where Create registers a rider), so every
+// uploader takes the singleflight path — none can arrive after the
+// build finished and get a correct, sequential ErrExists.
+type riderReader struct {
+	st   *Store
+	id   string
+	want int
+	once sync.Once
+	r    io.Reader
 }
 
-func (b *barrierReader) Read(p []byte) (int, error) {
-	b.once.Do(b.entered.Wait)
+func (b *riderReader) Read(p []byte) (int, error) {
+	b.once.Do(func() {
+		// The deadline only turns a lost rider into a test failure (a
+		// late uploader's ErrExists) instead of a hang.
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			b.st.mu.Lock()
+			riders := b.st.building[b.id].riders
+			b.st.mu.Unlock()
+			if riders >= b.want {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
 	return b.r.Read(p)
 }
 
@@ -177,18 +193,16 @@ func TestCreateSingleflightSharesOneBuild(t *testing.T) {
 	edges := edgeList(t, graph.BarabasiAlbert(400, 3, rng.New(5)))
 	const uploaders = 12
 	var (
-		wg      sync.WaitGroup
-		entered sync.WaitGroup
-		sesss   [uploaders]*Session
-		errs    [uploaders]error
+		wg    sync.WaitGroup
+		sesss [uploaders]*Session
+		errs  [uploaders]error
 	)
-	entered.Add(uploaders)
 	for i := 0; i < uploaders; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			entered.Done()
-			sesss[i], errs[i] = st.Create("ba", &barrierReader{entered: &entered, r: strings.NewReader(edges)})
+			r := &riderReader{st: st, id: "ba", want: uploaders - 1, r: strings.NewReader(edges)}
+			sesss[i], errs[i] = st.Create("ba", r)
 		}(i)
 	}
 	wg.Wait()

@@ -1,32 +1,10 @@
 package store
 
-// Streaming mutations: POST /graphs/{id}/stream ingests a sequence of
-// edit batches as NDJSON — one MutateRequest per line — over the
-// overlay fast path, answering with one NDJSON result line per batch
-// plus a trailing summary. Where PATCH /graphs/{id}/edges pays
-// O(n + m) per batch (full CSR rebuild, global connectivity check,
-// fresh block decomposition, new buffer pool), a streamed batch costs
-// O(batch) plus cache bookkeeping:
-//
-//   - graph.ApplyEditsOverlay absorbs the batch into a delta overlay
-//     over the shared base CSR instead of rebuilding it;
-//   - connectivity is vetted per removed pair (graph.PairConnected,
-//     bidirectional BFS) — additions cannot disconnect, and a batch
-//     whose every removal leaves its endpoints connected in the result
-//     leaves the whole graph connected (any old path reroutes through
-//     the removals' replacement paths);
-//   - engine.StreamSwap carries the buffer pool, unaffected μ-cache
-//     entries, and warm chain memos across the version bump, with the
-//     affected set answered by an amortized block-forest tracker;
-//   - the WAL sees exactly one record per batch (the version advances
-//     one step per batch regardless of its size), and records are
-//     group-committed by the existing FsyncInterval machinery, so a
-//     sustained stream coalesces to a handful of fsyncs per second;
-//   - once the overlay outgrows OverlayCompactEdits (or a degree-
-//     weighted fraction of the base, see graph.ShouldCompactOverlay)
-//     a background goroutine folds it into a fresh CSR and re-anchors
-//     the meanwhile-advanced lineage onto it (graph.RebaseCompacted),
-//     so the stream never pauses for compaction.
+// Streaming mutations: POST /graphs/{id}/stream is NDJSON framing of
+// Store.Mutate — one MutateRequest per line in, one StreamLine result
+// per batch out (flushed as it lands), plus a trailing summary. Each
+// line is exactly one PATCH /graphs/{id}/edges batch: same pipeline,
+// same validation, same WAL record and version step (see mutate.go).
 //
 // Batches in one stream are independent: a rejected batch (validation,
 // disconnection, version conflict) reports its error on its result
@@ -41,123 +19,7 @@ import (
 	"net/http"
 
 	"bcmh/internal/engine"
-	"bcmh/internal/graph"
 )
-
-// OverlayCompactEdits is the overlay-size threshold past which a
-// session's streamed graph is folded back into a flat CSR in the
-// background. Compaction also triggers when the overlay's touched
-// adjacency outweighs a fraction of the base CSR (see
-// graph.ShouldCompactOverlay), whichever comes first.
-const OverlayCompactEdits = 4096
-
-// StreamBatch applies one edit batch through the overlay fast path:
-// same contract as Mutate (serialized per session, atomic, snapshot-
-// isolated from concurrent estimates, WAL-backed) but O(batch) instead
-// of O(n+m). The returned outcome is shaped exactly like Mutate's.
-func (st *Store) StreamBatch(sess *Session, edits []graph.Edit, ifVersion *uint64) (MutateOutcome, error) {
-	if len(edits) == 0 {
-		return MutateOutcome{}, fmt.Errorf("store: empty edit batch")
-	}
-	if len(edits) > MaxMutationEdits {
-		return MutateOutcome{}, fmt.Errorf("store: batch of %d edits exceeds the limit %d", len(edits), MaxMutationEdits)
-	}
-	sess.mutMtx.Lock()
-	defer sess.mutMtx.Unlock()
-	if sess.Closed() {
-		return MutateOutcome{}, ErrSessionClosed
-	}
-	if deg, cause := sess.Degraded(); deg {
-		return MutateOutcome{}, fmt.Errorf("%w: %v", ErrDegraded, cause)
-	}
-	cur := sess.eng.Graph()
-	if ifVersion != nil && *ifVersion != cur.Version() {
-		return MutateOutcome{}, fmt.Errorf("%w: if_version %d, session %q is at version %d",
-			ErrVersionConflict, *ifVersion, sess.id, cur.Version())
-	}
-	next, rep, err := graph.ApplyEditsOverlay(cur, edits)
-	if err != nil {
-		var ee *graph.EditError
-		if errors.As(err, &ee) {
-			return MutateOutcome{}, fmt.Errorf("store: edge (%d,%d): %s", sess.labelFor(ee.U), sess.labelFor(ee.V), ee.Reason)
-		}
-		return MutateOutcome{}, err
-	}
-	// Additions never disconnect; a removal is fine iff its endpoints
-	// stay connected in the post-batch graph (then every old path
-	// reroutes through the replacement paths, so the graph as a whole
-	// stays connected).
-	for _, e := range edits {
-		if e.Op == graph.EditRemove && !graph.PairConnected(next, e.U, e.V) {
-			return MutateOutcome{}, fmt.Errorf("store: removing edge (%d,%d) would disconnect the graph (the estimators require a connected graph); batch rejected",
-				sess.labelFor(e.U), sess.labelFor(e.V))
-		}
-	}
-	newCost := sessionCost(next.N(), next.M())
-	if newCost > st.cfg.MaxBytes {
-		return MutateOutcome{}, fmt.Errorf("%w: mutated session %q needs ~%d bytes, budget is %d",
-			ErrTooLarge, sess.id, newCost, st.cfg.MaxBytes)
-	}
-	// Write-ahead, one record per batch (see mutate.go for the ordering
-	// argument). Under FsyncInterval the appends of a sustained stream
-	// group-commit into a few syncs per second.
-	if sess.dur != nil {
-		if err := sess.dur.Append(cur.Version(), next.Version(), edits); err != nil {
-			sess.degrade(err)
-			return MutateOutcome{}, fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-	}
-	swap, err := sess.eng.StreamSwap(next, rep.Pairs)
-	if err != nil {
-		return MutateOutcome{}, err
-	}
-	st.recost(sess, newCost)
-	sess.mutations.Add(1)
-	sess.signalMutation()
-	st.maybeCompactOverlay(sess, next)
-	st.maybeCompact(sess)
-	return MutateOutcome{
-		Info:    sess.info(),
-		Added:   rep.Added,
-		Removed: rep.Removed,
-		Changed: rep.Changed,
-		Swap:    swap,
-	}, nil
-}
-
-// maybeCompactOverlay folds an outgrown overlay back into a flat CSR.
-// Called with the session's mutation lock held; the O(n+m) fold runs in
-// a goroutine off the lock, concurrent with further stream batches, and
-// catches up with whatever landed meanwhile via graph.RebaseCompacted —
-// so compaction never blocks the stream, and a lineage break (a full
-// Mutate rebuilt the CSR mid-fold) just drops the fold. At most one
-// compaction runs per session (compacting CAS).
-func (st *Store) maybeCompactOverlay(sess *Session, g *graph.Graph) {
-	if !g.ShouldCompactOverlay(OverlayCompactEdits) || !sess.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		c := g.Compact() // the heavy O(n+m) part, off every lock
-		sess.mutMtx.Lock()
-		if sess.Closed() {
-			sess.mutMtx.Unlock()
-			sess.compacting.Store(false)
-			return
-		}
-		if rebased, ok := graph.RebaseCompacted(c, g, sess.eng.Graph()); ok {
-			_ = sess.eng.InstallCompacted(rebased)
-		}
-		cur := sess.eng.Graph()
-		sess.mutMtx.Unlock()
-		sess.compacting.Store(false)
-		// Batches that landed during the fold survive as a rebased
-		// residue; run another round for them rather than waiting for
-		// the next batch (which may never come). Each round folds
-		// everything up to its snapshot, so this converges as soon as
-		// the stream pauses.
-		st.maybeCompactOverlay(sess, cur)
-	}()
-}
 
 // StreamLine is one NDJSON result line of POST /graphs/{id}/stream,
 // answering the same-ordinal request line. Exactly one of the version
@@ -185,33 +47,6 @@ type StreamSummary struct {
 	Applied  int    `json:"applied"`
 	Rejected int    `json:"rejected"`
 	Version  uint64 `json:"version"`
-}
-
-// editsOfRequest translates a MutateRequest's label-addressed edits to
-// engine vertex ids.
-func (s *Session) editsOfRequest(req *MutateRequest) ([]graph.Edit, error) {
-	edits := make([]graph.Edit, len(req.Edits))
-	for i, e := range req.Edits {
-		var op graph.EditOp
-		switch e.Op {
-		case graph.EditAdd.String():
-			op = graph.EditAdd
-		case graph.EditRemove.String():
-			op = graph.EditRemove
-		default:
-			return nil, fmt.Errorf("edit %d: unknown op %q (want %q or %q)", i, e.Op, graph.EditAdd, graph.EditRemove)
-		}
-		u, err := s.vertexOfLabel(e.U)
-		if err != nil {
-			return nil, fmt.Errorf("edit %d: %w", i, err)
-		}
-		v, err := s.vertexOfLabel(e.V)
-		if err != nil {
-			return nil, fmt.Errorf("edit %d: %w", i, err)
-		}
-		edits[i] = graph.Edit{Op: op, U: u, V: v, W: e.W}
-	}
-	return edits, nil
 }
 
 // handleStream serves POST /graphs/{id}/stream: NDJSON MutateRequest
@@ -257,7 +92,7 @@ func (s *storeServer) handleStream(w http.ResponseWriter, r *http.Request) {
 		line := StreamLine{Seq: seq}
 		if edits, err := sess.editsOfRequest(&req); err != nil {
 			line.Error = err.Error()
-		} else if out, err := s.st.StreamBatch(sess, edits, req.IfVersion); err != nil {
+		} else if out, err := s.st.Mutate(sess, edits, req.IfVersion); err != nil {
 			line.Error = err.Error()
 		} else {
 			line.Applied = true

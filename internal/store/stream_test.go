@@ -1,26 +1,30 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bcmh/internal/durable"
+	"bcmh/internal/engine"
 	"bcmh/internal/graph"
 	"bcmh/internal/mcmc"
 	"bcmh/internal/rng"
 )
 
-// TestStreamBatchFastPath pins the library-level contract of the
-// overlay mutation path: versions advance one step per batch, the
-// engine's buffer pool is the same object throughout, the serving graph
-// is an overlay until compaction folds it, rejected batches change
-// nothing, and estimates on the streamed graph are bit-identical to a
-// from-scratch engine over the same logical graph.
+// TestStreamBatchFastPath pins the library-level contract of
+// Store.Mutate, the one mutation pipeline: versions advance one step
+// per batch, the engine's buffer pool is the same object throughout,
+// the serving graph is an overlay until compaction folds it, rejected
+// batches change nothing, and estimates on the mutated graph are
+// bit-identical to a from-scratch engine over the same logical graph.
 func TestStreamBatchFastPath(t *testing.T) {
 	st := newStore(Config{})
 	defer st.Close()
@@ -31,7 +35,7 @@ func TestStreamBatchFastPath(t *testing.T) {
 	eng := sess.Engine()
 	pool := eng.Pool()
 
-	out, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditAdd, U: 13, V: 40}}, nil)
+	out, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditAdd, U: 13, V: 40}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +43,19 @@ func TestStreamBatchFastPath(t *testing.T) {
 		t.Fatalf("first batch outcome %+v", out)
 	}
 	if eng.Pool() != pool {
-		t.Fatal("stream batch replaced the buffer pool")
+		t.Fatal("a batch replaced the buffer pool")
 	}
 	if !eng.Graph().HasOverlay() {
-		t.Fatal("streamed graph should carry an overlay")
+		t.Fatal("mutated graph should carry an overlay")
 	}
 
 	// Precondition conflict and disconnecting removal change nothing.
 	v9 := uint64(9)
-	if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditAdd, U: 0, V: 27}}, &v9); err == nil {
+	if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditAdd, U: 0, V: 27}}, &v9); err == nil {
 		t.Fatal("stale if_version accepted")
 	}
 	bridgeU, bridgeV := 0, 144 // the grid-ring bridge
-	if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditRemove, U: bridgeU, V: bridgeV}}, nil); err == nil {
+	if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditRemove, U: bridgeU, V: bridgeV}}, nil); err == nil {
 		t.Fatal("disconnecting removal accepted")
 	}
 	if sess.Version() != 1 || sess.Mutations() != 1 {
@@ -59,10 +63,10 @@ func TestStreamBatchFastPath(t *testing.T) {
 	}
 
 	// A removal that keeps the graph connected passes the pair check.
-	if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditRemove, U: 13, V: 40}}, nil); err != nil {
+	if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditRemove, U: 13, V: 40}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.StreamBatch(sess, []graph.Edit{
+	if _, err := st.Mutate(sess, []graph.Edit{
 		{Op: graph.EditAdd, U: 5, V: 30},
 		{Op: graph.EditAdd, U: 77, V: 100},
 	}, nil); err != nil {
@@ -159,6 +163,141 @@ func TestHTTPStreamEndpoint(t *testing.T) {
 	}
 }
 
+// TestPatchAndStreamAgree sends one batch sequence through PATCH to
+// one session and through /stream to another session of the same
+// graph. Both routes are framings of Store.Mutate, so after every batch
+// the replies agree on version, n, m, added, removed and μ retention,
+// both sessions serve the same adjacency, PATCH's changed labels are
+// exactly the vertices whose adjacency moved, and same-seed estimates
+// and exact values are bit-identical. Rejections agree too: a bridge
+// removal is refused on both routes with the same labeled message, and
+// a stale if_version on both.
+func TestPatchAndStreamAgree(t *testing.T) {
+	st, srv := newTestServer(t, Config{}, "")
+	g := gridWithPendantRing(8, 8, 6) // grid 0..63, ring 64..69, bridge {0,64}
+	uploadGraph(t, srv, "patch", g)
+	uploadGraph(t, srv, "stream", g)
+	add := func(u, v int64) EditRequest { return EditRequest{Op: "add", U: u, V: v} }
+	remove := func(u, v int64) EditRequest { return EditRequest{Op: "remove", U: u, V: v} }
+	stale := uint64(0)
+	batches := []struct {
+		req    MutateRequest
+		reject string // substring of the expected rejection; "" = applies
+	}{
+		{req: MutateRequest{Edits: []EditRequest{add(9, 18)}}},
+		{req: MutateRequest{Edits: []EditRequest{add(12, 21), remove(10, 11)}}},
+		{req: MutateRequest{Edits: []EditRequest{remove(0, 64)}}, reject: "would disconnect"},
+		{req: MutateRequest{Edits: []EditRequest{add(20, 45), add(3, 60), remove(9, 18)}}},
+		{req: MutateRequest{Edits: []EditRequest{add(1, 62)}, IfVersion: &stale}, reject: "if_version"},
+		{req: MutateRequest{Edits: []EditRequest{remove(27, 28), add(66, 69), add(5, 50)}}},
+	}
+	probes := []int64{66, 27, 9, 40}
+	graphOf := func(id string) *graph.Graph {
+		sess, err := st.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.Engine().Graph()
+	}
+	for i, b := range batches {
+		// Warm the same μ entries on both sessions so retention has
+		// something to carry or drop.
+		for _, v := range probes[:2] {
+			for _, id := range []string{"patch", "stream"} {
+				var ex engine.ExactResponse
+				if code := doJSON(t, http.MethodGet, fmt.Sprintf("%s/graphs/%s/exact/%d", srv.URL, id, v), nil, &ex); code != http.StatusOK {
+					t.Fatalf("batch %d: exact %s/%d: status %d", i, id, v, code)
+				}
+			}
+		}
+		before := graphOf("stream")
+
+		var pr struct {
+			MutateResponse
+			Error string `json:"error"`
+		}
+		code := doJSON(t, http.MethodPatch, srv.URL+"/graphs/patch/edges", b.req, &pr)
+		line, err := json.Marshal(b.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/graphs/stream/stream", "application/x-ndjson", bytes.NewReader(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sl StreamLine
+		if err := json.NewDecoder(resp.Body).Decode(&sl); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+
+		if b.reject != "" {
+			if code == http.StatusOK || sl.Applied || !strings.Contains(pr.Error, b.reject) || !strings.Contains(sl.Error, b.reject) {
+				t.Fatalf("batch %d: want both rejected with %q: PATCH %d %q, stream %+v", i, b.reject, code, pr.Error, sl)
+			}
+			// The version-conflict message names the session, so only
+			// the disconnection messages can match byte for byte.
+			if b.req.IfVersion == nil && pr.Error != sl.Error {
+				t.Fatalf("batch %d: rejection messages differ: PATCH %q, stream %q", i, pr.Error, sl.Error)
+			}
+			if graphOf("stream").Version() != before.Version() || graphOf("patch").Version() != before.Version() {
+				t.Fatalf("batch %d: rejected batch moved a session's version", i)
+			}
+			continue
+		}
+		if code != http.StatusOK || !sl.Applied {
+			t.Fatalf("batch %d: PATCH %d %+v, stream %+v", i, code, pr, sl)
+		}
+		if pr.Version != sl.Version || pr.N != sl.N || pr.M != sl.M || pr.Added != sl.Added ||
+			pr.Removed != sl.Removed || pr.MuRetained != sl.MuRetained || pr.MuInvalidated != sl.MuInvalidated {
+			t.Fatalf("batch %d: replies differ: PATCH %+v, stream %+v", i, pr, sl)
+		}
+		after, patched := graphOf("stream"), graphOf("patch")
+		sess, err := st.Get("stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moved []int64
+		for v := 0; v < after.N(); v++ {
+			if !slices.Equal(after.Neighbors(v), patched.Neighbors(v)) {
+				t.Fatalf("batch %d: sessions disagree on the adjacency of vertex %d", i, v)
+			}
+			if !slices.Equal(after.Neighbors(v), before.Neighbors(v)) {
+				moved = append(moved, sess.labelFor(v))
+			}
+		}
+		changed := slices.Clone(pr.Changed)
+		slices.Sort(changed)
+		slices.Sort(moved)
+		if !slices.Equal(changed, moved) {
+			t.Fatalf("batch %d: PATCH changed %v, adjacency moved at %v", i, pr.Changed, moved)
+		}
+
+		for _, v := range probes {
+			var ep, es engine.EstimateResponse
+			req := engine.EstimateRequest{Vertex: v, Steps: 512, Seed: uint64(100 + i)}
+			if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/patch/estimate", req, &ep); code != http.StatusOK {
+				t.Fatalf("batch %d: estimate patch/%d: status %d", i, v, code)
+			}
+			if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/stream/estimate", req, &es); code != http.StatusOK {
+				t.Fatalf("batch %d: estimate stream/%d: status %d", i, v, code)
+			}
+			if ep.Value != es.Value || ep.AcceptanceRate != es.AcceptanceRate || ep.PlannedSteps != es.PlannedSteps {
+				t.Fatalf("batch %d: vertex %d estimates differ: PATCH %+v, stream %+v", i, v, ep, es)
+			}
+			var xp, xs engine.ExactResponse
+			doJSON(t, http.MethodGet, fmt.Sprintf("%s/graphs/patch/exact/%d", srv.URL, v), nil, &xp)
+			doJSON(t, http.MethodGet, fmt.Sprintf("%s/graphs/stream/exact/%d", srv.URL, v), nil, &xs)
+			if xp.BC != xs.BC {
+				t.Fatalf("batch %d: vertex %d exact values differ: %v vs %v", i, v, xp.BC, xs.BC)
+			}
+		}
+	}
+	if sp, ss := sessionStats(t, srv, "patch"), sessionStats(t, srv, "stream"); sp.Version != 4 || ss.Version != 4 {
+		t.Fatalf("final versions %d/%d, want 4/4", sp.Version, ss.Version)
+	}
+}
+
 // TestStreamOverlayCompaction streams enough batches into a small graph
 // that the degree-weighted overlay threshold trips, then waits for the
 // background fold: the serving graph loses its overlay without the
@@ -183,7 +322,7 @@ func TestStreamOverlayCompaction(t *testing.T) {
 			if eng.Graph().HasEdge(u, v) {
 				continue
 			}
-			if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}}, nil); err != nil {
+			if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditAdd, U: u, V: v}}, nil); err != nil {
 				t.Fatal(err)
 			}
 			nextChord++
@@ -215,7 +354,7 @@ func TestStreamOverlayCompaction(t *testing.T) {
 	}
 	// Later batches chain off the compacted storage and stay exact.
 	compacted := eng.Graph()
-	if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditAdd, U: 40, V: 50}}, nil); err != nil {
+	if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditAdd, U: 40, V: 50}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !graph.SameStorage(eng.Graph(), compacted) {
@@ -249,7 +388,7 @@ func TestStreamDurableRecovery(t *testing.T) {
 		if sess.Engine().Graph().HasEdge(u, v) {
 			continue
 		}
-		if _, err := st.StreamBatch(sess, []graph.Edit{{Op: graph.EditAdd, U: u, V: v, W: 1}}, nil); err != nil {
+		if _, err := st.Mutate(sess, []graph.Edit{{Op: graph.EditAdd, U: u, V: v, W: 1}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		applied++
@@ -373,7 +512,7 @@ func TestStreamRandomizedProperty(t *testing.T) {
 			chords = append(chords[:i], chords[i+1:]...)
 			edits = append(edits, graph.Edit{Op: graph.EditRemove, U: c[0], V: c[1]})
 		}
-		if _, err := st.StreamBatch(sess, edits, nil); err != nil {
+		if _, err := st.Mutate(sess, edits, nil); err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
 		if gen%4 == 3 {
@@ -504,7 +643,7 @@ func TestStreamWALRateCompactionSingleFlight(t *testing.T) {
 		if i%2 == 1 {
 			op = graph.EditRemove
 		}
-		if _, err := st.StreamBatch(sess, []graph.Edit{{Op: op, U: 0, V: 17}}, nil); err != nil {
+		if _, err := st.Mutate(sess, []graph.Edit{{Op: op, U: 0, V: 17}}, nil); err != nil {
 			t.Fatalf("stream batch %d: %v", i, err)
 		}
 		time.Sleep(time.Millisecond)
