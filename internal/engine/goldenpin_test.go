@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"bcmh/internal/graph"
+	"bcmh/internal/rng"
 )
 
 // TestGoldenBCPayloads pins the HTTP payloads of default-measure (bc)
@@ -20,25 +24,7 @@ import (
 // intentional, documented payload change) with GOLDEN_UPDATE=1.
 func TestGoldenBCPayloads(t *testing.T) {
 	_, srv := newKarateServer(t)
-
-	// Batch replies carry a wall-clock elapsed_ms; pin the Results
-	// array alone, re-marshaled (deterministic field order).
-	pinBatchResults := func(raw []byte) []byte {
-		var resp BatchResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			t.Fatalf("decoding batch reply: %v", err)
-		}
-		out, err := json.Marshal(resp.Results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	cases := []struct {
-		name string
-		do   func() []byte
-	}{
+	pinGolden(t, "measure_bc_golden.json", []goldenCase{
 		{"estimate_fixed_steps", func() []byte {
 			return postRaw(t, srv.URL+"/estimate",
 				`{"vertex":0,"steps":512,"seed":7}`)
@@ -68,14 +54,70 @@ func TestGoldenBCPayloads(t *testing.T) {
 				`{"vertex":0,"steps":512,"seed":7,"estimator":"proposal-side"}`)
 		}},
 		{"batch_results", func() []byte {
-			return pinBatchResults(postRaw(t, srv.URL+"/estimate/batch",
+			return batchResults(t, postRaw(t, srv.URL+"/estimate/batch",
 				`{"targets":[0,33,2,0,13],"steps":256,"seed":99,"concurrency":2}`))
 		}},
 		{"exact_0", func() []byte { return getRaw(t, srv.URL+"/exact/0") }},
 		{"exact_33", func() []byte { return getRaw(t, srv.URL+"/exact/33") }},
-	}
+	})
+}
 
-	path := filepath.Join("testdata", "measure_bc_golden.json")
+// TestGoldenMeasurePayloads pins the paths TestGoldenBCPayloads does
+// not reach: measure chains (coverage, kpath, rwbc), multi-chain
+// measure pooling, the adaptive stopping rule for bc and for a pooled
+// measure, and a measure batch. The fixtures were captured before the
+// chain entry points were merged into one runner (mcmc.Run); drift is
+// a regression.
+func TestGoldenMeasurePayloads(t *testing.T) {
+	_, srv := newKarateServer(t)
+	est := func(body string) func() []byte {
+		return func() []byte { return postRaw(t, srv.URL+"/estimate", body) }
+	}
+	pinGolden(t, "measure_golden.json", []goldenCase{
+		{"coverage_fixed_steps", est(`{"vertex":0,"measure":"coverage","steps":512,"seed":7}`)},
+		{"kpath_planned", est(`{"vertex":33,"measure":"kpath","measure_k":3,"epsilon":0.1,"delta":0.2,"max_steps":4096,"seed":11}`)},
+		{"rwbc_chains", est(`{"vertex":2,"measure":"rwbc","steps":256,"chains":3,"seed":5}`)},
+		{"adaptive_bc", est(`{"vertex":0,"adaptive":true,"epsilon":0.05,"delta":0.1,"seed":7}`)},
+		{"adaptive_coverage_chains", est(`{"vertex":33,"measure":"coverage","adaptive":true,"epsilon":0.05,"chains":2,"seed":3}`)},
+		{"batch_coverage", func() []byte {
+			return batchResults(t, postRaw(t, srv.URL+"/estimate/batch",
+				`{"targets":[0,33,2,0],"measure":"coverage","steps":256,"seed":99,"concurrency":2}`))
+		}},
+	})
+}
+
+// TestGoldenWeightedBCPayloads pins bc on a weighted karate club, the
+// Dijkstra identity route: one chain, three pooled chains, and a
+// planned request (μ derived on the weighted graph). Captured before
+// the chain entry points were merged into mcmc.Run.
+func TestGoldenWeightedBCPayloads(t *testing.T) {
+	e, err := New(graph.WithUniformWeights(graph.KarateClub(), 1, 9, rng.New(143)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	t.Cleanup(srv.Close)
+	est := func(body string) func() []byte {
+		return func() []byte { return postRaw(t, srv.URL+"/estimate", body) }
+	}
+	pinGolden(t, "weighted_bc_golden.json", []goldenCase{
+		{"fixed_steps", est(`{"vertex":0,"steps":512,"seed":7}`)},
+		{"chains", est(`{"vertex":2,"steps":256,"chains":3,"seed":5}`)},
+		{"planned", est(`{"vertex":33,"epsilon":0.1,"delta":0.2,"max_steps":4096,"seed":11}`)},
+	})
+}
+
+type goldenCase struct {
+	name string
+	do   func() []byte
+}
+
+// pinGolden compares each case's payload with the fixture
+// testdata/<file>, a JSON object from case name to payload. With
+// GOLDEN_UPDATE=1 it rewrites the fixture instead.
+func pinGolden(t *testing.T, file string, cases []goldenCase) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		got := make(map[string]string, len(cases))
 		for _, c := range cases {
@@ -119,17 +161,31 @@ func TestGoldenBCPayloads(t *testing.T) {
 		t.Fatalf("parsing golden fixture: %v", err)
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			w, ok := want[c.name]
 			if !ok {
 				t.Fatalf("fixture missing case %q (regenerate with GOLDEN_UPDATE=1)", c.name)
 			}
 			if got := string(c.do()); got != w {
-				t.Errorf("payload drifted from pre-redesign golden\n got: %s\nwant: %s", got, w)
+				t.Errorf("payload drifted from golden\n got: %s\nwant: %s", got, w)
 			}
 		})
 	}
+}
+
+// batchResults re-marshals a batch reply's Results array alone: the
+// reply also carries a wall-clock elapsed_ms.
+func batchResults(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var resp BatchResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("decoding batch reply: %v", err)
+	}
+	out, err := json.Marshal(resp.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func postRaw(t *testing.T, url, body string) []byte {

@@ -20,10 +20,24 @@ import (
 // deterministic scalar fields. Regenerate with GOLDEN_UPDATE=1 only for
 // an intentional payload change.
 func TestGoldenRankBCPayload(t *testing.T) {
+	pinRankGolden(t, `{"k":5,"seed":42,"initial_steps":256,"sync":true}`, "rank_bc_golden.json")
+}
+
+// TestGoldenRankCoveragePayload pins a rank job ranking by a non-bc
+// measure, whose candidate chains run on measure evaluators. Captured
+// before the chain entry points were merged into mcmc.Run.
+func TestGoldenRankCoveragePayload(t *testing.T) {
+	pinRankGolden(t, `{"k":5,"seed":42,"initial_steps":256,"sync":true,"measure":"coverage"}`, "rank_coverage_golden.json")
+}
+
+// pinRankGolden posts a synchronous rank request on karate and compares
+// the reply, minus its wall-clock elapsed_ms, with testdata/<file>.
+// With GOLDEN_UPDATE=1 it rewrites the fixture instead.
+func pinRankGolden(t *testing.T, body, file string) {
+	t.Helper()
 	_, srv := newTestServer(t, Config{}, "")
 	uploadGraph(t, srv, "karate", graph.KarateClub())
 
-	body := `{"k":5,"seed":42,"initial_steps":256,"sync":true}`
 	resp, err := http.Post(srv.URL+"/graphs/karate/rank", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +60,7 @@ func TestGoldenRankBCPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "rank_bc_golden.json")
+	path := filepath.Join("testdata", file)
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -62,6 +76,6 @@ func TestGoldenRankBCPayload(t *testing.T) {
 		t.Fatalf("reading golden fixture (run with GOLDEN_UPDATE=1 to create): %v", err)
 	}
 	if string(got)+"\n" != string(want) {
-		t.Errorf("rank payload drifted from pre-redesign golden\n got: %s\nwant: %s", got, want)
+		t.Errorf("rank payload drifted from golden\n got: %s\nwant: %s", got, want)
 	}
 }
