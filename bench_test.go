@@ -66,7 +66,7 @@ func BenchmarkT2SingleVertex(b *testing.B) {
 	r := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(fixBA, fixTop, mcmc.DefaultConfig(1024), r); err != nil {
+		if _, err := mcmc.Run(context.Background(), fixBA, mcmc.BC(fixTop), mcmc.DefaultConfig(1024), r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkF1ErrorVsT(b *testing.B) {
 	kl, _ := sampler.NewKadabraLite(fixBA, fixTop)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(fixBA, fixTop, mcmc.DefaultConfig(256), r); err != nil {
+		if _, err := mcmc.Run(context.Background(), fixBA, mcmc.BC(fixTop), mcmc.DefaultConfig(256), r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 		u.Estimate(256, r)
@@ -112,7 +112,7 @@ func BenchmarkF2Coverage(b *testing.B) {
 	r := rng.New(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(g, 0, mcmc.DefaultConfig(800), r); err != nil {
+		if _, err := mcmc.Run(context.Background(), g, mcmc.BC(0), mcmc.DefaultConfig(800), r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func BenchmarkT8Ablations(b *testing.B) {
 	r := rng.New(13)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(fixBA, fixTop, cfg, r); err != nil {
+		if _, err := mcmc.Run(context.Background(), fixBA, mcmc.BC(fixTop), cfg, r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkT9Weighted(b *testing.B) {
 	r := rng.New(17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(fixWBA, fixTop, mcmc.DefaultConfig(1024), r); err != nil {
+		if _, err := mcmc.Run(context.Background(), fixWBA, mcmc.BC(fixTop), mcmc.DefaultConfig(1024), r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func BenchmarkT10Bias(b *testing.B) {
 	r := rng.New(19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateBC(fixGrid, 820, mcmc.DefaultConfig(8192), r); err != nil {
+		if _, err := mcmc.Run(context.Background(), fixGrid, mcmc.BC(820), mcmc.DefaultConfig(8192), r.Uint64(), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkT11Stress(b *testing.B) {
 	r := rng.New(23)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcmc.EstimateStress(fixBA, fixTop, 1024, r); err != nil {
+		if _, err := mcmc.EstimateStress(fixBA, fixTop, 1024, r.Uint64()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,6 +91,16 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// Validate rejects option values no estimate can use: the Eq. 14 plan
+// and the adaptive rule need δ < 1 (non-positive values mean the
+// default). Every estimation entry point checks it before any μ work.
+func (o Options) Validate() error {
+	if o.Delta >= 1 {
+		return fmt.Errorf("core: delta %v outside (0,1)", o.Delta)
+	}
+	return nil
+}
+
 // Normalized returns o with every defaulted field resolved to its
 // concrete value. Two Options that request the same estimation compare
 // equal after Normalized, which is what caches keyed on Options
@@ -100,17 +110,23 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 // PlanFromMu returns the chain length EstimateBC plans for a known
 // μ(r) under opts: Eq. 14 via mcmc.PlanSteps, clamped to
 // [1, opts.MaxSteps]. Exported so batch front-ends can plan steps from
-// a cached μ without re-deriving the dependency column.
+// a cached μ without re-deriving the dependency column. opts.Delta must
+// be below 1 (the estimators reject it otherwise).
 func PlanFromMu(opts Options, mu float64) int {
 	o := opts.withDefaults()
-	steps := mcmc.PlanSteps(o.Epsilon, o.Delta, mu)
-	if steps > o.MaxSteps {
-		steps = o.MaxSteps
+	return clampSteps(float64(mcmc.PlanSteps(o.Epsilon, o.Delta, mu)), o.MaxSteps)
+}
+
+// clampSteps clamps a planned chain length to [1, max], in floating
+// point so a plan beyond the int range saturates instead of wrapping.
+func clampSteps(t float64, max int) int {
+	if t >= float64(max) {
+		return max
 	}
-	if steps < 1 {
-		steps = 1
+	if t < 1 {
+		return 1
 	}
-	return steps
+	return int(t)
 }
 
 // Estimate is the result of a single-vertex estimation.
@@ -179,16 +195,19 @@ func EstimateBC(g *graph.Graph, r int, opts Options) (Estimate, error) {
 }
 
 // EstimateBCContext is EstimateBC under a context: the chain loop polls
-// ctx and aborts with its error on cancellation (see
-// mcmc.EstimateBCPooledContext), so callers serving interactive traffic
-// can stop paying for estimates nobody is waiting on. A run that
-// completes is bit-identical to EstimateBC.
+// ctx and aborts with its error on cancellation (see mcmc.Run), so
+// callers serving interactive traffic can stop paying for estimates
+// nobody is waiting on. A run that completes is bit-identical to
+// EstimateBC.
 func EstimateBCContext(ctx context.Context, g *graph.Graph, r int, opts Options) (Estimate, error) {
 	if err := validateGraph(g); err != nil {
 		return Estimate{}, err
 	}
 	if r < 0 || r >= g.N() {
 		return Estimate{}, fmt.Errorf("core: vertex %d out of range [0,%d)", r, g.N())
+	}
+	if err := opts.Validate(); err != nil {
+		return Estimate{}, err
 	}
 	o := opts.withDefaults()
 	mu := o.MuBound
@@ -202,32 +221,39 @@ func EstimateBCContext(ctx context.Context, g *graph.Graph, r int, opts Options)
 	return EstimateBCPreparedContext(ctx, g, r, o, mu, nil)
 }
 
-// EstimateBCPrepared is the estimation kernel behind EstimateBC for
-// callers that have already amortised the per-request setup: g must be
-// valid for estimation (connected and undirected, e.g. from Prepare —
-// only the vertex range is re-checked here), μ is supplied when known
-// (a cached MuExact or an analytic bound; ignored when opts.Steps is
-// fixed), and chain traversal buffers are drawn from pool when
-// non-nil. internal/engine serves every request through this entry
-// point. A non-positive μ with unplanned steps means the dependency
-// column is all-zero, so BC(r) = 0 exactly and no chain is run.
-func EstimateBCPrepared(g *graph.Graph, r int, opts Options, mu float64, pool *mcmc.BufferPool) (Estimate, error) {
-	return EstimateBCPreparedContext(context.Background(), g, r, opts, mu, pool)
+// EstimateBCPreparedContext is the estimation kernel behind EstimateBC
+// for callers that have already amortised the per-request setup: g
+// must be valid for estimation (connected and undirected, e.g. from
+// Prepare — only the vertex range is re-checked here), μ is supplied
+// when known (a cached MuExact or an analytic bound; ignored when
+// opts.Steps is fixed or opts.Adaptive is set), and chain buffers come
+// from pool (nil: a private one). See PlanAndRun.
+func EstimateBCPreparedContext(ctx context.Context, g *graph.Graph, r int, opts Options, mu float64, pool *mcmc.BufferPool) (Estimate, error) {
+	if r < 0 || r >= g.N() {
+		return Estimate{}, fmt.Errorf("core: vertex %d out of range [0,%d)", r, g.N())
+	}
+	return PlanAndRun(ctx, g, opts, mu, pool, func() (mcmc.Source, error) { return mcmc.BC(r), nil })
 }
 
-// ChainConfig resolves normalized options and a μ value into the chain
-// configuration the prepared estimation kernels run: the per-chain step
-// budget (fixed Steps, the Eq. 14 plan from μ, or — under Adaptive —
-// the hard budget the empirical-Bernstein monitor stops within), the
-// ablation knobs, and the adaptive thresholds. muUsed reports the μ the
-// planner consumed (0 when steps were fixed or adaptive). exactZero is
-// the planner's degenerate case — unplanned steps with μ ≤ 0 mean the
-// statistic column is all-zero, the value is exactly 0, and no chain
-// should run. Exported so measure-generic front-ends (internal/measure)
-// plan precisely like the BC fast path instead of duplicating it.
-func ChainConfig(opts Options, mu float64) (cfg mcmc.Config, muUsed float64, exactZero bool) {
+// PlanAndRun is the one plan-and-run body behind every prepared
+// estimate (EstimateBCPreparedContext here, measure.EstimatePrepared
+// for every measure). It resolves opts and μ into the chain
+// configuration: the per-chain step budget (fixed Steps, the Eq. 14
+// plan from μ, or, under Adaptive, the hard budget the
+// empirical-Bernstein monitor stops within), the ablation knobs and the
+// adaptive thresholds. Unplanned steps with μ ≤ 0 mean the statistic
+// column is all-zero: the value is exactly 0, and neither source nor
+// chain runs. Otherwise it calls source, runs opts.Chains chains of it
+// through mcmc.Run under ctx, and packs the Estimate. source is a
+// function so a measure builds its per-target state only when a chain
+// will read it.
+func PlanAndRun(ctx context.Context, g *graph.Graph, opts Options, mu float64, pool *mcmc.BufferPool, source func() (mcmc.Source, error)) (Estimate, error) {
+	if err := opts.Validate(); err != nil {
+		return Estimate{}, err
+	}
 	o := opts.withDefaults()
 	steps := o.Steps
+	var muUsed float64
 	switch {
 	case o.Adaptive:
 		if steps <= 0 {
@@ -235,12 +261,12 @@ func ChainConfig(opts Options, mu float64) (cfg mcmc.Config, muUsed float64, exa
 		}
 	case steps <= 0:
 		if mu <= 0 {
-			return mcmc.Config{}, 0, true
+			return Estimate{}, nil
 		}
 		muUsed = mu
 		steps = PlanFromMu(o, mu)
 	}
-	cfg = mcmc.Config{
+	cfg := mcmc.Config{
 		Steps:          steps,
 		BurnIn:         o.BurnIn,
 		Estimator:      o.Estimator,
@@ -252,47 +278,22 @@ func ChainConfig(opts Options, mu float64) (cfg mcmc.Config, muUsed float64, exa
 		cfg.AdaptiveEps = o.Epsilon
 		cfg.AdaptiveDelta = o.Delta
 	}
-	return cfg, muUsed, false
-}
-
-// EstimateBCPreparedContext is EstimateBCPrepared under a context; the
-// chain step loop (single- and parallel-chain paths alike) aborts with
-// ctx's error on cancellation.
-func EstimateBCPreparedContext(ctx context.Context, g *graph.Graph, r int, opts Options, mu float64, pool *mcmc.BufferPool) (Estimate, error) {
-	if r < 0 || r >= g.N() {
-		return Estimate{}, fmt.Errorf("core: vertex %d out of range [0,%d)", r, g.N())
-	}
-	o := opts.withDefaults()
-	var est Estimate
-	cfg, muUsed, exactZero := ChainConfig(o, mu)
-	if exactZero {
-		// All-zero dependency column: BC(r) = 0 exactly; no sampling
-		// needed.
-		est.Value = 0
-		est.PlannedSteps = 0
-		est.Chains = 0
-		return est, nil
-	}
-	est.MuUsed = muUsed
-	est.PlannedSteps = cfg.Steps
-	est.Chains = o.Chains
-	if o.Chains > 1 {
-		multi, err := mcmc.EstimateBCParallelPooledContext(ctx, g, r, cfg, o.Seed, o.Chains, pool)
-		if err != nil {
-			return Estimate{}, err
-		}
-		est.Value = multi.Combined.Estimate
-		est.Diagnostics = multi.Combined
-		est.PerChain = multi.PerChain
-		return est, nil
-	}
-	res, err := mcmc.EstimateBCPooledContext(ctx, g, r, cfg, rng.New(o.Seed), pool)
+	src, err := source()
 	if err != nil {
 		return Estimate{}, err
 	}
-	est.Value = res.Estimate
-	est.Diagnostics = res
-	return est, nil
+	multi, err := mcmc.Run(ctx, g, src, cfg, o.Seed, o.Chains, pool)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return Estimate{
+		Value:        multi.Combined.Estimate,
+		PlannedSteps: cfg.Steps,
+		Chains:       o.Chains,
+		MuUsed:       muUsed,
+		Diagnostics:  multi.Combined,
+		PerChain:     multi.PerChain,
+	}, nil
 }
 
 // RelOptions configures joint-space relative estimation.
@@ -318,14 +319,17 @@ func EstimateRelative(g *graph.Graph, R []int, opts RelOptions) (mcmc.JointResul
 	if err := validateGraph(g); err != nil {
 		return mcmc.JointResult{}, err
 	}
+	if opts.Delta >= 1 {
+		return mcmc.JointResult{}, fmt.Errorf("core: delta %v outside (0,1)", opts.Delta)
+	}
 	o := opts
-	if o.Epsilon == 0 {
+	if o.Epsilon <= 0 {
 		o.Epsilon = 0.01
 	}
-	if o.Delta == 0 {
+	if o.Delta <= 0 {
 		o.Delta = 0.1
 	}
-	if o.MaxSteps == 0 {
+	if o.MaxSteps <= 0 {
 		o.MaxSteps = DefaultMaxSteps
 	}
 	steps := o.Steps
@@ -345,10 +349,7 @@ func EstimateRelative(g *graph.Graph, R []int, opts RelOptions) (mcmc.JointResul
 		if mu <= 0 {
 			return mcmc.JointResult{}, fmt.Errorf("core: every target in R has zero betweenness; relative scores are undefined")
 		}
-		steps = mcmc.PlanSteps(o.Epsilon, o.Delta, mu) * len(R)
-		if steps > o.MaxSteps {
-			steps = o.MaxSteps
-		}
+		steps = clampSteps(float64(mcmc.PlanSteps(o.Epsilon, o.Delta, mu))*float64(len(R)), o.MaxSteps)
 	}
 	cfg := mcmc.JointConfig{
 		Steps:        steps,

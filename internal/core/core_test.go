@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -66,6 +67,74 @@ func TestEstimateBCMaxStepsCap(t *testing.T) {
 	}
 	if est.PlannedSteps != 1234 {
 		t.Fatalf("cap not applied: %d", est.PlannedSteps)
+	}
+}
+
+// TestPlanSaturatesAtMaxSteps pins the planner against int overflow:
+// an Eq. 14 length beyond the int range plans MaxSteps (it used to wrap
+// to a negative int and clamp to a 1-step chain), and plans in range
+// are unchanged.
+func TestPlanSaturatesAtMaxSteps(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		mu   float64
+		want int
+	}{
+		{Options{Epsilon: 1e-9, MaxSteps: 1 << 20}, 2.354, 1 << 20},
+		{Options{Epsilon: 1e-12, MaxSteps: 1 << 20}, 2.354, 1 << 20},
+		{Options{Epsilon: 0.01, Delta: 0.1}, 10, 1497867},
+		{Options{Epsilon: 0.01, Delta: 0.1}, 1e6, DefaultMaxSteps},
+		{Options{Epsilon: 0.01, Delta: 0.1}, 1e9, DefaultMaxSteps},
+		{Options{Epsilon: 0.01, Delta: 0.1}, 1e200, DefaultMaxSteps},
+	} {
+		if got := PlanFromMu(c.opts, c.mu); got != c.want {
+			t.Errorf("PlanFromMu(ε=%v, μ=%v) = %d, want %d", c.opts.Epsilon, c.mu, got, c.want)
+		}
+	}
+	g := graph.KarateClub()
+	for _, o := range []Options{
+		{Epsilon: 1e-12, MaxSteps: 4096, Seed: 1},
+		{MuBound: 1e9, MaxSteps: 4096, Seed: 1},
+	} {
+		est, err := EstimateBC(g, 0, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.PlannedSteps != 4096 {
+			t.Errorf("EstimateBC(ε=%v, μ bound %v) planned %d steps, want MaxSteps 4096", o.Epsilon, o.MuBound, est.PlannedSteps)
+		}
+	}
+	res, err := EstimateRelative(g, []int{0, 33}, RelOptions{MuBound: 1e9, MaxSteps: 4096, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, m := range res.MSize {
+		total += m
+	}
+	if total != 4096+1 {
+		t.Errorf("EstimateRelative(μ bound 1e9) ran %d joint states, want MaxSteps+1 = 4097", total)
+	}
+}
+
+// TestDeltaOutOfRangeRejected pins that δ ≥ 1 is an error, not a
+// planner panic, on every library entry point.
+func TestDeltaOutOfRangeRejected(t *testing.T) {
+	g := graph.KarateClub()
+	for _, o := range []Options{
+		{Delta: 1.5, MaxSteps: 512},
+		{Delta: 1, MuBound: 2},
+		{Delta: 1.5, Adaptive: true},
+	} {
+		if _, err := EstimateBC(g, 0, o); err == nil {
+			t.Errorf("EstimateBC accepted delta %v", o.Delta)
+		}
+		if _, err := EstimateBCPreparedContext(context.Background(), g, 0, o, 2, nil); err == nil {
+			t.Errorf("EstimateBCPreparedContext accepted delta %v", o.Delta)
+		}
+	}
+	if _, err := EstimateRelative(g, []int{0, 33}, RelOptions{Delta: 1.5}); err == nil {
+		t.Error("EstimateRelative accepted delta 1.5")
 	}
 }
 

@@ -547,6 +547,9 @@ func (e *Engine) estimateOn(ctx context.Context, sn *snapshot, spec measure.Spec
 	if err := spec.Supports(sn.g); err != nil {
 		return core.Estimate{}, err
 	}
+	if err := opts.Validate(); err != nil {
+		return core.Estimate{}, err
+	}
 	o := opts.Normalized()
 	key := resultKey{version: sn.version, vertex: r, spec: spec, opts: o}
 	if est, ok := e.results.get(key); ok {

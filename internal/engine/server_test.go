@@ -73,7 +73,7 @@ func TestServerEstimate(t *testing.T) {
 }
 
 func TestServerEstimateErrors(t *testing.T) {
-	_, srv := newKarateServer(t)
+	e, srv := newKarateServer(t)
 	var errResp map[string]string
 	if code := postJSON(t, srv.URL+"/estimate", EstimateRequest{Vertex: 99}, &errResp); code != http.StatusNotFound {
 		t.Fatalf("out-of-range vertex: status %d", code)
@@ -91,6 +91,28 @@ func TestServerEstimateErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d", resp.StatusCode)
+	}
+	// δ ≥ 1 is rejected before any μ work (it used to panic the
+	// planner: /estimate dropped the connection, and a batch worker's
+	// panic killed the process), and the server keeps serving.
+	for _, c := range []struct {
+		route string
+		req   any
+	}{
+		{"/estimate", EstimateRequest{Vertex: 0, Delta: 1.5, MaxSteps: 512}},
+		{"/estimate/batch", BatchRequest{Targets: []int64{0}, Delta: 1.5, MaxSteps: 512}},
+	} {
+		errResp = nil
+		if code := postJSON(t, srv.URL+c.route, c.req, &errResp); code != http.StatusBadRequest || errResp["error"] == "" {
+			t.Fatalf("%s with delta 1.5: status %d body %v", c.route, code, errResp)
+		}
+		var ok EstimateResponse
+		if code := postJSON(t, srv.URL+"/estimate", EstimateRequest{Vertex: 0, Steps: 64, Seed: 1}, &ok); code != http.StatusOK {
+			t.Fatalf("request after %s with delta 1.5: status %d", c.route, code)
+		}
+	}
+	if misses := e.Stats().MuMisses; misses != 0 {
+		t.Fatalf("rejected requests derived μ %d times", misses)
 	}
 }
 

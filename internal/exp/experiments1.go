@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -36,6 +37,12 @@ func RunT1(w io.Writer, s Scale, seed uint64) error {
 	return err
 }
 
+// runBC runs one betweenness chain of cfg on g through mcmc.Run.
+func runBC(g *graph.Graph, target int, cfg mcmc.Config, seed uint64) (mcmc.Result, error) {
+	m, err := mcmc.Run(context.Background(), g, mcmc.BC(target), cfg, seed, 1, nil)
+	return m.Combined, err
+}
+
 // t2Datasets are the graphs the headline single-vertex table uses.
 var t2Datasets = []string{"karate", "ba", "er", "grid"}
 
@@ -64,7 +71,7 @@ func RunT2(w io.Writer, s Scale, seed uint64) error {
 				steps = cap
 			}
 			start := time.Now()
-			res, err := mcmc.EstimateBC(g, tgt.Vertex, mcmc.DefaultConfig(steps), rng.New(seed+uint64(tgt.Vertex)))
+			res, err := runBC(g, tgt.Vertex, mcmc.DefaultConfig(steps), seed+uint64(tgt.Vertex))
 			if err != nil {
 				return err
 			}
@@ -124,11 +131,12 @@ func RunF1(w io.Writer, s Scale, seed uint64) error {
 func meanAbsError(g *graph.Graph, target int, exact float64, estimator string, budget, reps int, seed uint64) float64 {
 	var acc stats.Welford
 	for rep := 0; rep < reps; rep++ {
-		r := rng.New(seed ^ (uint64(rep+1) * 0x9e3779b97f4a7c15))
+		repSeed := seed ^ (uint64(rep+1) * 0x9e3779b97f4a7c15)
+		r := rng.New(repSeed)
 		var est float64
 		switch estimator {
 		case "mh-chain", "mh-harmonic", "proposal-side":
-			res, err := mcmc.EstimateBC(g, target, mcmc.DefaultConfig(budget), r)
+			res, err := runBC(g, target, mcmc.DefaultConfig(budget), repSeed)
 			if err != nil {
 				panic(err)
 			}
@@ -222,8 +230,7 @@ func RunF2(w io.Writer, s Scale, seed uint64) error {
 		errsLimit := make([]float64, 0, reps)
 		errsBC := make([]float64, 0, reps)
 		for rep := 0; rep < reps; rep++ {
-			r := rng.New(seed ^ (uint64(rep+13) * 0x9e3779b97f4a7c15))
-			res, err := mcmc.EstimateBC(g, 0, mcmc.DefaultConfig(T), r)
+			res, err := runBC(g, 0, mcmc.DefaultConfig(T), seed^(uint64(rep+13)*0x9e3779b97f4a7c15))
 			if err != nil {
 				return err
 			}

@@ -235,7 +235,7 @@ func RunT7(w io.Writer, s Scale, seed uint64) error {
 			cfg := mcmc.DefaultConfig(steps)
 			cfg.DisableCache = disableCache
 			start := time.Now()
-			if _, err := mcmc.EstimateBC(g, target, cfg, rng.New(seed+1)); err != nil {
+			if _, err := runBC(g, target, cfg, seed+1); err != nil {
 				panic(err)
 			}
 			return float64(time.Since(start).Microseconds()) / steps
@@ -324,7 +324,7 @@ func RunT8(w io.Writer, s Scale, seed uint64) error {
 	for _, v := range variants {
 		var est, errAcc, accept, evals stats.Welford
 		for rep := 0; rep < reps; rep++ {
-			res, err := mcmc.EstimateBC(g, tgt.Vertex, v.cfg(), rng.New(seed^(uint64(rep+7)*0x9e3779b97f4a7c15)))
+			res, err := runBC(g, tgt.Vertex, v.cfg(), seed^(uint64(rep+7)*0x9e3779b97f4a7c15))
 			if err != nil {
 				return err
 			}
@@ -387,7 +387,7 @@ func RunT10(w io.Writer, s Scale, seed uint64) error {
 			if err != nil {
 				return err
 			}
-			res, err := mcmc.EstimateBC(g, tgt.Vertex, mcmc.DefaultConfig(steps), rng.New(seed+uint64(tgt.Vertex)*3))
+			res, err := runBC(g, tgt.Vertex, mcmc.DefaultConfig(steps), seed+uint64(tgt.Vertex)*3)
 			if err != nil {
 				return err
 			}

@@ -30,7 +30,7 @@ func RunT11(w io.Writer, s Scale, seed uint64) error {
 		bc := brandes.BCParallel(g, 0)
 		for _, tgt := range PickTargets(g, bc, 0.5) {
 			exact := brandes.StressOfVertexExact(g, tgt.Vertex)
-			res, err := mcmc.EstimateStress(g, tgt.Vertex, steps, rng.New(seed+uint64(tgt.Vertex)*7))
+			res, err := mcmc.EstimateStress(g, tgt.Vertex, steps, seed+uint64(tgt.Vertex)*7)
 			if err != nil {
 				return err
 			}

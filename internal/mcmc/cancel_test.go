@@ -33,10 +33,10 @@ func TestEstimateBCContextCancelledBeforeStart(t *testing.T) {
 	g := graph.KarateClub()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EstimateBCPooledContext(ctx, g, 0, DefaultConfig(1000), rng.New(1), nil); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, g, BC(0), DefaultConfig(1000), 1, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled single chain: err = %v, want context.Canceled", err)
 	}
-	if _, err := EstimateBCParallelPooledContext(ctx, g, 0, DefaultConfig(1000), 1, 4, nil); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, g, BC(0), DefaultConfig(1000), 1, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled parallel chains: err = %v, want context.Canceled", err)
 	}
 }
@@ -46,7 +46,7 @@ func TestEstimateBCContextAbortsSingleChainPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := EstimateBCPooledContext(ctx, g, 0, hugeChainConfig(), rng.New(7), nil)
+	_, err := Run(ctx, g, BC(0), hugeChainConfig(), 7, 1, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -63,7 +63,7 @@ func TestEstimateBCContextAbortsParallelChainsPromptly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := EstimateBCParallelPooledContext(ctx, g, 0, hugeChainConfig(), 9, 4, NewBufferPool(g))
+	_, err := Run(ctx, g, BC(0), hugeChainConfig(), 9, 4, NewBufferPool(g))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -78,13 +78,13 @@ func TestContextVariantsAreBitIdenticalWhenUncancelled(t *testing.T) {
 	// that never fires yields exactly the context-free result.
 	g := graph.KarateClub()
 	cfg := DefaultConfig(2000)
-	want, err := EstimateBCPooled(g, 0, cfg, rng.New(3), nil)
+	want, err := Run(context.Background(), g, BC(0), cfg, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	got, err := EstimateBCPooledContext(ctx, g, 0, cfg, rng.New(3), nil)
+	got, err := Run(ctx, g, BC(0), cfg, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestContextVariantsAreBitIdenticalWhenUncancelled(t *testing.T) {
 		t.Fatalf("context-threaded run differs:\ngot  %+v\nwant %+v", got, want)
 	}
 
-	wantMulti, err := EstimateBCParallelPooled(g, 0, cfg, 5, 3, nil)
+	wantMulti, err := Run(context.Background(), g, BC(0), cfg, 5, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMulti, err := EstimateBCParallelPooledContext(ctx, g, 0, cfg, 5, 3, nil)
+	gotMulti, err := Run(ctx, g, BC(0), cfg, 5, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,13 @@ func TestChainCarryAcrossVersions(t *testing.T) {
 	const target, seed = 2, 99
 	cfg := DefaultConfig(400)
 
-	ref, err := EstimateBCPooled(g, target, cfg, rng.New(seed), nil)
+	ref, err := runBC(g, target, cfg, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pool := NewBufferPool(g)
-	warm, err := EstimateBCPooled(g, target, cfg, rng.New(seed), pool)
+	warm, err := runBC(g, target, cfg, seed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestChainCarryAcrossVersions(t *testing.T) {
 	}
 	pool.Advance(next, affected)
 
-	got, err := EstimateBCPooled(next, target, cfg, rng.New(seed), pool)
+	got, err := runBC(next, target, cfg, seed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestChainCarryAcrossVersions(t *testing.T) {
 	}
 	// Cross-check the float-exactness claim without carry in the mix: a
 	// cold pool on the mutated graph must agree too.
-	fresh, err := EstimateBCPooled(next, target, cfg, rng.New(seed), NewBufferPool(next))
+	fresh, err := runBC(next, target, cfg, seed, NewBufferPool(next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChainCarryAcrossVersions(t *testing.T) {
 
 	// Old snapshots stay serviceable from the same pool (backward
 	// reseat): the estimate on g must still match the original.
-	back, err := EstimateBCPooled(g, target, cfg, rng.New(seed), pool)
+	back, err := runBC(g, target, cfg, seed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestChainCarryAcrossVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Advance(next2, affected2)
-	got2, err := EstimateBCPooled(next2, target, cfg, rng.New(seed), pool)
+	got2, err := runBC(next2, target, cfg, seed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh2, err := EstimateBCPooled(next2, target, cfg, rng.New(seed), NewBufferPool(next2))
+	fresh2, err := runBC(next2, target, cfg, seed, NewBufferPool(next2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestAdvanceDropsSupersededSnapshots(t *testing.T) {
 	cfg.DisableCache = true // every step traverses: the chain stays in flight
 	cfg.DegreeProposal = true
 	const r, seed = 0, 5
-	want, err := EstimateBC(g0, r, cfg, rng.New(seed))
+	want, err := runBC(g0, r, cfg, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestAdvanceDropsSupersededSnapshots(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := EstimateBCPooled(g0, r, cfg, rng.New(seed), pool)
+		res, err := runBC(g0, r, cfg, seed, pool)
 		done <- outcome{res, err}
 	}()
 	// The chain looks up its target entry, then its alias table; once
@@ -350,11 +350,11 @@ func TestAdvanceDropsSupersededSnapshots(t *testing.T) {
 
 	// A straggler on the superseded snapshot rebuilds what it needs.
 	cfg.Steps = 500
-	want2, err := EstimateBC(g0, 1, cfg, rng.New(seed))
+	want2, err := runBC(g0, 1, cfg, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := EstimateBCPooled(g0, 1, cfg, rng.New(seed), pool)
+	got2, err := runBC(g0, 1, cfg, seed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestFTraceCollection(t *testing.T) {
 	g := graph.KarateClub()
 	cfg := DefaultConfig(500)
 	cfg.CollectFTrace = true
-	res, err := EstimateBC(g, 0, cfg, rng.New(3))
+	res, err := runBC(g, 0, cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFTraceCollection(t *testing.T) {
 	}
 	// Burn-in shortens the counted trace.
 	cfg.BurnIn = 100
-	res, _ = EstimateBC(g, 0, cfg, rng.New(3))
+	res, _ = runBC(g, 0, cfg, 3, nil)
 	if len(res.FTrace) != 401 {
 		t.Fatalf("burn-in trace length %d", len(res.FTrace))
 	}
@@ -37,7 +37,7 @@ func TestFTraceCollection(t *testing.T) {
 
 func TestFTraceOffByDefault(t *testing.T) {
 	g := graph.KarateClub()
-	res, err := EstimateBC(g, 0, DefaultConfig(100), rng.New(5))
+	res, err := runBC(g, 0, DefaultConfig(100), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDiagnose(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, rng.New(7))
 	cfg := DefaultConfig(5000)
 	cfg.CollectFTrace = true
-	res, err := EstimateBC(g, 0, cfg, rng.New(11))
+	res, err := runBC(g, 0, cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

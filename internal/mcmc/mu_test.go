@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestTheorem1CoverageEmpirical(t *testing.T) {
 	r := rng.New(23)
 	errs := make([]float64, 0, 60)
 	for rep := 0; rep < 60; rep++ {
-		res, err := EstimateBC(g, 0, DefaultConfig(T), r)
+		res, err := runBC(g, 0, DefaultConfig(T), r.Uint64(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestTheorem1CoverageEmpirical(t *testing.T) {
 func TestMultiChainPoolsCorrectly(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 2, rng.New(29))
 	cfg := DefaultConfig(2000)
-	m, err := EstimateBCParallel(g, 0, cfg, 31, 4)
+	m, err := Run(context.Background(), g, BC(0), cfg, 31, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +179,11 @@ func TestMultiChainPoolsCorrectly(t *testing.T) {
 func TestMultiChainDeterministic(t *testing.T) {
 	g := graph.KarateClub()
 	cfg := DefaultConfig(500)
-	a, err := EstimateBCParallel(g, 0, cfg, 37, 3)
+	a, err := Run(context.Background(), g, BC(0), cfg, 37, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := EstimateBCParallel(g, 0, cfg, 37, 3)
+	b, _ := Run(context.Background(), g, BC(0), cfg, 37, 3, nil)
 	if a.Combined.Estimate != b.Combined.Estimate {
 		t.Fatal("parallel runs with same seed differ")
 	}
@@ -195,10 +196,10 @@ func TestMultiChainDeterministic(t *testing.T) {
 
 func TestMultiChainValidation(t *testing.T) {
 	g := graph.KarateClub()
-	if _, err := EstimateBCParallel(g, 0, DefaultConfig(10), 1, 0); err == nil {
+	if _, err := Run(context.Background(), g, BC(0), DefaultConfig(10), 1, 0, nil); err == nil {
 		t.Fatal("zero chains accepted")
 	}
-	if _, err := EstimateBCParallel(g, 0, Config{Steps: -1}, 1, 2); err == nil {
+	if _, err := Run(context.Background(), g, BC(0), Config{Steps: -1}, 1, 2, nil); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -208,7 +209,7 @@ func TestMultiChainEstimatorKinds(t *testing.T) {
 	for _, k := range []EstimatorKind{EstimatorChainAverage, EstimatorPaperEq7, EstimatorProposalSide, EstimatorHarmonic} {
 		cfg := DefaultConfig(300)
 		cfg.Estimator = k
-		m, err := EstimateBCParallel(g, 0, cfg, 41, 2)
+		m, err := Run(context.Background(), g, BC(0), cfg, 41, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func BenchmarkEstimateBCStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// One fresh 64-step chain per iteration: measures per-step cost
 		// including realistic cache behaviour.
-		if _, err := EstimateBC(g, 0, DefaultConfig(64), r); err != nil {
+		if _, err := runBC(g, 0, DefaultConfig(64), r.Uint64(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

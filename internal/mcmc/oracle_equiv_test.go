@@ -354,17 +354,17 @@ func TestEstimateBCPooledMatchesUnpooled(t *testing.T) {
 		pool := NewBufferPool(g)
 		cfg := DefaultConfig(400)
 		for _, r := range []int{0, 5} {
-			a, err := EstimateBCPooled(g, r, cfg, rng.New(71), pool)
+			a, err := runBC(g, r, cfg, 71, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bres, err := EstimateBCPooled(g, r, cfg, rng.New(71), nil)
+			bres, err := runBC(g, r, cfg, 71, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Run twice through the pool so buffer reuse (stale memo
 			// epochs) is exercised too.
-			c, err := EstimateBCPooled(g, r, cfg, rng.New(71), pool)
+			c, err := runBC(g, r, cfg, 71, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func testPooledMatchesUnpooledAfterMu(t *testing.T) {
 	overlayPool := NewBufferPool(ba)
 	// Seat the pool's buffers on the base graph, so the overlay chains
 	// below reseat them.
-	if _, err := EstimateBCParallelPooled(ba, 5, DefaultConfig(50), 1, 4, overlayPool); err != nil {
+	if _, err := Run(context.Background(), ba, BC(5), DefaultConfig(50), 1, 4, overlayPool); err != nil {
 		t.Fatal(err)
 	}
 	v := 1
@@ -432,13 +432,13 @@ func testPooledMatchesUnpooledAfterMu(t *testing.T) {
 	run := func(t *testing.T, g *graph.Graph, r int, cfg Config, chains int, pool *BufferPool) any {
 		t.Helper()
 		if chains > 1 {
-			m, err := EstimateBCParallelPooled(g, r, cfg, 71, chains, pool)
+			m, err := Run(context.Background(), g, BC(r), cfg, 71, chains, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}
-		res, err := EstimateBCPooled(g, r, cfg, rng.New(71), pool)
+		res, err := runBC(g, r, cfg, 71, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestParkedColumnTakenOnce(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, rng.New(59))
 	pool := NewBufferPool(g)
 	cfg := DefaultConfig(300)
-	want, err := EstimateBCPooled(g, 0, cfg, rng.New(71), nil)
+	want, err := runBC(g, 0, cfg, 71, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestParkedColumnTakenOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = EstimateBCPooled(g, 0, cfg, rng.New(71), pool)
+			got[i], errs[i] = runBC(g, 0, cfg, 71, pool)
 		}(i)
 	}
 	wg.Wait()
@@ -529,11 +529,11 @@ func TestDegreeProposalAliasCached(t *testing.T) {
 	}
 	cfg := DefaultConfig(300)
 	cfg.DegreeProposal = true
-	a, err := EstimateBCPooled(g, 0, cfg, rng.New(83), pool)
+	a, err := runBC(g, 0, cfg, 83, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateBCPooled(g, 0, cfg, rng.New(83), nil)
+	b, err := runBC(g, 0, cfg, 83, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,13 +550,13 @@ func TestPooledOutOfRangeTargetErrors(t *testing.T) {
 	pool := NewBufferPool(g)
 	cfg := DefaultConfig(10)
 	for _, r := range []int{-1, 10} {
-		if _, err := EstimateBCPooled(g, r, cfg, rng.New(1), pool); err == nil {
+		if _, err := runBC(g, r, cfg, 1, pool); err == nil {
 			t.Fatalf("pooled target %d accepted", r)
 		}
-		if _, err := EstimateBCPooled(g, r, cfg, rng.New(1), nil); err == nil {
+		if _, err := runBC(g, r, cfg, 1, nil); err == nil {
 			t.Fatalf("unpooled target %d accepted", r)
 		}
-		if _, err := EstimateBCParallelPooled(g, r, cfg, 1, 2, pool); err == nil {
+		if _, err := Run(context.Background(), g, BC(r), cfg, 1, 2, pool); err == nil {
 			t.Fatalf("parallel target %d accepted", r)
 		}
 	}

@@ -386,16 +386,11 @@ func (p *BufferPool) degreeAlias(g *graph.Graph) *rng.Alias {
 	if len(p.aliases) >= aliasCacheSize {
 		clear(p.aliases)
 	}
-	a := degreeAliasFor(g)
-	p.aliases[g.Version()] = a
-	return a
-}
-
-// degreeAliasFor builds the degree-proportional proposal table for g.
-func degreeAliasFor(g *graph.Graph) *rng.Alias {
 	w := make([]float64, g.N())
 	for v := range w {
 		w[v] = float64(g.Degree(v))
 	}
-	return rng.NewAlias(w)
+	a := rng.NewAlias(w)
+	p.aliases[g.Version()] = a
+	return a
 }

@@ -232,116 +232,6 @@ func ebHalfWidth(v float64, t int, rng, delta float64) float64 {
 	return math.Sqrt(2*v*l/float64(t)) + 3*rng*l/float64(t)
 }
 
-// EstimateBC runs the single-space Metropolis–Hastings sampler of §4.2
-// to estimate the betweenness score of vertex r in the connected
-// undirected graph g.
-//
-// The chain's state space is V(G); proposals are uniform (Eq. 6) or
-// degree-weighted (Hastings-corrected); the move v→v' is accepted with
-// probability min{1, δ_{v'}•(r)/δ_v•(r)}, so the stationary
-// distribution is P_r[v] ∝ δ_v•(r) (Eq. 5, the optimal sampling
-// distribution of [13]).
-func EstimateBC(g *graph.Graph, r int, cfg Config, rnd *rng.RNG) (Result, error) {
-	return EstimateBCPooled(g, r, cfg, rnd, nil)
-}
-
-// EstimateBCPooled is EstimateBC drawing the chain's traversal buffers
-// from pool instead of allocating fresh ones — the entry point batch
-// front-ends (internal/engine) use so concurrent chains stop paying
-// O(n) allocations per run. A nil pool allocates as EstimateBC does.
-func EstimateBCPooled(g *graph.Graph, r int, cfg Config, rnd *rng.RNG, pool *BufferPool) (Result, error) {
-	return EstimateBCPooledContext(context.Background(), g, r, cfg, rnd, pool)
-}
-
-// EstimateBCPooledContext is EstimateBCPooled under a context: the chain
-// step loop checks ctx every cancelCheckInterval steps and aborts with
-// ctx's error when it is cancelled or past its deadline, so a
-// disconnected client or an evicted serving session stops paying for
-// traversals it no longer wants. A run that completes is bit-identical
-// to EstimateBCPooled — the cancellation check reads the context, never
-// the chain state.
-func EstimateBCPooledContext(ctx context.Context, g *graph.Graph, r int, cfg Config, rnd *rng.RNG, pool *BufferPool) (Result, error) {
-	n := g.N()
-	if n < 2 {
-		return Result{}, fmt.Errorf("mcmc: graph too small (n=%d)", n)
-	}
-	if err := cfg.validate(n); err != nil {
-		return Result{}, err
-	}
-	if r < 0 || r >= n {
-		// Checked before the pool lookup: building (and caching) a
-		// target snapshot for an invalid vertex would panic mid-BFS.
-		return Result{}, fmt.Errorf("mcmc: oracle target %d out of range", r)
-	}
-	var b *chainBuffers
-	var ts targetState
-	if pool != nil {
-		b = pool.get(g)
-		defer pool.put(b)
-		ts = pool.chainTarget(g, r)
-	} else {
-		b = newChainBuffers(g)
-	}
-	oracle, err := newOracleBuffered(g, r, !cfg.DisableCache, b, ts, pool)
-	if err != nil {
-		return Result{}, err
-	}
-	var degAlias *rng.Alias
-	if cfg.DegreeProposal {
-		if pool != nil {
-			degAlias = pool.degreeAlias(g)
-		} else {
-			degAlias = degreeAliasFor(g)
-		}
-	}
-	res, err := runSingleChain(ctx, g, oracle, cfg, rnd, b, degAlias)
-	res.Evals = oracle.Evals
-	res.CacheHits = oracle.Hits
-	return res, err
-}
-
-// EstimateStatPooled runs the same single-space MH chain against an
-// arbitrary statistic oracle — the measure-generic entry point. The
-// stationary distribution is ∝ oracle.Dep, and every estimator variant
-// reads d/(n−1) exactly as the betweenness chain does, so a measure
-// whose per-vertex statistic shares betweenness's normalisation (sum
-// over vertices = n(n−1)·Value) reuses the whole estimator stack. The
-// pool only supplies the visited-set scratch here (the oracle owns its
-// own kernels and memo); nil allocates.
-func EstimateStatPooled(g *graph.Graph, oracle StatOracle, cfg Config, rnd *rng.RNG, pool *BufferPool) (Result, error) {
-	return EstimateStatPooledContext(context.Background(), g, oracle, cfg, rnd, pool)
-}
-
-// EstimateStatPooledContext is EstimateStatPooled under a context (the
-// chain loop polls ctx exactly like EstimateBCPooledContext).
-func EstimateStatPooledContext(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg Config, rnd *rng.RNG, pool *BufferPool) (Result, error) {
-	n := g.N()
-	if n < 2 {
-		return Result{}, fmt.Errorf("mcmc: graph too small (n=%d)", n)
-	}
-	if err := cfg.validate(n); err != nil {
-		return Result{}, err
-	}
-	var b *chainBuffers
-	if pool != nil {
-		b = pool.get(g)
-		defer pool.put(b)
-	} else {
-		b = newChainBuffers(g)
-	}
-	var degAlias *rng.Alias
-	if cfg.DegreeProposal {
-		if pool != nil {
-			degAlias = pool.degreeAlias(g)
-		} else {
-			degAlias = degreeAliasFor(g)
-		}
-	}
-	res, err := runSingleChain(ctx, g, oracle, cfg, rnd, b, degAlias)
-	res.Evals, res.CacheHits = oracle.Work()
-	return res, err
-}
-
 // f(v) = δ_v•(r)/(n-1): the paper's per-state statistic, ∈ [0,1).
 func fOf(dep float64, n int) float64 { return dep / float64(n-1) }
 
@@ -363,14 +253,11 @@ func acceptMH(depCur, depNew, hastings float64, rnd *rng.RNG) bool {
 	return rnd.Float64() < ratio
 }
 
-// runSingleChain is the core loop shared by EstimateBC and the
-// multi-chain driver (which aggregates partial results itself). The
-// chain's visited set lives in b's epoch-stamped array; degAlias, when
-// non-nil, is the (possibly pool-cached) degree-proposal table for g
-// (built locally when cfg.DegreeProposal is set and none was passed).
-// The loop polls ctx every cancelCheckInterval steps; on cancellation
-// it returns the partial Result (for work accounting) together with
-// ctx's error.
+// runSingleChain is the chain loop: Run calls it once per chain. The
+// chain's visited set lives in b's epoch-stamped array; degAlias is the
+// pool's degree-proposal table for g when cfg.DegreeProposal is set
+// (nil otherwise). The loop polls ctx every cancelCheckInterval steps;
+// on cancellation it returns ctx's error.
 func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg Config, rnd *rng.RNG, b *chainBuffers, degAlias *rng.Alias) (Result, error) {
 	n := g.N()
 	var res Result
@@ -387,12 +274,7 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 
 	// Degree-weighted proposals (ablation T8b): g(v) = deg(v)/2m; the
 	// Hastings factor for the acceptance of v→v' is g(v)/g(v') =
-	// deg(v)/deg(v'). The fallback build keeps the proposal stream and
-	// the Hastings correction consistent even if a caller forgets to
-	// thread the cached table.
-	if cfg.DegreeProposal && degAlias == nil {
-		degAlias = degreeAliasFor(g)
-	}
+	// deg(v)/deg(v').
 	propose := func() int {
 		if degAlias != nil {
 			return degAlias.Draw(rnd)
@@ -575,10 +457,16 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 			// Union-bound spending across checkpoints: δ_i =
 			// δ/((i+1)(i+2)) telescopes to δ over all i ≥ 0.
 			deltaI := adaptiveDelta / float64((checkIdx+1)*(checkIdx+2))
-			variance := welM2 / float64(propCount)
-			res.EBHalfWidth = ebHalfWidth(variance, propCount, fRange, deltaI)
 			checkIdx++
 			nextCheck *= 2
+			// Inside burn-in no state is counted yet, and a stop there
+			// would report an estimate of nothing. Skipping a
+			// checkpoint only leaves its δ_i unspent.
+			if chainStates == 0 {
+				continue
+			}
+			variance := welM2 / float64(propCount)
+			res.EBHalfWidth = ebHalfWidth(variance, propCount, fRange, deltaI)
 			if res.EBHalfWidth <= cfg.AdaptiveEps {
 				stepsRun = t
 				res.Converged = true

@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,12 @@ import (
 	"bcmh/internal/rng"
 	"bcmh/internal/stats"
 )
+
+// runBC runs one bc chain through Run and returns that chain's Result.
+func runBC(g *graph.Graph, r int, cfg Config, seed uint64, pool *BufferPool) (Result, error) {
+	m, err := Run(context.Background(), g, BC(r), cfg, seed, 1, pool)
+	return m.Combined, err
+}
 
 func TestOracleMatchesBrandes(t *testing.T) {
 	g := graph.KarateClub()
@@ -107,7 +114,7 @@ func TestEstimateBCConvergesToChainLimit(t *testing.T) {
 	// cannot. limit = BC·n/(n-1) exactly here.
 	n := 30
 	g := graph.Star(n)
-	res, err := EstimateBC(g, 0, DefaultConfig(4000), rng.New(1))
+	res, err := runBC(g, 0, DefaultConfig(4000), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestEstimateBCCentralVertexAccuracy(t *testing.T) {
 			top = v
 		}
 	}
-	res, err := EstimateBC(g, top, DefaultConfig(6000), rng.New(5))
+	res, err := runBC(g, top, DefaultConfig(6000), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +164,7 @@ func TestProposalSideUnbiased(t *testing.T) {
 	r := rng.New(7)
 	var acc stats.Welford
 	for rep := 0; rep < 200; rep++ {
-		res, err := EstimateBC(g, 33, DefaultConfig(40), r)
+		res, err := runBC(g, 33, DefaultConfig(40), r.Uint64(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +186,7 @@ func TestHarmonicEstimatorConsistent(t *testing.T) {
 		t.Skip("target not biased enough to discriminate")
 	}
 	cfg := DefaultConfig(60000)
-	res, err := EstimateBC(g, target, cfg, rng.New(11))
+	res, err := runBC(g, target, cfg, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +205,7 @@ func TestPaperEq7VsChainAverage(t *testing.T) {
 	// chain average when rejections occur; with acceptance rate < 1 it
 	// underestimates the chain average.
 	g := graph.Grid(8, 8)
-	res, err := EstimateBC(g, 2, DefaultConfig(5000), rng.New(13))
+	res, err := runBC(g, 2, DefaultConfig(5000), 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +223,7 @@ func TestEstimatorKindSelectsEstimate(t *testing.T) {
 	for _, k := range kinds {
 		cfg := DefaultConfig(200)
 		cfg.Estimator = k
-		res, err := EstimateBC(g, 0, cfg, rng.New(17))
+		res, err := runBC(g, 0, cfg, 17, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +254,7 @@ func TestZeroBCTarget(t *testing.T) {
 	// A star leaf: every dependency is zero; all estimators must return
 	// exactly 0 and the chain must keep moving (0/0 accepts).
 	g := graph.Star(12)
-	res, err := EstimateBC(g, 5, DefaultConfig(500), rng.New(19))
+	res, err := runBC(g, 5, DefaultConfig(500), 19, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +271,11 @@ func TestZeroBCTarget(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 2, rng.New(23))
-	a, err := EstimateBC(g, 0, DefaultConfig(1000), rng.New(29))
+	a, err := runBC(g, 0, DefaultConfig(1000), 29, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := EstimateBC(g, 0, DefaultConfig(1000), rng.New(29))
+	b, _ := runBC(g, 0, DefaultConfig(1000), 29, nil)
 	if a.Estimate != b.Estimate || a.AcceptanceRate != b.AcceptanceRate || a.UniqueStates != b.UniqueStates {
 		t.Fatal("same seed produced different results")
 	}
@@ -282,7 +289,7 @@ func TestInitStateIndependence(t *testing.T) {
 	for _, init := range []int{0, 57, 199} {
 		cfg := DefaultConfig(20000)
 		cfg.InitState = init
-		res, err := EstimateBC(g, 0, cfg, rng.New(37))
+		res, err := runBC(g, 0, cfg, 37, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,13 +303,13 @@ func TestBurnInReducesCountedStates(t *testing.T) {
 	g := graph.KarateClub()
 	cfg := DefaultConfig(100)
 	cfg.BurnIn = 50
-	res, err := EstimateBC(g, 0, cfg, rng.New(41))
+	res, err := runBC(g, 0, cfg, 41, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = res // burn-in correctness is statistical; here we check validity only
 	cfg.BurnIn = 101
-	if _, err := EstimateBC(g, 0, cfg, rng.New(41)); err == nil {
+	if _, err := runBC(g, 0, cfg, 41, nil); err == nil {
 		t.Fatal("burn-in beyond steps accepted")
 	}
 }
@@ -317,7 +324,7 @@ func TestDegreeProposalSameLimit(t *testing.T) {
 	limit, _ := chainLimitFor(g, 0)
 	cfg := DefaultConfig(30000)
 	cfg.DegreeProposal = true
-	res, err := EstimateBC(g, 0, cfg, rng.New(47))
+	res, err := runBC(g, 0, cfg, 47, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +337,7 @@ func TestDegreeProposalSameLimit(t *testing.T) {
 	r := rng.New(53)
 	var acc stats.Welford
 	for rep := 0; rep < 60; rep++ {
-		res, _ := EstimateBC(g, 0, cfg, r)
+		res, _ := runBC(g, 0, cfg, r.Uint64(), nil)
 		acc.Add(res.ProposalSide)
 	}
 	if math.Abs(acc.Mean()-exact) > 5*acc.StdErr()+0.003 {
@@ -342,7 +349,7 @@ func TestTrace(t *testing.T) {
 	g := graph.KarateClub()
 	cfg := DefaultConfig(1000)
 	cfg.TraceEvery = 100
-	res, err := EstimateBC(g, 0, cfg, rng.New(59))
+	res, err := runBC(g, 0, cfg, 59, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +366,8 @@ func TestCacheAblationSameResult(t *testing.T) {
 	on := DefaultConfig(500)
 	off := DefaultConfig(500)
 	off.DisableCache = true
-	a, _ := EstimateBC(g, 0, on, rng.New(61))
-	b, _ := EstimateBC(g, 0, off, rng.New(61))
+	a, _ := runBC(g, 0, on, 61, nil)
+	b, _ := runBC(g, 0, off, 61, nil)
 	if a.Estimate != b.Estimate {
 		t.Fatal("cache changed the estimate")
 	}
@@ -374,31 +381,31 @@ func TestCacheAblationSameResult(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := EstimateBC(g, 1, Config{Steps: 0}, rng.New(1)); err == nil {
+	if _, err := runBC(g, 1, Config{Steps: 0}, 1, nil); err == nil {
 		t.Fatal("zero steps accepted")
 	}
 	cfg := DefaultConfig(10)
 	cfg.InitState = 99
-	if _, err := EstimateBC(g, 1, cfg, rng.New(1)); err == nil {
+	if _, err := runBC(g, 1, cfg, 1, nil); err == nil {
 		t.Fatal("bad init state accepted")
 	}
 	cfg = DefaultConfig(10)
 	cfg.TraceEvery = -1
-	if _, err := EstimateBC(g, 1, cfg, rng.New(1)); err == nil {
+	if _, err := runBC(g, 1, cfg, 1, nil); err == nil {
 		t.Fatal("negative trace accepted")
 	}
-	if _, err := EstimateBC(g, 9, DefaultConfig(10), rng.New(1)); err == nil {
+	if _, err := runBC(g, 9, DefaultConfig(10), 1, nil); err == nil {
 		t.Fatal("bad target accepted")
 	}
 	single := graph.NewBuilder(1).MustBuild()
-	if _, err := EstimateBC(single, 0, DefaultConfig(10), rng.New(1)); err == nil {
+	if _, err := runBC(single, 0, DefaultConfig(10), 1, nil); err == nil {
 		t.Fatal("n=1 graph accepted")
 	}
 }
 
 func TestMuHat(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, rng.New(67))
-	res, err := EstimateBC(g, 0, DefaultConfig(3000), rng.New(71))
+	res, err := runBC(g, 0, DefaultConfig(3000), 71, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +427,46 @@ func TestAcceptanceRateReasonable(t *testing.T) {
 	// come from proposing the single zero-δ state: acceptance ≈ 1-1/n.
 	n := 40
 	star := graph.Star(n)
-	resStar, _ := EstimateBC(star, 0, DefaultConfig(4000), rng.New(73))
+	resStar, _ := runBC(star, 0, DefaultConfig(4000), 73, nil)
 	if resStar.AcceptanceRate < 1-3.0/float64(n) {
 		t.Fatalf("star acceptance %v, want ≈ 1-1/n", resStar.AcceptanceRate)
 	}
 	// A non-constant profile must reject sometimes.
 	cyc := graph.Cycle(40)
-	resCyc, _ := EstimateBC(cyc, 0, DefaultConfig(4000), rng.New(79))
+	resCyc, _ := runBC(cyc, 0, DefaultConfig(4000), 79, nil)
 	if resCyc.AcceptanceRate >= 1 {
 		t.Fatal("cycle chain never rejected; dependency profile should be non-constant")
+	}
+}
+
+// TestAdaptiveStopWaitsForBurnIn pins that the empirical-Bernstein rule
+// never stops a chain before its first counted state: a stop inside
+// burn-in would report Converged with an estimate averaged over no
+// states, i.e. 0.
+func TestAdaptiveStopWaitsForBurnIn(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 3, rng.New(5))
+	cfg := DefaultConfig(4096)
+	cfg.BurnIn = 200 // past the first two checkpoints (64, 128)
+	cfg.AdaptiveEps = 0.5
+	res, err := runBC(g, 0, cfg, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("loose rule did not fire: %+v", res)
+	}
+	if res.StepsRun < cfg.BurnIn {
+		t.Fatalf("stopped at step %d, inside burn-in %d", res.StepsRun, cfg.BurnIn)
+	}
+	if res.ChainAverage <= 0 || res.Harmonic <= 0 {
+		t.Fatalf("converged run reports no counted state: chain average %v, harmonic %v", res.ChainAverage, res.Harmonic)
+	}
+	// BurnIn 0 counts the initial state, so the first checkpoint may stop.
+	cfg.BurnIn = 0
+	if res, err = runBC(g, 0, cfg, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.StepsRun != adaptiveFirstCheck {
+		t.Fatalf("BurnIn 0: converged %v at step %d, want the first checkpoint %d", res.Converged, res.StepsRun, adaptiveFirstCheck)
 	}
 }

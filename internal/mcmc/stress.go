@@ -1,11 +1,11 @@
 package mcmc
 
 import (
+	"context"
 	"fmt"
 
 	"bcmh/internal/brandes"
 	"bcmh/internal/graph"
-	"bcmh/internal/rng"
 	"bcmh/internal/sssp"
 )
 
@@ -25,9 +25,10 @@ type StressResult struct {
 	// Harmonic is the corrected chain-based estimate
 	// n⁺-hat / mean_π(1/δS).
 	Harmonic float64
-	// ChainWeightedMean is what the raw chain average converges to:
-	// the δS-weighted mean Σδ²/Σδ — reported for the same bias analysis
-	// as the betweenness chain (it does NOT estimate Stress(r)).
+	// ChainWeightedMean is the raw chain average of δS, which converges
+	// to the δS-weighted mean Σδ²/Σδ — reported for the same bias
+	// analysis as the betweenness chain (it does NOT estimate
+	// Stress(r)).
 	ChainWeightedMean float64
 	// AcceptanceRate and work accounting, as in Result.
 	AcceptanceRate float64
@@ -36,9 +37,9 @@ type StressResult struct {
 	CacheHits      int
 }
 
-// stressOracle memoises δS_v•(target) evaluations.
+// stressOracle memoises δS_v•(target) evaluations; it is the Stat
+// source of the stress chain.
 type stressOracle struct {
-	g      *graph.Graph
 	c      *sssp.Computer
 	delta  []float64
 	target int
@@ -47,7 +48,8 @@ type stressOracle struct {
 	hits   int
 }
 
-func (o *stressOracle) dep(v int) float64 {
+// Dep returns δS_v•(target).
+func (o *stressOracle) Dep(v int) float64 {
 	if d, ok := o.cache[v]; ok {
 		o.hits++
 		return d
@@ -58,75 +60,40 @@ func (o *stressOracle) dep(v int) float64 {
 	return d
 }
 
-// EstimateStress runs a single-space MH chain targeting
-// P[v] ∝ δS_v•(r) and returns stress estimates for vertex r.
-func EstimateStress(g *graph.Graph, r int, steps int, rnd *rng.RNG) (StressResult, error) {
+// Work reports (evaluations, memo hits).
+func (o *stressOracle) Work() (evals, hits int) { return o.evals, o.hits }
+
+// EstimateStress runs one single-space MH chain of the given length
+// targeting P[v] ∝ δS_v•(r), seeded like Run, and returns stress
+// estimates for vertex r. The chain reads f = δS/(n−1), so the
+// estimates are Run's, rescaled to raw pair counts.
+func EstimateStress(g *graph.Graph, r int, steps int, seed uint64) (StressResult, error) {
 	n := g.N()
-	if n < 2 {
-		return StressResult{}, fmt.Errorf("mcmc: graph too small (n=%d)", n)
-	}
 	if r < 0 || r >= n {
 		return StressResult{}, fmt.Errorf("mcmc: stress target %d out of range", r)
 	}
-	if steps <= 0 {
-		return StressResult{}, fmt.Errorf("mcmc: steps must be positive")
+	// The memo is always on: DisableCache is never set here.
+	src := Stat(func(bool) (StatOracle, error) {
+		return &stressOracle{
+			c:      sssp.NewComputer(g),
+			delta:  make([]float64, n),
+			target: r,
+			cache:  make(map[int]float64),
+		}, nil
+	})
+	m, err := Run(context.Background(), g, src, DefaultConfig(steps), seed, 1, nil)
+	if err != nil {
+		return StressResult{}, err
 	}
-	o := &stressOracle{
-		g:      g,
-		c:      sssp.NewComputer(g),
-		delta:  make([]float64, n),
-		target: r,
-		cache:  make(map[int]float64),
-	}
-	cur := rnd.Intn(n)
-	depCur := o.dep(cur)
-	visited := map[int]bool{cur: true}
-	var (
-		chainSum, chainSq float64
-		invSum            float64
-		invCount          int
-		propSum           float64
-		propPos           int
-		accepted          int
-	)
-	count := func(dep float64) {
-		chainSum += dep
-		chainSq += dep * dep
-		if dep > 0 {
-			invSum += 1 / dep
-			invCount++
-		}
-	}
-	count(depCur)
-	for t := 1; t <= steps; t++ {
-		prop := rnd.Intn(n)
-		depNew := o.dep(prop)
-		propSum += depNew
-		if depNew > 0 {
-			propPos++
-		}
-		if acceptMH(depCur, depNew, 1, rnd) {
-			cur, depCur = prop, depNew
-			accepted++
-			visited[cur] = true
-		}
-		count(depCur)
-	}
-	var res StressResult
-	res.ProposalSide = propSum / float64(steps) * float64(n)
-	if invCount > 0 && steps > 0 {
-		pPos := float64(propPos) / float64(steps)
-		meanInv := invSum / float64(invCount)
-		if meanInv > 0 {
-			res.Harmonic = float64(n) * pPos / meanInv
-		}
-	}
-	if chainSum > 0 {
-		res.ChainWeightedMean = chainSq / chainSum
-	}
-	res.AcceptanceRate = float64(accepted) / float64(steps)
-	res.UniqueStates = len(visited)
-	res.Evals = o.evals
-	res.CacheHits = o.hits
-	return res, nil
+	res := m.Combined
+	pairs := float64(n) * float64(n-1)
+	return StressResult{
+		ProposalSide:      res.ProposalSide * pairs,
+		Harmonic:          res.Harmonic * pairs,
+		ChainWeightedMean: res.ChainAverage * float64(n-1),
+		AcceptanceRate:    res.AcceptanceRate,
+		UniqueStates:      res.UniqueStates,
+		Evals:             res.Evals,
+		CacheHits:         res.CacheHits,
+	}, nil
 }

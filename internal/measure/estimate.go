@@ -7,70 +7,43 @@ import (
 	"bcmh/internal/core"
 	"bcmh/internal/graph"
 	"bcmh/internal/mcmc"
-	"bcmh/internal/rng"
 )
 
 // EstimatePrepared estimates spec's centrality of vertex r with the
-// single-space MH sampler — the measure-generic twin of
-// core.EstimateBCPreparedContext, and the entry point the serving
-// engine dispatches every measured request through. The contract is
-// identical: g is already valid for estimation (connected,
-// undirected), μ is the caller's cached Stats(…).Mu when the plan
-// needs one (ignored for fixed Steps and under opts.Adaptive), and
-// pool supplies chain buffers. The bc spec delegates verbatim to the
-// core fast path, so a measure=bc request is bit-identical to the
-// pre-measure API; other specs build the shared Target once, then run
-// one chain (or opts.Chains split-stream chains) of per-chain
-// Evaluators with the exact planning, seeding, and estimator
-// semantics of the BC path.
+// single-space MH sampler: the entry point the serving engine
+// dispatches every estimate through. g is already valid for estimation
+// (connected, undirected), μ is the caller's cached Stats(…).Mu when
+// the plan needs one (ignored for fixed Steps and under opts.Adaptive),
+// and pool supplies chain buffers. Planning, seeding and the estimators
+// are core.PlanAndRun's; the chains sample Source(spec, r), so the bc
+// spec runs exactly what core.EstimateBCPreparedContext runs.
 func EstimatePrepared(ctx context.Context, g *graph.Graph, spec Spec, r int, opts core.Options, mu float64, pool *mcmc.BufferPool) (core.Estimate, error) {
-	if spec.IsBC() {
-		return core.EstimateBCPreparedContext(ctx, g, r, opts, mu, pool)
-	}
 	if err := spec.Supports(g); err != nil {
 		return core.Estimate{}, err
 	}
 	if r < 0 || r >= g.N() {
 		return core.Estimate{}, fmt.Errorf("measure: vertex %d out of range [0,%d)", r, g.N())
 	}
-	o := opts.Normalized()
-	var est core.Estimate
-	cfg, muUsed, exactZero := core.ChainConfig(o, mu)
-	if exactZero {
-		// All-zero statistic column: the value is exactly 0.
-		return est, nil
+	return core.PlanAndRun(ctx, g, opts, mu, pool, func() (mcmc.Source, error) {
+		return Source(ctx, g, spec, r, pool)
+	})
+}
+
+// Source returns what a chain estimating spec at r samples: mcmc.BC(r)
+// for the zero spec, otherwise one Evaluator per chain over a Target
+// built here once and shared by every chain that runs the source (for
+// rwbc, building it is the deg(r) Laplacian solves).
+func Source(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.BufferPool) (mcmc.Source, error) {
+	if spec.IsBC() {
+		return mcmc.BC(r), nil
 	}
-	est.MuUsed = muUsed
-	est.PlannedSteps = cfg.Steps
-	est.Chains = o.Chains
 	t, err := NewTarget(ctx, g, spec, r, pool)
 	if err != nil {
-		return core.Estimate{}, err
+		return mcmc.Source{}, err
 	}
-	if o.Chains > 1 {
-		newOracle := func() (mcmc.StatOracle, error) {
-			return NewEvaluator(g, t, !o.DisableCache)
-		}
-		multi, err := mcmc.EstimateStatParallelPooledContext(ctx, g, newOracle, cfg, o.Seed, o.Chains, pool)
-		if err != nil {
-			return core.Estimate{}, err
-		}
-		est.Value = multi.Combined.Estimate
-		est.Diagnostics = multi.Combined
-		est.PerChain = multi.PerChain
-		return est, nil
-	}
-	ev, err := NewEvaluator(g, t, !o.DisableCache)
-	if err != nil {
-		return core.Estimate{}, err
-	}
-	res, err := mcmc.EstimateStatPooledContext(ctx, g, ev, cfg, rng.New(o.Seed), pool)
-	if err != nil {
-		return core.Estimate{}, err
-	}
-	est.Value = res.Estimate
-	est.Diagnostics = res
-	return est, nil
+	return mcmc.Stat(func(cache bool) (mcmc.StatOracle, error) {
+		return NewEvaluator(g, t, cache)
+	}), nil
 }
 
 // Estimate is the standalone front door: it validates, derives μ
@@ -79,6 +52,9 @@ func EstimatePrepared(ctx context.Context, g *graph.Graph, spec Spec, r int, opt
 // use EstimatePrepared directly.
 func Estimate(ctx context.Context, g *graph.Graph, spec Spec, r int, opts core.Options, pool *mcmc.BufferPool) (core.Estimate, error) {
 	if err := spec.Validate(); err != nil {
+		return core.Estimate{}, err
+	}
+	if err := opts.Validate(); err != nil {
 		return core.Estimate{}, err
 	}
 	if spec.IsBC() {

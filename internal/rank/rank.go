@@ -243,11 +243,11 @@ type cand struct {
 	est     float64 // pooled mean of f = δ/(n-1), i.e. the measure estimate
 	varMean float64 // variance of est (independent-chain pooling)
 	active  bool
-	// tgt caches the candidate's measure target (non-bc rankings only):
-	// target-side shortest-path or current-flow state is per-candidate
-	// and round-independent, so survivors reuse it across rounds instead
-	// of re-solving every round.
-	tgt *measure.Target
+	// src caches the candidate's chain source (measure.Source): a
+	// measure's target-side shortest-path or current-flow state is
+	// per-candidate and round-independent, so survivors reuse it across
+	// rounds instead of re-solving every round.
+	src *mcmc.Source
 }
 
 // halfWidth is the candidate's interval half-width: the z-scaled
@@ -444,9 +444,8 @@ func Uniform(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, k, per 
 // locking beyond the dispatch channel is needed. Chains are per steps
 // long exactly, unless o.Adaptive lets a converged chain stop early —
 // the returned step total is what the budget accounting deducts, so
-// early stops refund their unspent steps. Non-bc measures estimate
-// through the candidate's measure.Target (built lazily on first use and
-// cached on the candidate for later rounds).
+// early stops refund their unspent steps. Each candidate's chain
+// source is built on its first round and cached for later ones.
 func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, active []*cand, per, round int, o Options) (int, error) {
 	if len(active) == 0 {
 		return 0, nil
@@ -475,8 +474,7 @@ func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, active
 					cfg.AdaptiveEps = o.Epsilon
 					cfg.AdaptiveDelta = o.Delta
 				}
-				chainRNG := rng.New(ChainSeed(o.Seed, round, c.v))
-				r, err := runChain(ctx, g, pool, c, cfg, chainRNG, o.Measure)
+				r, err := runChain(ctx, g, pool, c, cfg, ChainSeed(o.Seed, round, c.v), o.Measure)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -516,25 +514,18 @@ dispatch:
 	return total, nil
 }
 
-// runChain runs one candidate chain under the ranking's measure: the
-// betweenness fast path for the zero spec, otherwise a measure
-// evaluator over the candidate's (cached) target state.
-func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, c *cand, cfg mcmc.Config, chainRNG *rng.RNG, spec measure.Spec) (mcmc.Result, error) {
-	if spec.IsBC() {
-		return mcmc.EstimateBCPooledContext(ctx, g, c.v, cfg, chainRNG, pool)
-	}
-	if c.tgt == nil {
-		t, err := measure.NewTarget(ctx, g, spec, c.v, pool)
+// runChain runs one candidate chain of the ranking's measure, seeded
+// with seed, building the candidate's source on first use.
+func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, c *cand, cfg mcmc.Config, seed uint64, spec measure.Spec) (mcmc.Result, error) {
+	if c.src == nil {
+		src, err := measure.Source(ctx, g, spec, c.v, pool)
 		if err != nil {
 			return mcmc.Result{}, err
 		}
-		c.tgt = t
+		c.src = &src
 	}
-	ev, err := measure.NewEvaluator(g, c.tgt, !cfg.DisableCache)
-	if err != nil {
-		return mcmc.Result{}, err
-	}
-	return mcmc.EstimateStatPooledContext(ctx, g, ev, cfg, chainRNG, pool)
+	m, err := mcmc.Run(ctx, g, *c.src, cfg, seed, 1, pool)
+	return m.Combined, err
 }
 
 // prune deactivates every active candidate whose interval upper bound

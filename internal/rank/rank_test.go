@@ -112,16 +112,16 @@ func TestRankChainSeedReplay(t *testing.T) {
 	g := graph.KarateClub()
 	pool := mcmc.NewBufferPool(g)
 	cfg := mcmc.Config{Steps: 64, InitState: -1, CollectProposalTrace: true}
-	r1, err := mcmc.EstimateBCPooled(g, 0, cfg, rng.New(ChainSeed(9, 1, 0)), pool)
+	r1, err := mcmc.Run(context.Background(), g, mcmc.BC(0), cfg, ChainSeed(9, 1, 0), 1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mcmc.EstimateBCPooled(g, 0, cfg, rng.New(ChainSeed(9, 1, 0)), pool)
+	r2, err := mcmc.Run(context.Background(), g, mcmc.BC(0), cfg, ChainSeed(9, 1, 0), 1, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.ProposalSide != r2.ProposalSide {
-		t.Fatalf("replayed chain differs: %v vs %v", r1.ProposalSide, r2.ProposalSide)
+	if r1.Combined.ProposalSide != r2.Combined.ProposalSide {
+		t.Fatalf("replayed chain differs: %v vs %v", r1.Combined.ProposalSide, r2.Combined.ProposalSide)
 	}
 }
 

@@ -49,12 +49,17 @@ func MCMCBound(T int, eps, mu float64) float64 {
 //	T >= mu² / (2 eps²) · ln(2/delta)
 //
 // It ignores the 3/T slack term exactly as the paper does ("T is usually
-// large enough so that we can approximate 3/T by 0").
+// large enough so that we can approximate 3/T by 0"). A length beyond
+// the int range saturates at math.MaxInt.
 func MCMCSampleSize(eps, delta, mu float64) int {
 	if eps <= 0 || delta <= 0 || delta >= 1 || mu <= 0 {
 		panic("stats: MCMCSampleSize requires eps > 0, delta in (0,1), mu > 0")
 	}
-	return int(math.Ceil(mu * mu / (2 * eps * eps) * math.Log(2/delta)))
+	t := math.Ceil(mu * mu / (2 * eps * eps) * math.Log(2/delta))
+	if t >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(t)
 }
 
 // RKSampleSize returns the Riondato–Kornaropoulos [30] sample size for

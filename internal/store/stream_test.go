@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -25,6 +26,13 @@ import (
 // the serving graph is an overlay until compaction folds it, rejected
 // batches change nothing, and estimates on the mutated graph are
 // bit-identical to a from-scratch engine over the same logical graph.
+// runBC runs one bc chain through mcmc.Run and returns that chain's
+// Result.
+func runBC(g *graph.Graph, r int, cfg mcmc.Config, seed uint64, pool *mcmc.BufferPool) (mcmc.Result, error) {
+	m, err := mcmc.Run(context.Background(), g, mcmc.BC(r), cfg, seed, 1, pool)
+	return m.Combined, err
+}
+
 func TestStreamBatchFastPath(t *testing.T) {
 	st := newStore(Config{})
 	defer st.Close()
@@ -79,11 +87,11 @@ func TestStreamBatchFastPath(t *testing.T) {
 	// Bit-identity against a from-scratch engine on the compacted graph.
 	cfg := mcmc.DefaultConfig(2000)
 	const target, seed = 70, 17
-	got, err := mcmc.EstimateBCPooled(eng.Graph(), target, cfg, rng.New(seed), eng.Pool())
+	got, err := runBC(eng.Graph(), target, cfg, seed, eng.Pool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mcmc.EstimateBCPooled(eng.Graph().Compact(), target, cfg, rng.New(seed), nil)
+	want, err := runBC(eng.Graph().Compact(), target, cfg, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +478,7 @@ func TestStreamRandomizedProperty(t *testing.T) {
 		snap := eng.Snapshot()
 		target := r.Intn(n)
 		seed := uint64(1000 + gen)
-		ref, err := mcmc.EstimateBCPooled(snap.Graph.Compact(), target, cfg, rng.New(seed), nil)
+		ref, err := runBC(snap.Graph.Compact(), target, cfg, seed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +486,7 @@ func TestStreamRandomizedProperty(t *testing.T) {
 		pending = append(pending, fl)
 		go func() {
 			defer close(fl.done)
-			fl.got, fl.err = mcmc.EstimateBCPooled(snap.Graph, target, cfg, rng.New(seed), snap.Pool)
+			fl.got, fl.err = runBC(snap.Graph, target, cfg, seed, snap.Pool)
 		}()
 
 		// One batch of 1–3 additions, plus sometimes a removal of a
@@ -560,11 +568,11 @@ func TestStreamRandomizedProperty(t *testing.T) {
 		t.Fatal("final streamed graph differs structurally from the from-scratch rebuild")
 	}
 	// And the canonical structures estimate bit-identically.
-	got, err := mcmc.EstimateBCPooled(final, 7, cfg, rng.New(1), nil)
+	got, err := runBC(final, 7, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mcmc.EstimateBCPooled(rebuilt, 7, cfg, rng.New(1), nil)
+	want, err := runBC(rebuilt, 7, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
