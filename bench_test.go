@@ -1,7 +1,6 @@
 // Benchmarks for every reproduced table and figure: Benchmark<ID>
-// exercises the computational kernel of experiment <ID> (see DESIGN.md
-// §4 and EXPERIMENTS.md). Regenerate the actual tables with
-// `go run ./cmd/bcbench -run all -scale full`.
+// exercises the computational kernel of experiment <ID>. Regenerate the
+// actual tables with `go run ./cmd/bcbench -run all -scale full`.
 package bcmh_test
 
 import (

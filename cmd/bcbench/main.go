@@ -1,5 +1,5 @@
-// Command bcbench regenerates the evaluation tables and figure series
-// recorded in EXPERIMENTS.md.
+// Command bcbench prints the evaluation tables and figure series of the
+// reproduction (internal/exp).
 //
 //	bcbench -run all -scale full          # everything, paper scale
 //	bcbench -run f1,t3 -scale quick       # a subset, smoke scale

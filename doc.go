@@ -10,16 +10,19 @@
 //   - internal/core — the validated single-request facade
 //     (EstimateBC, EstimateRelative, ExactBC, Prepare).
 //   - internal/mcmc — the paper's samplers: the single-space MH chain
-//     (§4.2), the joint-space relative sampler (§4.3), the μ(r)
-//     machinery of Theorems 1–2, and the Eq. 14/27 planner.
+//     (§4.2) behind one runner, mcmc.Run, which runs one chain or pools
+//     several of any Source (mcmc.BC or a measure's mcmc.Stat), the
+//     joint-space relative sampler (§4.3), the μ(r) machinery of
+//     Theorems 1–2, and the Eq. 14/27 planner.
 //   - internal/measure — the first-class Measure abstraction: a
 //     measure.Spec names a per-vertex statistic d_v(r) sharing
 //     betweenness's normalisation (Σ_v d_v(r) = n(n−1)·Value(r)), so
 //     μ planning and every estimator apply unchanged. Ships bc
-//     (default, the identity-oracle fast path), coverage and k-path
-//     centrality on the BFS kernels, and random-walk (current-flow)
-//     betweenness on CG Laplacian solves; measure.Estimate /
-//     ExactColumn / Stats mirror the core entry points.
+//     (default, sampled as mcmc.BC on the identity oracles), coverage
+//     and k-path centrality on the BFS kernels, and random-walk
+//     (current-flow) betweenness on CG Laplacian solves;
+//     measure.Estimate / ExactColumn / Stats mirror the core entry
+//     points.
 //   - internal/linalg — the graph-Laplacian kernel behind rwbc:
 //     Jacobi-preconditioned conjugate gradient with sum-zero
 //     projection, deterministic to the last bit for fixed inputs.
@@ -50,8 +53,8 @@
 //   - internal/brandes, internal/sssp, internal/graph, internal/rng,
 //     internal/stats, internal/sampler — the exact-algorithm, traversal,
 //     graph, randomness, statistics, and baseline-sampler substrates.
-//   - internal/exp — the table/figure reproduction harness
-//     (see DESIGN.md and EXPERIMENTS.md).
+//   - internal/exp — the table/figure reproduction harness; print the
+//     tables with `go run ./cmd/bcbench`.
 //
 // # Dependency-oracle fast path
 //
@@ -85,8 +88,8 @@
 //
 // context.Context is threaded end-to-end: each HTTP request's context,
 // merged with its session's lifecycle context, reaches the MH chain
-// step loop (mcmc.EstimateBCPooledContext and the parallel variant),
-// which polls it every few hundred steps. A disconnected client maps
+// step loop (mcmc.Run, the one chain runner every estimate and rank
+// chain goes through), which polls it every few hundred steps. A disconnected client maps
 // to 499, a session deleted under a running request to 503, and either
 // way the chains stop traversing promptly instead of running to their
 // full step budget.

@@ -9,7 +9,8 @@
 //
 // Estimation requires a connected undirected graph (the paper's
 // setting); Prepare converts arbitrary input by extracting the largest
-// connected component.
+// connected component. Every estimate is planned and run by
+// PlanAndRun, whose chains go through mcmc.Run.
 package core
 
 import (

@@ -533,8 +533,7 @@ func (e *Engine) EstimateContext(ctx context.Context, r int, opts core.Options) 
 // identical caching, planning, snapshot-isolation, and cancellation
 // semantics, with the result LRU and μ-cache keyed by (measure,
 // vertex) so measures never answer each other's requests. The zero
-// spec routes through the bc fast path bit-identically to
-// EstimateContext.
+// spec is exactly EstimateContext.
 func (e *Engine) EstimateMeasureContext(ctx context.Context, spec measure.Spec, r int, opts core.Options) (core.Estimate, error) {
 	return e.estimateOn(ctx, e.current(), spec, r, opts)
 }

@@ -19,14 +19,14 @@ type Dataset struct {
 }
 
 // Scale selects experiment size: Quick keeps every experiment under a
-// few seconds for tests and smoke runs; Full is what EXPERIMENTS.md
-// records.
+// few seconds for tests and smoke runs; Full is the paper-scale run
+// (`go run ./cmd/bcbench -run all -scale full`).
 type Scale int
 
 const (
 	// Quick is the test/smoke scale.
 	Quick Scale = iota
-	// Full is the EXPERIMENTS.md scale.
+	// Full is the paper scale.
 	Full
 )
 
@@ -56,12 +56,13 @@ func connected(g *graph.Graph) *graph.Graph {
 	return lc
 }
 
-// Datasets returns the standard workload registry. The families span
-// the structural regimes the estimators' behaviour depends on (see
-// DESIGN.md's substitutions table): scale-free (BA), homogeneous random
-// (ER), small-world (WS), high-diameter lattice (grid), separator
-// structure (barbell, star-of-cliques), community structure (planted
-// partition), plus the real Zachary karate network.
+// Datasets returns the standard workload registry. The synthetic
+// families stand in for the paper's real-world networks and span the
+// structural regimes the estimators' behaviour depends on: scale-free
+// (BA), homogeneous random (ER), small-world (WS), high-diameter
+// lattice (grid), separator structure (barbell, star-of-cliques),
+// community structure (planted partition), plus the real Zachary
+// karate network.
 func Datasets() []Dataset {
 	return []Dataset{
 		{

@@ -206,7 +206,7 @@ func RunT3(w io.Writer, s Scale, seed uint64) error {
 		}
 	}
 	t.Note("chain-limit = E_pi[f] = sum(delta^2)/((n-1)sum(delta)); bias = chain-limit - BC")
-	t.Note("Eq.14's T guards deviation from chain-limit, NOT from BC (DESIGN.md 1.1)")
+	t.Note("Eq.14's T guards deviation from chain-limit, NOT from BC")
 	_, err := t.WriteTo(w)
 	return err
 }

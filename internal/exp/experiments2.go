@@ -399,7 +399,7 @@ func RunT10(w io.Writer, s Scale, seed uint64) error {
 				res.ChainAverage, math.Abs(res.ChainAverage-ms.ChainLimit), nOverPos)
 		}
 	}
-	t.Note("measured chain averages sit on the exact chain limit, validating the DESIGN.md 1.1 analysis")
+	t.Note("measured chain averages sit on the exact chain limit sum(delta^2)/((n-1)sum(delta)), not on BC")
 	t.Note("n/n+ is the inherent inflation factor even when delta is constant on its support")
 	_, err := t.WriteTo(w)
 	return err

@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: the dataset registry, the
-// per-experiment runners that regenerate every table (T1–T10) and
-// figure series (F1–F3) recorded in EXPERIMENTS.md, and fixed-width
-// table rendering. cmd/bcbench is a thin CLI over this package;
+// per-experiment runners that print every table (T1–T12) and figure
+// series (F1–F3) of the reproduction (run them with
+// `go run ./cmd/bcbench`), and fixed-width table rendering. cmd/bcbench is a thin CLI over this package;
 // bench_test.go at the repository root carries a testing.B benchmark
 // per experiment kernel.
 package exp
@@ -13,7 +13,7 @@ import (
 )
 
 // Table renders fixed-width text tables with a title and optional notes
-// — the format every experiment prints and EXPERIMENTS.md records.
+// — the format every experiment prints.
 type Table struct {
 	Title   string
 	Notes   []string

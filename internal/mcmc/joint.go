@@ -54,9 +54,9 @@ type JointResult struct {
 }
 
 // ratio01 is min{1, x/y} with the zero conventions used throughout
-// (see DESIGN.md): y = 0 saturates to 1 (including 0/0, so a chain
-// stuck on a zero-mass state contributes symmetrically), x = 0, y > 0
-// gives 0.
+// (acceptMH's): y = 0 saturates to 1 (including 0/0, so a chain stuck
+// on a zero-mass state contributes symmetrically), x = 0, y > 0 gives
+// 0.
 func ratio01(x, y float64) float64 {
 	if y == 0 {
 		return 1

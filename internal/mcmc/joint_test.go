@@ -111,8 +111,8 @@ func TestJointRatioConverges(t *testing.T) {
 
 func TestJointRelScoreConvergesToWeightedLimit(t *testing.T) {
 	// The M(j) chain average converges to WeightedLimit, not to the
-	// uniform-average Eq. 23 — the definition gap DESIGN.md §1.1 calls
-	// out and experiment F3 charts.
+	// uniform-average Eq. 23 — the definition gap experiment F3
+	// charts.
 	g := graph.KarateClub()
 	R := []int{0, 33}
 	gt, err := ExactRelative(g, R)

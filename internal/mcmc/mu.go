@@ -25,8 +25,9 @@ type MuStats struct {
 	// PositiveStates is n⁺ = |{v : δ_v•(r) > 0}|.
 	PositiveStates int
 	// ChainLimit is what the chain average actually converges to:
-	// E_π[f] = Σ δ² / ((n-1)·Σ δ) (DESIGN.md §1.1); equals BC exactly
-	// when δ is constant on its support covering all of V.
+	// E_π[f] = Σ δ² / ((n-1)·Σ δ) under the stationary distribution
+	// π ∝ δ, not BC(r); it equals BC exactly when δ is constant on its
+	// support covering all of V.
 	ChainLimit float64
 	// Bias = ChainLimit − BC, the estimator's asymptotic bias.
 	Bias float64
@@ -141,7 +142,8 @@ type RelGroundTruth struct {
 	Eq23 [][]float64
 	// WeightedLimit[i][j] = Σ_v min(δ_v(ri), δ_v(rj)) / Σ_v δ_v(rj):
 	// the value the M(j) chain average actually converges to (the
-	// Bennett numerator; DESIGN.md §1.1). Its [i][j]/[j][i] ratio is
+	// Bennett numerator, weighted by the stationary π ∝ δ(rj) rather
+	// than uniform as in Eq. 23). Its [i][j]/[j][i] ratio is
 	// exactly Ratio[i][j].
 	WeightedLimit [][]float64
 	// Mu[j] is μ(rj), governing Eq. 27's per-target sample size.

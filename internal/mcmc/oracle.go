@@ -2,16 +2,22 @@
 // Metropolis–Hastings sampler for estimating the betweenness score of
 // one vertex (§4.2) and the joint-space sampler for estimating relative
 // betweenness scores of a vertex set (§4.3), together with the μ(r)
-// machinery of Theorems 1–2, the Eq. 14/27 sample-size planner, exact
-// ground-truth helpers used by the experiments, and a multi-chain
-// parallel driver.
+// machinery of Theorems 1–2, the Eq. 14/27 sample-size planner, and
+// exact ground-truth helpers used by the experiments.
+//
+// Run is the one entry point of the single-space chain: it runs one
+// chain, or several independent chains pooled into one estimate, of a
+// Source — BC(r) for betweenness, or Stat(newOracle) for any other
+// per-vertex statistic (the measures of internal/measure, and the
+// stress chain here).
 //
 // Estimator variants: beyond the paper's Eq. 7 the package computes, on
 // the same chain, the standard MH chain average, the proposal-side
 // unbiased estimate (free by-product of the acceptance tests), and a
 // harmonic-mean corrected estimate that is consistent for BC(r) even
-// when the chain-average limit is biased (see DESIGN.md §1.1). Every
-// run reports all of them so the experiments can compare.
+// when the chain-average limit is biased: the chain average converges
+// to MuStats.ChainLimit = Σδ²/((n−1)Σδ), not to BC(r). Every run
+// reports all of them so the experiments can compare.
 package mcmc
 
 import (

@@ -35,7 +35,8 @@ const (
 	// EstimatorProposalSide averages f over the uniformly proposed
 	// states — the acceptance test evaluates δ there anyway, so this
 	// unbiased estimate (identical in distribution to the uniform
-	// source sampler [2]) is free. See DESIGN.md §1.1.
+	// source sampler [2]) is free. Unlike the chain average, whose
+	// limit is MuStats.ChainLimit, it converges to BC(r).
 	EstimatorProposalSide
 	// EstimatorHarmonic is the corrected consistent estimator of BC(r):
 	// with the chain stationary at π ∝ δ, E_π[1/δ] = n⁺/Σδ, and n⁺/n is
@@ -207,9 +208,9 @@ func (c *Config) validate(n int) error {
 // estimators read, and Work reports the (evaluations, memo hits) pair
 // for work accounting. The BC Oracle implements it natively; measure
 // packages plug alternative centralities into the same chain loop by
-// implementing this interface — every estimator variant, the adaptive
-// stopping rule, and the μ̂ diagnostics carry over unchanged because
-// they only ever see Dep values.
+// implementing this interface and running it as a Stat source — every
+// estimator variant, the adaptive stopping rule, and the μ̂ diagnostics
+// carry over unchanged because they only ever see Dep values.
 type StatOracle interface {
 	Dep(v int) float64
 	Work() (evals, hits int)
@@ -236,7 +237,7 @@ func ebHalfWidth(v float64, t int, rng, delta float64) float64 {
 func fOf(dep float64, n int) float64 { return dep / float64(n-1) }
 
 // acceptMH returns whether to move given current and proposed
-// dependency scores, with the zero-state conventions from DESIGN.md:
+// dependency scores, with these zero-state conventions:
 // δ'>0,δ=0 → accept (ratio ∞); δ'=0,δ>0 → reject (ratio 0);
 // 0/0 → accept (the chain must escape zero-mass states).
 func acceptMH(depCur, depNew, hastings float64, rnd *rng.RNG) bool {

@@ -96,7 +96,8 @@ func TestSetOracleValidation(t *testing.T) {
 }
 
 // chainLimitFor computes the exact value the chain average converges to
-// (DESIGN.md §1.1), for bias-aware tolerance in convergence tests.
+// (MuStats.ChainLimit, not BC), for bias-aware tolerance in convergence
+// tests.
 func chainLimitFor(g *graph.Graph, r int) (limit, exact float64) {
 	ms, err := MuExact(g, r)
 	if err != nil {
@@ -146,8 +147,8 @@ func TestEstimateBCCentralVertexAccuracy(t *testing.T) {
 	limit, exact := chainLimitFor(g, top)
 	// Chain average concentrates on its limit. (How far that limit sits
 	// from exact BC is precisely what experiments T3/T10 measure — on
-	// scale-free graphs it is visibly inflated even for the hub, one of
-	// the soundness findings recorded in EXPERIMENTS.md.)
+	// scale-free graphs it is visibly inflated even for the hub; print
+	// the tables with `go run ./cmd/bcbench -run t3,t10`.)
 	if math.Abs(res.ChainAverage-limit) > 0.05*math.Max(limit, 0.02)+0.01 {
 		t.Fatalf("chain avg %v vs limit %v", res.ChainAverage, limit)
 	}

@@ -46,19 +46,16 @@ func Source(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.Bu
 	}), nil
 }
 
-// Estimate is the standalone front door: it validates, derives μ
-// itself when the plan needs one (exactly like core.EstimateBCContext
-// does for bc), and estimates. Callers with a μ-cache — the engine —
-// use EstimatePrepared directly.
+// Estimate is the standalone front door: it validates, derives μ with
+// Stats when the plan needs one, and estimates. For bc on a graph
+// core.EstimateBCContext accepts, it returns what that returns. Callers
+// with a μ-cache — the engine — use EstimatePrepared directly.
 func Estimate(ctx context.Context, g *graph.Graph, spec Spec, r int, opts core.Options, pool *mcmc.BufferPool) (core.Estimate, error) {
 	if err := spec.Validate(); err != nil {
 		return core.Estimate{}, err
 	}
 	if err := opts.Validate(); err != nil {
 		return core.Estimate{}, err
-	}
-	if spec.IsBC() {
-		return core.EstimateBCContext(ctx, g, r, opts)
 	}
 	if err := spec.Supports(g); err != nil {
 		return core.Estimate{}, err

@@ -19,8 +19,8 @@
 // The measures:
 //
 //   - BC: the paper's betweenness, d_v(r) = δ_v•(r). Not re-implemented
-//     here — Spec{Kind: BC} routes to the existing core/mcmc fast path
-//     (identity oracles, pooled buffers), bit-identical to the
+//     here: Source returns mcmc.BC(r) for Spec{Kind: BC}, whose chains
+//     read the identity oracles on pooled buffers, bit-identical to the
 //     pre-measure API.
 //   - Coverage: d_v(r) counts the vertices t with d(v,r) + d(r,t) =
 //     d(v,t), t ∉ {v,r} — how many ordered pairs (v,·) have r on some
@@ -52,8 +52,8 @@ import (
 type Kind uint8
 
 const (
-	// BC is shortest-path betweenness — the default, served by the
-	// pre-existing fast path.
+	// BC is shortest-path betweenness — the default, sampled as
+	// mcmc.BC.
 	BC Kind = iota
 	// Coverage is shortest-path coverage centrality.
 	Coverage
@@ -151,8 +151,9 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// IsBC reports whether s is the default measure, whose requests are
-// served by the pre-measure fast path bit-identically.
+// IsBC reports whether s is the default measure, betweenness, whose
+// chain source is mcmc.BC and whose μ derivation is the pooled
+// mcmc.MuExactPooledContext.
 func (s Spec) IsBC() bool { return s.Kind == BC }
 
 // Supports is the measure's graph-class predicate: a nil error means

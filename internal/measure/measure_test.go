@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"bcmh/internal/brandes"
@@ -420,6 +421,19 @@ func TestEstimateBCDelegatesToCore(t *testing.T) {
 		got.Diagnostics.Evals != want.Diagnostics.Evals {
 		t.Fatalf("bc spec diverged from core fast path: %+v vs %+v", got, want)
 	}
+	// The standalone front door derives μ itself, like core.EstimateBC.
+	planned := core.Options{Epsilon: 0.1, Delta: 0.2, MaxSteps: 4096, Seed: 7}
+	want, err = core.EstimateBC(g, 0, planned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = Estimate(context.Background(), g, Spec{}, 0, planned, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("measure.Estimate(bc) diverged from core.EstimateBC: %+v vs %+v", got, want)
+	}
 }
 
 func TestEstimateConvergesToExactValue(t *testing.T) {
@@ -431,7 +445,7 @@ func TestEstimateConvergesToExactValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The chain average converges to ChainLimit (DESIGN.md §1.1);
+		// The chain average converges to ChainLimit, not to the value;
 		// compare against it, and sanity-check it sits near the value.
 		est, err := Estimate(ctx, g, spec, 33, core.Options{Steps: 60000, Seed: 11}, pool)
 		if err != nil {

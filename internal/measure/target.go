@@ -29,7 +29,7 @@ type Target struct {
 }
 
 // NewTarget builds the shared per-target state for spec at vertex r.
-// BC is rejected: its target state is owned by the mcmc fast path and
+// BC is rejected: its target state belongs to the mcmc.BC source and
 // never goes through this package. For rwbc this is the expensive step
 // — deg(r) Laplacian CG solves plus an O(deg(r)·n log n) table build —
 // and ctx is polled between solves so a cancelled request stops paying
@@ -37,7 +37,7 @@ type Target struct {
 // per-target snapshot cache when pool is non-nil.
 func NewTarget(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.BufferPool) (*Target, error) {
 	if spec.IsBC() {
-		return nil, fmt.Errorf("measure: bc targets are served by the core fast path, not measure.NewTarget")
+		return nil, fmt.Errorf("measure: bc targets are sampled by mcmc.BC, not measure.NewTarget")
 	}
 	if err := spec.Supports(g); err != nil {
 		return nil, err

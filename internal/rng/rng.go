@@ -3,7 +3,7 @@
 //
 // The generator is xoshiro256** seeded through SplitMix64. Unlike
 // math/rand, its output is stable across Go releases, which makes every
-// experiment in EXPERIMENTS.md exactly reproducible from its seed. Streams
+// experiment table (cmd/bcbench) exactly reproducible from its seed. Streams
 // can be split by label (see Split) so that independent components draw
 // from statistically independent sequences regardless of the order in
 // which they are invoked.
