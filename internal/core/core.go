@@ -111,18 +111,19 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 // PlanFromMu returns the chain length EstimateBC plans for a known
 // μ(r) under opts: Eq. 14 via mcmc.PlanSteps, clamped to
 // [1, opts.MaxSteps]. Exported so batch front-ends can plan steps from
-// a cached μ without re-deriving the dependency column. opts.Delta must
-// be below 1 (the estimators reject it otherwise).
+// a cached μ without re-deriving the dependency column. opts must pass
+// Validate: the planner panics on δ ≥ 1.
 func PlanFromMu(opts Options, mu float64) int {
 	o := opts.withDefaults()
 	return clampSteps(float64(mcmc.PlanSteps(o.Epsilon, o.Delta, mu)), o.MaxSteps)
 }
 
-// clampSteps clamps a planned chain length to [1, max], in floating
-// point so a plan beyond the int range saturates instead of wrapping.
-func clampSteps(t float64, max int) int {
-	if t >= float64(max) {
-		return max
+// clampSteps clamps a planned chain length to [1, maxSteps], in
+// floating point so a plan beyond the int range saturates instead of
+// wrapping.
+func clampSteps(t float64, maxSteps int) int {
+	if t >= float64(maxSteps) {
+		return maxSteps
 	}
 	if t < 1 {
 		return 1
