@@ -382,6 +382,25 @@ func BenchmarkRankProgressiveTop5(b *testing.B) {
 	}
 }
 
+// BenchmarkRankRoadTop10 measures one top-10 ranking job on a road-style
+// graph, the in-process analog of the end-to-end rank-road workload: a
+// 20×20 grid with integer weights 1–10 (the Dijkstra kernel's Dial
+// route) and a 65,536-step total budget. Every candidate chain of the
+// job reads and fills the job's table of shortest-path rows, so each
+// vertex is traversed at most once per job.
+func BenchmarkRankRoadTop10(b *testing.B) {
+	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(5))
+	pool := mcmc.NewBufferPool(g)
+	opts := rank.Options{K: 10, Seed: 1, TotalBudget: 65536}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = uint64(i) | 1
+		if _, err := rank.Run(context.Background(), g, pool, opts, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRankUniformTop5 is the allocation baseline at matched
 // accuracy: the cheapest uniform per-candidate budget that recovers
 // the same exact top-5 set (2048 steps × 400 candidates = ~819k MH

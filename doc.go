@@ -44,8 +44,10 @@
 //     progressive-refinement ranker that runs short fixed-step MH
 //     chains on every candidate, prunes candidates whose confidence
 //     interval cannot reach the top-k boundary, and reallocates the
-//     freed budget to survivors round over round, sharing the engine's
-//     buffer pool and target-snapshot cache.
+//     freed budget to survivors round over round. Its chains take
+//     buffers from the engine's pool and share one job-scoped table
+//     of shortest-path rows (mcmc.SourceRows), so a betweenness job
+//     traverses each vertex at most once.
 //   - internal/jobs — the async-job manager behind minutes-scale
 //     computations: job ids, live progress snapshots, retained
 //     results, bounded concurrency, and cancellation coupled to the
@@ -68,10 +70,14 @@
 // scan when the weight range allows, a 4-ary heap otherwise, both with
 // epoch-stamped O(1) reset; brandes.DependencyOnTargetIdentityWeighted
 // against a cached sssp.WeightedTargetSPD). Only directed graphs keep
-// the reference Brandes accumulation (brandes.DependencyOnTarget). See
-// README.md for the selection rules, equivalence guarantees, and
-// measured speedups, and scripts/bench.sh for the benchmark-tracking
-// workflow.
+// the reference Brandes accumulation (brandes.DependencyOnTarget).
+// Rank jobs, whose chains evaluate the same sources many times on one
+// snapshot, keep each traversal as a compact row (sssp.Row) in a
+// per-job table and answer later evaluations of that source with an
+// O(n) row scan (brandes.DependencyOnTargetRow), bit-identical to the
+// traversal it replaces. See README.md for the selection rules,
+// equivalence guarantees, and measured speedups, and scripts/bench.sh
+// for the benchmark-tracking workflow.
 //
 // # Serving model and cancellation
 //

@@ -82,6 +82,43 @@ func DependencyOnTargetIdentity(vb *sssp.BFS, ts *sssp.TargetSPD, v int) float64
 	return sum
 }
 
+// DependencyOnTargetRow returns δ_v•(ts.Target) for v = row.Source,
+// reading v's side of the identity from its retained row instead of a
+// live traversal. The scan is DependencyOnTargetIdentity's — the same
+// exact distance test, the same t order, the same arithmetic on the
+// same float64 values (a row decodes losslessly) — so the result is
+// bit-identical to running the kernel from v. row must come from
+// sssp.NewRow on the graph ts was built on.
+func DependencyOnTargetRow(row *sssp.Row, ts *sssp.TargetSPD) float64 {
+	v, r := row.Source, ts.Target
+	if full := row.Full; full != nil {
+		if v == r || full.Dist[r] < 0 {
+			return 0
+		}
+		dvr, svr := full.Dist[r], full.Sigma[r]
+		var sum float64
+		for t, drt := range ts.Dist {
+			if dvt := full.Dist[t]; drt >= 0 && dvt >= 0 && dvr+drt == dvt && t != r {
+				sum += svr * ts.Sigma[t] / full.Sigma[t]
+			}
+		}
+		return sum
+	}
+	packed := row.Packed[:len(ts.Dist)]
+	dr, sr := sssp.RowEntry(packed[r])
+	if v == r || sr == 0 {
+		return 0
+	}
+	dvr, svr := int32(dr), float64(sr)
+	var sum float64
+	for t, drt := range ts.Dist {
+		if d, s := sssp.RowEntry(packed[t]); drt >= 0 && s != 0 && dvr+drt == int32(d) && t != r {
+			sum += svr * ts.Sigma[t] / float64(s)
+		}
+	}
+	return sum
+}
+
 // DependencyColumnIdentity fills out[v] = δ_v•(ts.Target) for every
 // vertex, running one BFS per source on vb. It is the identity-path
 // equivalent of n DependencyOnTarget calls sharing one target snapshot
@@ -187,6 +224,50 @@ func DependencyOnTargetIdentityWeighted(vd *sssp.Dijkstra, ts *sssp.WeightedTarg
 		dvt := vd.DistOf(t)
 		if math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
 			sum += svr * ts.Sigma[t] / vd.SigmaOf(t)
+		}
+	}
+	return sum
+}
+
+// DependencyOnTargetRowWeighted is DependencyOnTargetRow on a weighted
+// undirected graph: δ_v•(ts.Target) for v = row.Source, with
+// DependencyOnTargetIdentityWeighted's WeightEps distance test and t
+// order over v's retained row, bit-identical to running the kernel
+// from v. row must come from sssp.NewWeightedRow on the graph ts was
+// built on.
+func DependencyOnTargetRowWeighted(row *sssp.Row, ts *sssp.WeightedTargetSPD) float64 {
+	v, r := row.Source, ts.Target
+	if full := row.WFull; full != nil {
+		if v == r || full.Dist[r] < 0 {
+			return 0
+		}
+		dvr, svr := full.Dist[r], full.Sigma[r]
+		var sum float64
+		for t, drt := range ts.Dist {
+			dvt := full.Dist[t]
+			if drt < 0 || t == r || dvt < 0 {
+				continue
+			}
+			if math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
+				sum += svr * ts.Sigma[t] / full.Sigma[t]
+			}
+		}
+		return sum
+	}
+	packed := row.Packed[:len(ts.Dist)]
+	dr, sr := sssp.RowEntry(packed[r])
+	if v == r || sr == 0 {
+		return 0
+	}
+	dvr, svr := float64(dr), float64(sr)
+	var sum float64
+	for t, drt := range ts.Dist {
+		d, s := sssp.RowEntry(packed[t])
+		if drt < 0 || t == r || s == 0 {
+			continue
+		}
+		if dvt := float64(d); math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
+			sum += svr * ts.Sigma[t] / float64(s)
 		}
 	}
 	return sum

@@ -598,6 +598,12 @@ type Stats struct {
 	// counted as for a traversing chain, so this is where the saving
 	// shows.
 	MuColumnChains uint64 `json:"mu_column_chains"`
+	// SourceRowsBuilt counts the shortest-path rows rank jobs built into
+	// their per-job row tables (at most one per vertex per job), and
+	// SourceRowEvals the chain evaluations those tables answered with a
+	// row scan instead of a traversal (see mcmc.SourceRows).
+	SourceRowsBuilt uint64 `json:"source_rows_built"`
+	SourceRowEvals  uint64 `json:"source_row_evals"`
 	// ResultHits and ResultMisses count completed-estimate LRU lookups.
 	ResultHits   uint64 `json:"result_hits"`
 	ResultMisses uint64 `json:"result_misses"`
@@ -618,20 +624,23 @@ func (e *Engine) Stats() Stats {
 	sn.muMtx.Lock()
 	muCached := len(sn.mu)
 	sn.muMtx.Unlock()
+	rowsBuilt, rowEvals := sn.pool.SourceRowStats()
 	return Stats{
-		Version:        sn.version,
-		Swaps:          e.swaps.Load(),
-		MuHits:         e.muHits.Load(),
-		MuMisses:       e.muMisses.Load(),
-		MuCached:       muCached,
-		MuRetained:     e.muRetained.Load(),
-		MuInvalidated:  e.muInvalidated.Load(),
-		MuColumnChains: sn.pool.ColumnChains(),
-		ResultHits:     e.resultHits.Load(),
-		ResultMisses:   e.resultMisses.Load(),
-		ResultCached:   e.results.len(),
-		InFlight:       e.inFlight.Load(),
-		Estimates:      e.estimates.Load(),
-		Batches:        e.batches.Load(),
+		Version:         sn.version,
+		Swaps:           e.swaps.Load(),
+		MuHits:          e.muHits.Load(),
+		MuMisses:        e.muMisses.Load(),
+		MuCached:        muCached,
+		MuRetained:      e.muRetained.Load(),
+		MuInvalidated:   e.muInvalidated.Load(),
+		MuColumnChains:  sn.pool.ColumnChains(),
+		SourceRowsBuilt: rowsBuilt,
+		SourceRowEvals:  rowEvals,
+		ResultHits:      e.resultHits.Load(),
+		ResultMisses:    e.resultMisses.Load(),
+		ResultCached:    e.results.len(),
+		InFlight:        e.inFlight.Load(),
+		Estimates:       e.estimates.Load(),
+		Batches:         e.batches.Load(),
 	}
 }

@@ -513,3 +513,21 @@ func WithUniformWeights(g *Graph, lo, hi float64, r *rng.RNG) *Graph {
 	})
 	return b.MustBuild()
 }
+
+// WithIntegerWeights returns a weighted copy of g whose edge weights are
+// integers drawn uniformly from [lo, hi] — the weight class the
+// Dijkstra kernel's exact Dial ring serves (road-style graphs). It
+// panics if g is directed or the range is not positive.
+func WithIntegerWeights(g *Graph, lo, hi int, r *rng.RNG) *Graph {
+	if g.Directed() {
+		panic("graph: WithIntegerWeights requires an undirected graph")
+	}
+	if lo <= 0 || hi < lo {
+		panic("graph: WithIntegerWeights requires 0 < lo <= hi")
+	}
+	b := NewBuilder(g.N())
+	g.ForEachEdge(func(u, v int, _ float64) {
+		b.AddWeightedEdge(u, v, float64(lo+int(r.Float64()*float64(hi-lo+1))))
+	})
+	return b.MustBuild()
+}

@@ -7,9 +7,10 @@
 //
 // Run is the one entry point of the single-space chain: it runs one
 // chain, or several independent chains pooled into one estimate, of a
-// Source — BC(r) for betweenness, or Stat(newOracle) for any other
-// per-vertex statistic (the measures of internal/measure, and the
-// stress chain here).
+// Source — BC(r) for betweenness, SourceRows.BC(r) for betweenness
+// chains that share one table of shortest-path rows (a rank job's), or
+// Stat(newOracle) for any other per-vertex statistic (the measures of
+// internal/measure, and the stress chain here).
 //
 // Estimator variants: beyond the paper's Eq. 7 the package computes, on
 // the same chain, the standard MH chain average, the proposal-side
@@ -84,6 +85,12 @@ func routeFor(g *graph.Graph) oracleRoute {
 // (see BufferPool) reads δ_v•(target) from that column instead: the
 // column was filled by the same identity kernels, so every value, and
 // the Evals/Hits accounting, is what a traversal would have produced.
+// An oracle of a run through a SourceRows table (SourceRows.BC, one
+// table per rank job) takes its target side from the target's row and
+// answers a memo miss at v by scanning v's row against it
+// (brandes.DependencyOnTargetRow[Weighted]), traversing only to build
+// a row no chain has built yet: the same values, bit for bit, at one
+// traversal per vertex per table.
 //
 // The memo is a dense epoch-stamped array, not a map: at chain lengths
 // in the thousands, map hashing on every step is measurable.
@@ -103,6 +110,13 @@ type Oracle struct {
 	// col, when non-nil, is the exact column δ_·•(target) parked by a μ
 	// derivation; memo misses read it instead of traversing.
 	col []float64
+	// rows, when non-nil, is the table of source rows the run shares:
+	// memo misses scan v's row (built on this oracle's kernel if no
+	// chain has yet) instead of traversing. rowsBuilt counts the rows
+	// this oracle published, rowEvals the evaluations a row served.
+	rows      *SourceRows
+	rowsBuilt int
+	rowEvals  int
 
 	// Dense memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch —
 	// and, when the memo was carried across graph versions, iff v's
@@ -168,6 +182,17 @@ func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffer
 		pool.columnChains.Add(1)
 	}
 	tspd, wtspd := ts.spd, ts.wspd
+	if ts.rows != nil {
+		// In an undirected graph the target's row is its target side.
+		o.rows = ts.rows
+		if row := o.sourceRow(target); row != nil {
+			if o.bfs != nil {
+				tspd = row.Target(&b.tbuf)
+			} else {
+				wtspd = row.WeightedTarget(&b.wtbuf)
+			}
+		}
+	}
 	if o.bfs != nil {
 		if tspd == nil || tspd.Target != target {
 			tspd = sssp.NewTargetSPD(o.bfs, target)
@@ -239,24 +264,51 @@ func (o *Oracle) Dep(v int) float64 {
 		return o.memoVal[v]
 	}
 	o.Evals++
-	var d float64
-	switch {
-	case o.col != nil:
-		d = o.col[v]
-	case o.bfs != nil:
-		o.bfs.Run(v)
-		d = brandes.DependencyOnTargetIdentity(o.bfs, o.tspd, v)
-	case o.dij != nil:
-		o.dij.Run(v)
-		d = brandes.DependencyOnTargetIdentityWeighted(o.dij, o.wtspd, v)
-	default:
-		d = brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
-	}
+	d := o.eval(v)
 	if o.memoStamp != nil {
 		o.memoStamp[v] = o.memoEpoch
 		o.memoVal[v] = d
 	}
 	return d
+}
+
+// eval computes δ_v•(target) on the oracle's route: from a parked
+// column, from v's row in the run's table, or by a traversal from v
+// and a scan.
+func (o *Oracle) eval(v int) float64 {
+	if o.col != nil {
+		return o.col[v]
+	}
+	if o.rows != nil {
+		if row := o.sourceRow(v); row != nil {
+			o.rowEvals++
+			if o.bfs != nil {
+				return brandes.DependencyOnTargetRow(row, o.tspd)
+			}
+			return brandes.DependencyOnTargetRowWeighted(row, o.wtspd)
+		}
+	}
+	switch {
+	case o.bfs != nil:
+		o.bfs.Run(v)
+		return brandes.DependencyOnTargetIdentity(o.bfs, o.tspd, v)
+	case o.dij != nil:
+		o.dij.Run(v)
+		return brandes.DependencyOnTargetIdentityWeighted(o.dij, o.wtspd, v)
+	default:
+		return brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
+	}
+}
+
+// sourceRow returns v's row from the run's table, built on the
+// oracle's kernel if no chain has yet; nil when the table is full and
+// holds no row for v.
+func (o *Oracle) sourceRow(v int) *sssp.Row {
+	row, built := o.rows.row(v, o.bfs, o.dij)
+	if built {
+		o.rowsBuilt++
+	}
+	return row
 }
 
 // Target returns the oracle's target vertex.

@@ -13,10 +13,12 @@ import (
 // targetSPDCacheSize bounds the per-pool LRU of target-side shortest
 // path snapshots. Each entry is O(n) memory; 128 covers a large working
 // set of distinct chain targets while keeping worst-case residency at
-// 128·12 bytes per vertex, plus 128·8 while every entry also holds a
-// parked μ column (see tspdEntry). Advance drops the entries of
-// superseded versions, so the bound is spent on the serving version
-// (plus whatever stragglers on older snapshots rebuild meanwhile).
+// 128·12 bytes per vertex (128·16 on weighted graphs), plus 128·8 while
+// every entry also holds a parked μ column (see tspdEntry). Advance
+// drops the entries of superseded versions, so the bound is spent on
+// the serving version (plus whatever stragglers on older snapshots
+// rebuild meanwhile). A SourceRows table is held to the same byte
+// bound.
 const targetSPDCacheSize = 128
 
 // aliasCacheSize bounds the per-version degree-proposal alias cache. A
@@ -63,6 +65,11 @@ type chainBuffers struct {
 	// Visited-state tracking for UniqueStates, same stamping scheme.
 	visStamp []uint32
 	visEpoch uint32
+
+	// Target-side scratch a table run decodes its target's packed row
+	// into (see SourceRows); the field matching the route is used.
+	tbuf  sssp.TargetSPD
+	wtbuf sssp.WeightedTargetSPD
 }
 
 func newChainBuffers(g *graph.Graph) *chainBuffers {
@@ -129,14 +136,16 @@ type tspdEntry struct {
 	col  atomic.Pointer[[]float64]
 }
 
-// targetState is what a chain's oracles read from the pool for their
-// target: the snapshot of the graph's identity route (the other kind
-// stays nil) and, for the chain run that took it, the parked exact
-// dependency column.
+// targetState is what a chain's oracles read for their target: the
+// snapshot of the graph's identity route (the other kind stays nil)
+// and, for the chain run that took it, the parked exact dependency
+// column — or, for a run through a SourceRows table, only the table,
+// whose row for the target is the target side.
 type targetState struct {
 	spd  *sssp.TargetSPD
 	wspd *sssp.WeightedTargetSPD
 	col  []float64
+	rows *SourceRows
 }
 
 // tspdKey addresses one target snapshot of one graph version. Target
@@ -177,11 +186,18 @@ type tspdKey struct {
 // chain run on that (version, target) takes it in the same lookup that
 // fetches the snapshot, and its oracles answer memo misses by reading
 // the column instead of traversing. Later runs, runs with no μ before
-// them (fixed steps, rank jobs), directed graphs and non-bc measures
-// traverse on every memo miss. A parked column nobody takes (an
-// exact-only query, a zero-BC target) costs 8n bytes until its entry
-// leaves the LRU, so a pool holds at most targetSPDCacheSize parked
-// columns.
+// them (fixed steps), directed graphs and non-bc measures traverse on
+// every memo miss. A parked column nobody takes (an exact-only query,
+// a zero-BC target) costs 8n bytes until its entry leaves the LRU, so a
+// pool holds at most targetSPDCacheSize parked columns.
+//
+// Runs through a SourceRows table (rank jobs) draw only their chain
+// buffers here: their target sides and memo misses come from the
+// table's rows, so they never fill or evict this LRU, and a parked μ
+// column stays for the planned chain it was derived for. A table is
+// job-scoped and bounded by the bytes of targetSPDCacheSize snapshots
+// on its own, so a rank job adds at most that much beside the pool;
+// SourceRowStats counts what the tables did.
 type BufferPool struct {
 	pool sync.Pool
 
@@ -209,6 +225,12 @@ type BufferPool struct {
 	// columnChains counts chains whose oracle read a parked μ column
 	// instead of traversing (one per chain, so a Chains=4 run adds 4).
 	columnChains atomic.Uint64
+
+	// rowsBuilt counts rows published to SourceRows tables by chains
+	// drawn from this pool; rowEvals counts the evaluations those chains
+	// answered with a row scan.
+	rowsBuilt atomic.Uint64
+	rowEvals  atomic.Uint64
 }
 
 type tspdNode struct {
@@ -277,6 +299,13 @@ func (p *BufferPool) CarryStats() (carried, discarded uint64) {
 // ColumnChains returns how many chains were served from a dependency
 // column a μ derivation parked, instead of traversing on memo misses.
 func (p *BufferPool) ColumnChains() uint64 { return p.columnChains.Load() }
+
+// SourceRowStats returns how many rows chains on this pool published
+// to SourceRows tables, and how many evaluations they answered with a
+// row scan instead of a traversal and kernel scan.
+func (p *BufferPool) SourceRowStats() (built, evals uint64) {
+	return p.rowsBuilt.Load(), p.rowEvals.Load()
+}
 
 // get checks out a buffer set seated on g, reseating or rebuilding the
 // kernels of a recycled set that last served another snapshot.

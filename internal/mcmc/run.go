@@ -31,6 +31,7 @@ type MultiResult struct {
 // Build one with BC or Stat.
 type Source struct {
 	target    int                                  // BC target (when newOracle is nil)
+	rows      *SourceRows                          // BC through a row table (SourceRows.BC)
 	newOracle func(cache bool) (StatOracle, error) // Stat: one oracle per chain
 }
 
@@ -98,9 +99,17 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 			// target snapshot for an invalid vertex would panic mid-BFS.
 			return MultiResult{}, fmt.Errorf("mcmc: oracle target %d out of range", r)
 		}
-		// Target-side state is chain-independent and read-only: one
-		// lookup per run, shared by every chain.
-		ts = pool.chainTarget(g, r)
+		switch {
+		case src.rows == nil:
+			// Target-side state is chain-independent and read-only: one
+			// lookup per run, shared by every chain.
+			ts = pool.chainTarget(g, r)
+		case src.rows.g != g:
+			return MultiResult{}, fmt.Errorf("mcmc: source rows belong to another graph snapshot")
+		default:
+			// Each chain decodes the target's row into its own buffers.
+			ts = targetState{rows: src.rows}
+		}
 	}
 	var degAlias *rng.Alias
 	if cfg.DegreeProposal {
@@ -114,7 +123,15 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 		if newOracle != nil {
 			oracle, err = newOracle(!cfg.DisableCache)
 		} else {
-			oracle, err = newOracleBuffered(g, src.target, !cfg.DisableCache, b, ts, pool)
+			var bc *Oracle
+			bc, err = newOracleBuffered(g, src.target, !cfg.DisableCache, b, ts, pool)
+			if bc != nil && bc.rows != nil {
+				defer func() {
+					pool.rowsBuilt.Add(uint64(bc.rowsBuilt))
+					pool.rowEvals.Add(uint64(bc.rowEvals))
+				}()
+			}
+			oracle = bc
 		}
 		if err != nil {
 			return Result{}, err

@@ -139,7 +139,9 @@ type Result struct {
 	AcceptanceRate float64
 	// UniqueStates is the number of distinct vertices the chain visited.
 	UniqueStates int
-	// Evals and CacheHits report oracle work (traversals vs memo hits).
+	// Evals counts memo misses, each one evaluation of δ: a traversal
+	// and kernel scan, a row scan on a run through a SourceRows table,
+	// or a read of a parked μ column. CacheHits counts memo hits.
 	Evals     int
 	CacheHits int
 	// MaxDepSeen and MeanDepProposal support the empirical μ̂ lower

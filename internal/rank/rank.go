@@ -31,12 +31,20 @@
 // the ranking converges; EstimatorChainAverage remains available for
 // the paper-literal statistic.
 //
-// All chains draw traversal buffers and target-side shortest-path
-// snapshots from one mcmc.BufferPool — internal/store passes each
-// session's engine pool (engine.Pool), so ranking shares the
-// target-snapshot LRU with the μ-cache and the estimate traffic. Run is
-// deterministic for a fixed (Options, graph): per-chain seeds depend
-// only on (Seed, round, vertex), never on scheduling.
+// All chains draw traversal buffers from one mcmc.BufferPool —
+// internal/store passes each session's engine pool (engine.Pool). The
+// chains of a betweenness ranking all run on one graph snapshot and
+// keep proposing the same sources (a top-10 job on a 400-vertex road
+// grid evaluates each source about 143 times), so each Run gives them
+// one mcmc.SourceRows table: a vertex's shortest-path row is computed
+// at most once per job, a memo miss is an O(n) row scan instead of a
+// traversal, and a chain's target side is its candidate's row. Ranking
+// therefore neither fills nor evicts the pool's target-snapshot LRU
+// that the μ-cache and the estimate traffic use. (Rankings by another
+// measure run their internal/measure sources, which read that LRU.)
+// Run is deterministic for a fixed (Options, graph): per-chain seeds
+// depend only on (Seed, round, vertex), never on scheduling, and rows
+// are the same whichever chain builds them.
 package rank
 
 import (
@@ -326,8 +334,9 @@ func Candidates(g *graph.Graph, max int) []int {
 
 // Run ranks the top-K betweenness vertices of g by progressive
 // refinement. g must be valid for estimation (connected, undirected —
-// e.g. an engine's prepared graph); pool supplies chain buffers and the
-// shared target-snapshot cache (nil builds a private pool). progress,
+// e.g. an engine's prepared graph); pool supplies chain buffers (nil
+// builds a private pool), and a betweenness ranking's chains share one
+// row table for the whole Run (see the package doc). progress,
 // when non-nil, is called after every round from Run's own goroutine.
 // Cancelling ctx aborts the in-flight chains promptly and returns ctx's
 // error.
@@ -345,6 +354,10 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 	}
 	if pool == nil {
 		pool = mcmc.NewBufferPool(g)
+	}
+	var rows *mcmc.SourceRows
+	if o.Measure.IsBC() {
+		rows = mcmc.NewSourceRows(g)
 	}
 
 	vs := Candidates(g, o.MaxCandidates)
@@ -386,7 +399,7 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 				lastRound = true
 			}
 		}
-		spent, err := runRound(ctx, g, pool, active, per, round, o)
+		spent, err := runRound(ctx, g, pool, rows, active, per, round, o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -446,7 +459,7 @@ func Uniform(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, k, per 
 // the returned step total is what the budget accounting deducts, so
 // early stops refund their unspent steps. Each candidate's chain
 // source is built on its first round and cached for later ones.
-func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, active []*cand, per, round int, o Options) (int, error) {
+func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, rows *mcmc.SourceRows, active []*cand, per, round int, o Options) (int, error) {
 	if len(active) == 0 {
 		return 0, nil
 	}
@@ -474,7 +487,7 @@ func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, active
 					cfg.AdaptiveEps = o.Epsilon
 					cfg.AdaptiveDelta = o.Delta
 				}
-				r, err := runChain(ctx, g, pool, c, cfg, ChainSeed(o.Seed, round, c.v), o.Measure)
+				r, err := runChain(ctx, g, pool, rows, c, cfg, ChainSeed(o.Seed, round, c.v), o.Measure)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -515,12 +528,17 @@ dispatch:
 }
 
 // runChain runs one candidate chain of the ranking's measure, seeded
-// with seed, building the candidate's source on first use.
-func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, c *cand, cfg mcmc.Config, seed uint64, spec measure.Spec) (mcmc.Result, error) {
+// with seed, building the candidate's source on first use: a
+// betweenness chain reads the job's row table, any other measure its
+// internal/measure source.
+func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, rows *mcmc.SourceRows, c *cand, cfg mcmc.Config, seed uint64, spec measure.Spec) (mcmc.Result, error) {
 	if c.src == nil {
-		src, err := measure.Source(ctx, g, spec, c.v, pool)
-		if err != nil {
-			return mcmc.Result{}, err
+		src := rows.BC(c.v)
+		if !spec.IsBC() {
+			var err error
+			if src, err = measure.Source(ctx, g, spec, c.v, pool); err != nil {
+				return mcmc.Result{}, err
+			}
 		}
 		c.src = &src
 	}

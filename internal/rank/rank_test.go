@@ -3,6 +3,7 @@ package rank
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -106,23 +107,62 @@ func TestRankDeterministic(t *testing.T) {
 	}
 }
 
-// TestRankChainSeedReplay pins that one candidate's round chain is
-// replayable through the public seed derivation.
+// checkReplay holds a one-round Uniform ranking to table-free replays:
+// every candidate's Estimate must equal, bit for bit, the mean of the
+// proposal trace mcmc.Run produces for the candidate's round-1 seed on
+// a fresh pool. The ranking's chains read the job's row table and the
+// replays traverse, so a single wrong δ served by the table fails it.
+func checkReplay(t *testing.T, g *graph.Graph, res Result, per int, seed uint64) {
+	t.Helper()
+	if len(res.All) != g.N() {
+		t.Fatalf("%d entries for %d candidates", len(res.All), g.N())
+	}
+	cfg := mcmc.Config{Steps: per, InitState: -1, CollectProposalTrace: true}
+	for _, e := range res.All {
+		r, err := mcmc.Run(context.Background(), g, mcmc.BC(e.Vertex), cfg, ChainSeed(seed, 1, e.Vertex), 1, mcmc.NewBufferPool(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stats.Mean(r.Combined.ProposalFTrace); math.Float64bits(e.Estimate) != math.Float64bits(want) {
+			t.Fatalf("vertex %d: ranked estimate %v, replay %v", e.Vertex, e.Estimate, want)
+		}
+	}
+}
+
+// TestRankChainSeedReplay pins that every candidate's round chain is
+// replayable through the public seed derivation, with the ranking's
+// row table serving the same values a traversing chain computes — on
+// the BFS route, the Dial route and the calendar route.
 func TestRankChainSeedReplay(t *testing.T) {
-	g := graph.KarateClub()
+	for name, g := range map[string]*graph.Graph{
+		"karate":     graph.KarateClub(),
+		"int-grid":   graph.WithIntegerWeights(graph.Grid(8, 8), 1, 10, rng.New(3)),
+		"fractional": graph.WithUniformWeights(graph.BarabasiAlbert(80, 2, rng.New(4)), 1, 10, rng.New(5)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, err := Uniform(context.Background(), g, nil, 5, 64, Options{Seed: 9, Concurrency: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReplay(t, g, res, 64, 9)
+		})
+	}
+}
+
+// TestRankRowTableBounded ranks a graph whose rows exceed the table's
+// bound: the table stops short of one row per vertex, and the ranking
+// still replays exactly.
+func TestRankRowTableBounded(t *testing.T) {
+	g := graph.BarabasiAlbert(1000, 3, rng.New(8))
 	pool := mcmc.NewBufferPool(g)
-	cfg := mcmc.Config{Steps: 64, InitState: -1, CollectProposalTrace: true}
-	r1, err := mcmc.Run(context.Background(), g, mcmc.BC(0), cfg, ChainSeed(9, 1, 0), 1, pool)
+	res, err := Uniform(context.Background(), g, pool, 5, 32, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mcmc.Run(context.Background(), g, mcmc.BC(0), cfg, ChainSeed(9, 1, 0), 1, pool)
-	if err != nil {
-		t.Fatal(err)
+	if built, _ := pool.SourceRowStats(); built == 0 || built >= uint64(g.N()) {
+		t.Fatalf("%d rows built for %d vertices: want the bound to stop the table", built, g.N())
 	}
-	if r1.Combined.ProposalSide != r2.Combined.ProposalSide {
-		t.Fatalf("replayed chain differs: %v vs %v", r1.Combined.ProposalSide, r2.Combined.ProposalSide)
-	}
+	checkReplay(t, g, res, 32, 4)
 }
 
 // TestRankCancellation pins prompt abort: a ranking with a huge budget

@@ -140,7 +140,7 @@ func TestDijkstraRouteSelection(t *testing.T) {
 func TestDijkstraEpochReuse(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.WithUniformWeights(graph.BarabasiAlbert(80, 2, rng.New(11)), 1, 10, rng.New(12)),
-		mustIntWeights(t, graph.BarabasiAlbert(80, 2, rng.New(11)), 1, 9, rng.New(13)),
+		graph.WithIntegerWeights(graph.BarabasiAlbert(80, 2, rng.New(11)), 1, 9, rng.New(13)),
 	} {
 		d := NewDijkstra(g)
 		for i := 0; i < 3000; i++ {
@@ -152,21 +152,6 @@ func TestDijkstraEpochReuse(t *testing.T) {
 		}
 		checkDijkstraAgainstComputer(t, g, d, 5)
 	}
-}
-
-// mustIntWeights rebuilds g with uniform random integer weights in
-// [lo, hi], exercising the Dial route on a non-trivial topology.
-func mustIntWeights(t testing.TB, g *graph.Graph, lo, hi int, r *rng.RNG) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder(g.N())
-	g.ForEachEdge(func(u, v int, _ float64) {
-		b.AddWeightedEdge(u, v, float64(lo+int(r.Float64()*float64(hi-lo+1))))
-	})
-	wg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wg
 }
 
 // TestDijkstraEpochWrap forces the 2^32 epoch wrap and checks the
@@ -282,7 +267,7 @@ func TestWeightedTargetSPDSnapshot(t *testing.T) {
 func TestDijkstraKernelAllocFree(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.WithUniformWeights(graph.BarabasiAlbert(200, 3, rng.New(3)), 1, 10, rng.New(4)),
-		mustIntWeights(t, graph.BarabasiAlbert(200, 3, rng.New(3)), 1, 9, rng.New(5)),
+		graph.WithIntegerWeights(graph.BarabasiAlbert(200, 3, rng.New(3)), 1, 9, rng.New(5)),
 	} {
 		d := NewDijkstra(g)
 		for s := 0; s < 10; s++ { // warm-up: grow heap/bucket capacity
@@ -314,7 +299,7 @@ func BenchmarkComputerDijkstra(b *testing.B) {
 }
 
 func BenchmarkDijkstraKernelDial(b *testing.B) {
-	g := mustIntWeights(b, graph.BarabasiAlbert(2000, 3, rng.New(1)), 1, 9, rng.New(2))
+	g := graph.WithIntegerWeights(graph.BarabasiAlbert(2000, 3, rng.New(1)), 1, 9, rng.New(2))
 	k := NewDijkstra(g)
 	if !k.dial {
 		b.Fatal("expected Dial route")

@@ -43,6 +43,12 @@ const (
 	MaxRankGrowth = 16
 	// MaxRankConcurrency caps the ranking worker pool.
 	MaxRankConcurrency = 256
+	// MaxRankConfidence caps the interval multiplier z. A half-width is
+	// z·√var + z²/(2N), so a large enough z overflows every interval to
+	// ±Inf, and a job record holding one cannot be encoded — GET /jobs
+	// would fail for every client until the record aged out. The default
+	// z is 3; any z that keeps z² finite would do.
+	MaxRankConfidence = 1000
 	// DefaultSyncRankCap bounds the graph size a client may force into
 	// the synchronous path with "sync": true. Synchronous rankings run
 	// inside the request and are not counted against the job
@@ -125,6 +131,8 @@ func (req *RankRequest) validate() error {
 		return fmt.Errorf("growth %v below 1 (budgets cannot shrink round over round; omit it for the default)", req.Growth)
 	case req.Growth > MaxRankGrowth:
 		return fmt.Errorf("growth %v exceeds the per-request limit %d", req.Growth, MaxRankGrowth)
+	case req.Confidence > MaxRankConfidence:
+		return fmt.Errorf("confidence %v exceeds the per-request limit %d", req.Confidence, MaxRankConfidence)
 	}
 	if _, err := parseRankEstimator(req.Estimator); err != nil {
 		return err

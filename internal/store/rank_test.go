@@ -248,6 +248,32 @@ func TestRankRequestValidation(t *testing.T) {
 	pollJob(t, srv, created.ID, 5*time.Second)
 }
 
+// TestRankConfidenceBounded pins the confidence cap: a z large enough
+// to overflow interval half-widths to ±Inf gets a 400 in both modes, so
+// no job record with an unencodable payload is ever created and GET
+// /jobs keeps answering every client.
+func TestRankConfidenceBounded(t *testing.T) {
+	_, srv := newTestServer(t, Config{}, "")
+	uploadGraph(t, srv, "karate", graph.KarateClub())
+	syncTrue, syncFalse := true, false
+	for _, req := range []RankRequest{
+		{K: 5, Seed: 1, Confidence: 1e200, Sync: &syncTrue},
+		{K: 5, Seed: 1, Confidence: 1e200, Sync: &syncFalse, MaxRounds: 2},
+	} {
+		if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/rank", req, nil); code != http.StatusBadRequest {
+			t.Fatalf("confidence 1e200 (sync %v): want 400, got %d", *req.Sync, code)
+		}
+	}
+	var res RankResult
+	req := RankRequest{K: 5, Seed: 1, Confidence: MaxRankConfidence, Sync: &syncTrue}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/rank", req, &res); code != http.StatusOK {
+		t.Fatalf("confidence at the cap: status %d", code)
+	}
+	if code := doJSON(t, http.MethodGet, srv.URL+"/jobs", nil, nil); code != http.StatusOK {
+		t.Fatalf("GET /jobs after the rejected requests: status %d", code)
+	}
+}
+
 // TestRankMeasureSync pins the measure-generic ranking surface: a
 // synchronous coverage ranking recovers the exact coverage top-5 (a
 // different set than the bc top-5 at rank 4-5), echoes the measure in
