@@ -386,7 +386,7 @@ func BenchmarkRankProgressiveTop5(b *testing.B) {
 // graph, the in-process analog of the end-to-end rank-road workload: a
 // 20×20 grid with integer weights 1–10 (the Dijkstra kernel's Dial
 // route) and a 65,536-step total budget. Every candidate chain of the
-// job reads and fills the job's table of shortest-path rows, so each
+// job reads and fills the pool's row table for the graph, so each
 // vertex is traversed at most once per job.
 func BenchmarkRankRoadTop10(b *testing.B) {
 	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(5))

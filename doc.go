@@ -45,9 +45,10 @@
 //     chains on every candidate, prunes candidates whose confidence
 //     interval cannot reach the top-k boundary, and reallocates the
 //     freed budget to survivors round over round. Its chains take
-//     buffers from the engine's pool and share one job-scoped table
-//     of shortest-path rows (mcmc.SourceRows), so a betweenness job
-//     traverses each vertex at most once.
+//     buffers from the engine's pool and share the pool's table of
+//     shortest-path rows for their snapshot (mcmc.SourceRows), so the
+//     betweenness jobs running on one snapshot traverse each vertex at
+//     most once between them.
 //   - internal/jobs — the async-job manager behind minutes-scale
 //     computations: job ids, live progress snapshots, retained
 //     results, bounded concurrency, and cancellation coupled to the
@@ -73,9 +74,10 @@
 // the reference Brandes accumulation (brandes.DependencyOnTarget).
 // Rank jobs, whose chains evaluate the same sources many times on one
 // snapshot, keep each traversal as a compact row (sssp.Row) in a
-// per-job table and answer later evaluations of that source with an
-// O(n) row scan (brandes.DependencyOnTargetRow), bit-identical to the
-// traversal it replaces. See README.md for the selection rules,
+// table the jobs on that snapshot share and answer later evaluations
+// of that source with an O(n) row scan
+// (brandes.DependencyOnTargetRow), bit-identical to the traversal it
+// replaces. See README.md for the selection rules,
 // equivalence guarantees, and measured speedups, and scripts/bench.sh
 // for the benchmark-tracking workflow.
 //

@@ -91,19 +91,6 @@ func DependencyOnTargetIdentity(vb *sssp.BFS, ts *sssp.TargetSPD, v int) float64
 // sssp.NewRow on the graph ts was built on.
 func DependencyOnTargetRow(row *sssp.Row, ts *sssp.TargetSPD) float64 {
 	v, r := row.Source, ts.Target
-	if full := row.Full; full != nil {
-		if v == r || full.Dist[r] < 0 {
-			return 0
-		}
-		dvr, svr := full.Dist[r], full.Sigma[r]
-		var sum float64
-		for t, drt := range ts.Dist {
-			if dvt := full.Dist[t]; drt >= 0 && dvt >= 0 && dvr+drt == dvt && t != r {
-				sum += svr * ts.Sigma[t] / full.Sigma[t]
-			}
-		}
-		return sum
-	}
 	packed := row.Packed[:len(ts.Dist)]
 	dr, sr := sssp.RowEntry(packed[r])
 	if v == r || sr == 0 {
@@ -237,23 +224,6 @@ func DependencyOnTargetIdentityWeighted(vd *sssp.Dijkstra, ts *sssp.WeightedTarg
 // built on.
 func DependencyOnTargetRowWeighted(row *sssp.Row, ts *sssp.WeightedTargetSPD) float64 {
 	v, r := row.Source, ts.Target
-	if full := row.WFull; full != nil {
-		if v == r || full.Dist[r] < 0 {
-			return 0
-		}
-		dvr, svr := full.Dist[r], full.Sigma[r]
-		var sum float64
-		for t, drt := range ts.Dist {
-			dvt := full.Dist[t]
-			if drt < 0 || t == r || dvt < 0 {
-				continue
-			}
-			if math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
-				sum += svr * ts.Sigma[t] / full.Sigma[t]
-			}
-		}
-		return sum
-	}
 	packed := row.Packed[:len(ts.Dist)]
 	dr, sr := sssp.RowEntry(packed[r])
 	if v == r || sr == 0 {

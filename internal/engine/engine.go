@@ -599,9 +599,10 @@ type Stats struct {
 	// shows.
 	MuColumnChains uint64 `json:"mu_column_chains"`
 	// SourceRowsBuilt counts the shortest-path rows rank jobs built into
-	// their per-job row tables (at most one per vertex per job), and
-	// SourceRowEvals the chain evaluations those tables answered with a
-	// row scan instead of a traversal (see mcmc.SourceRows).
+	// the row tables they share per snapshot (at most one per vertex per
+	// table), and SourceRowEvals the chain evaluations those tables
+	// answered with a row scan instead of a traversal (see
+	// mcmc.SourceRows).
 	SourceRowsBuilt uint64 `json:"source_rows_built"`
 	SourceRowEvals  uint64 `json:"source_row_evals"`
 	// ResultHits and ResultMisses count completed-estimate LRU lookups.

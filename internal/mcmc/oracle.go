@@ -85,12 +85,14 @@ func routeFor(g *graph.Graph) oracleRoute {
 // (see BufferPool) reads δ_v•(target) from that column instead: the
 // column was filled by the same identity kernels, so every value, and
 // the Evals/Hits accounting, is what a traversal would have produced.
-// An oracle of a run through a SourceRows table (SourceRows.BC, one
-// table per rank job) takes its target side from the target's row and
-// answers a memo miss at v by scanning v's row against it
-// (brandes.DependencyOnTargetRow[Weighted]), traversing only to build
-// a row no chain has built yet: the same values, bit for bit, at one
-// traversal per vertex per table.
+// An oracle of a run through a SourceRows table (SourceRows.BC, the
+// table rank jobs share per snapshot) takes its target side from the
+// target's row and answers a memo miss at v by scanning v's row
+// against it (brandes.DependencyOnTargetRow[Weighted]), traversing
+// only to build a row no chain has built yet: the same values, bit
+// for bit, at one traversal per vertex per table. A vertex without a
+// row (its traversal does not pack, or the row budget is spent) takes
+// the identity route above.
 //
 // The memo is a dense epoch-stamped array, not a map: at chain lengths
 // in the thousands, map hashing on every step is measurable.
@@ -112,11 +114,10 @@ type Oracle struct {
 	col []float64
 	// rows, when non-nil, is the table of source rows the run shares:
 	// memo misses scan v's row (built on this oracle's kernel if no
-	// chain has yet) instead of traversing. rowsBuilt counts the rows
-	// this oracle published, rowEvals the evaluations a row served.
-	rows      *SourceRows
-	rowsBuilt int
-	rowEvals  int
+	// chain has yet) instead of traversing. rowEvals counts the
+	// evaluations a row served.
+	rows     *SourceRows
+	rowEvals int
 
 	// Dense memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch —
 	// and, when the memo was carried across graph versions, iff v's
@@ -183,9 +184,10 @@ func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffer
 	}
 	tspd, wtspd := ts.spd, ts.wspd
 	if ts.rows != nil {
-		// In an undirected graph the target's row is its target side.
+		// In an undirected graph the target's row is its target side; a
+		// target without a row takes the snapshot below.
 		o.rows = ts.rows
-		if row := o.sourceRow(target); row != nil {
+		if row, _ := o.rows.row(target, o.bfs, o.dij); row != nil {
 			if o.bfs != nil {
 				tspd = row.Target(&b.tbuf)
 			} else {
@@ -274,13 +276,16 @@ func (o *Oracle) Dep(v int) float64 {
 
 // eval computes δ_v•(target) on the oracle's route: from a parked
 // column, from v's row in the run's table, or by a traversal from v
-// and a scan.
+// and a scan (skipping the traversal when building v's row has just
+// run it and the row did not pack).
 func (o *Oracle) eval(v int) float64 {
 	if o.col != nil {
 		return o.col[v]
 	}
+	ran := false
 	if o.rows != nil {
-		if row := o.sourceRow(v); row != nil {
+		var row *sssp.Row
+		if row, ran = o.rows.row(v, o.bfs, o.dij); row != nil {
 			o.rowEvals++
 			if o.bfs != nil {
 				return brandes.DependencyOnTargetRow(row, o.tspd)
@@ -290,25 +295,18 @@ func (o *Oracle) eval(v int) float64 {
 	}
 	switch {
 	case o.bfs != nil:
-		o.bfs.Run(v)
+		if !ran {
+			o.bfs.Run(v)
+		}
 		return brandes.DependencyOnTargetIdentity(o.bfs, o.tspd, v)
 	case o.dij != nil:
-		o.dij.Run(v)
+		if !ran {
+			o.dij.Run(v)
+		}
 		return brandes.DependencyOnTargetIdentityWeighted(o.dij, o.wtspd, v)
 	default:
 		return brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
 	}
-}
-
-// sourceRow returns v's row from the run's table, built on the
-// oracle's kernel if no chain has yet; nil when the table is full and
-// holds no row for v.
-func (o *Oracle) sourceRow(v int) *sssp.Row {
-	row, built := o.rows.row(v, o.bfs, o.dij)
-	if built {
-		o.rowsBuilt++
-	}
-	return row
 }
 
 // Target returns the oracle's target vertex.

@@ -17,8 +17,8 @@ import (
 // every entry also holds a parked μ column (see tspdEntry). Advance
 // drops the entries of superseded versions, so the bound is spent on
 // the serving version (plus whatever stragglers on older snapshots
-// rebuild meanwhile). A SourceRows table is held to the same byte
-// bound.
+// rebuild meanwhile). The live SourceRows tables of a pool share one
+// budget of the same bytes (see rowBudget).
 const targetSPDCacheSize = 128
 
 // aliasCacheSize bounds the per-version degree-proposal alias cache. A
@@ -194,9 +194,11 @@ type tspdKey struct {
 // Runs through a SourceRows table (rank jobs) draw only their chain
 // buffers here: their target sides and memo misses come from the
 // table's rows, so they never fill or evict this LRU, and a parked μ
-// column stays for the planned chain it was derived for. A table is
-// job-scoped and bounded by the bytes of targetSPDCacheSize snapshots
-// on its own, so a rank job adds at most that much beside the pool;
+// column stays for the planned chain it was derived for. The pool
+// hands out those tables, one per snapshot in use, shared by all its
+// holders (SourceRows), and keeps the one byte budget they draw on —
+// the bytes of targetSPDCacheSize snapshots — so however many rank
+// jobs run at once, their rows add at most that much beside the LRU.
 // SourceRowStats counts what the tables did.
 type BufferPool struct {
 	pool sync.Pool
@@ -226,11 +228,19 @@ type BufferPool struct {
 	// instead of traversing (one per chain, so a Chains=4 run adds 4).
 	columnChains atomic.Uint64
 
-	// rowsBuilt counts rows published to SourceRows tables by chains
-	// drawn from this pool; rowEvals counts the evaluations those chains
-	// answered with a row scan.
+	// rowsBuilt counts rows published to the SourceRows tables drawing
+	// on this pool's row budget; rowEvals counts the evaluations those
+	// tables answered with a row scan.
 	rowsBuilt atomic.Uint64
 	rowEvals  atomic.Uint64
+
+	// rowTables holds the live SourceRows table of each snapshot some
+	// holder ranks on; rowBytes is what those tables hold: taken by
+	// reserveRows, given back by a failed build and by the last
+	// SourceRows.Release.
+	rowsMtx   sync.Mutex
+	rowTables map[*graph.Graph]*SourceRows
+	rowBytes  atomic.Int64
 }
 
 type tspdNode struct {
@@ -300,11 +310,28 @@ func (p *BufferPool) CarryStats() (carried, discarded uint64) {
 // column a μ derivation parked, instead of traversing on memo misses.
 func (p *BufferPool) ColumnChains() uint64 { return p.columnChains.Load() }
 
-// SourceRowStats returns how many rows chains on this pool published
-// to SourceRows tables, and how many evaluations they answered with a
-// row scan instead of a traversal and kernel scan.
+// SourceRowStats returns how many rows were published to the
+// SourceRows tables drawing on this pool, and how many evaluations
+// they answered with a row scan instead of a traversal and kernel
+// scan.
 func (p *BufferPool) SourceRowStats() (built, evals uint64) {
 	return p.rowsBuilt.Load(), p.rowEvals.Load()
+}
+
+// reserveRows takes size bytes of the row budget the pool's live
+// SourceRows tables share on g, or reports false when they already
+// hold too much for it.
+func (p *BufferPool) reserveRows(g *graph.Graph, size int64) bool {
+	limit := rowBudget(g)
+	for {
+		used := p.rowBytes.Load()
+		if used+size > limit {
+			return false
+		}
+		if p.rowBytes.CompareAndSwap(used, used+size) {
+			return true
+		}
+	}
 }
 
 // get checks out a buffer set seated on g, reseating or rebuilding the

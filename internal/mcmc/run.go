@@ -126,10 +126,7 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 			var bc *Oracle
 			bc, err = newOracleBuffered(g, src.target, !cfg.DisableCache, b, ts, pool)
 			if bc != nil && bc.rows != nil {
-				defer func() {
-					pool.rowsBuilt.Add(uint64(bc.rowsBuilt))
-					pool.rowEvals.Add(uint64(bc.rowEvals))
-				}()
+				defer func() { bc.rows.pool.rowEvals.Add(uint64(bc.rowEvals)) }()
 			}
 			oracle = bc
 		}

@@ -35,16 +35,20 @@
 // internal/store passes each session's engine pool (engine.Pool). The
 // chains of a betweenness ranking all run on one graph snapshot and
 // keep proposing the same sources (a top-10 job on a 400-vertex road
-// grid evaluates each source about 143 times), so each Run gives them
-// one mcmc.SourceRows table: a vertex's shortest-path row is computed
-// at most once per job, a memo miss is an O(n) row scan instead of a
-// traversal, and a chain's target side is its candidate's row. Ranking
-// therefore neither fills nor evicts the pool's target-snapshot LRU
-// that the μ-cache and the estimate traffic use. (Rankings by another
-// measure run their internal/measure sources, which read that LRU.)
-// Run is deterministic for a fixed (Options, graph): per-chain seeds
-// depend only on (Seed, round, vertex), never on scheduling, and rows
-// are the same whichever chain builds them.
+// grid evaluates each source about 143 times), so each Run holds the
+// pool's mcmc.SourceRows table of that snapshot, shared with any other
+// ranking of it running at the same time: a vertex's shortest-path row
+// is computed at most once per table, a memo miss is an O(n) row scan
+// instead of a traversal, and a chain's target side is its candidate's
+// row. Ranking therefore neither fills nor evicts the pool's
+// target-snapshot LRU that the μ-cache and the estimate traffic use —
+// unless the pool makes no table (a graph too large for the row
+// budget to hold half its rows, or a directed one), in which case the
+// chains run as plain BC chains. (Rankings by another measure run
+// their internal/measure sources, which read that LRU.) Run is
+// deterministic for a fixed (Options, graph): per-chain seeds depend
+// only on (Seed, round, vertex), never on scheduling, and rows are the
+// same whichever chain builds them.
 package rank
 
 import (
@@ -334,9 +338,9 @@ func Candidates(g *graph.Graph, max int) []int {
 
 // Run ranks the top-K betweenness vertices of g by progressive
 // refinement. g must be valid for estimation (connected, undirected —
-// e.g. an engine's prepared graph); pool supplies chain buffers (nil
-// builds a private pool), and a betweenness ranking's chains share one
-// row table for the whole Run (see the package doc). progress,
+// e.g. an engine's prepared graph); pool supplies chain buffers and,
+// for a betweenness ranking, the row table its chains share for the
+// whole Run (nil builds a private pool; see the package doc). progress,
 // when non-nil, is called after every round from Run's own goroutine.
 // Cancelling ctx aborts the in-flight chains promptly and returns ctx's
 // error.
@@ -357,7 +361,8 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 	}
 	var rows *mcmc.SourceRows
 	if o.Measure.IsBC() {
-		rows = mcmc.NewSourceRows(g)
+		rows = pool.SourceRows(g)
+		defer rows.Release()
 	}
 
 	vs := Candidates(g, o.MaxCandidates)

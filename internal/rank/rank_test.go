@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -150,19 +151,69 @@ func TestRankChainSeedReplay(t *testing.T) {
 }
 
 // TestRankRowTableBounded ranks a graph whose rows exceed the table's
-// bound: the table stops short of one row per vertex, and the ranking
-// still replays exactly.
+// budget (382 rows fit of 600): the table stops short of one row per
+// vertex, and the ranking still replays exactly. A second Run on the
+// same pool builds as many rows again, so the first handed its budget
+// back when it returned.
 func TestRankRowTableBounded(t *testing.T) {
-	g := graph.BarabasiAlbert(1000, 3, rng.New(8))
+	g := graph.BarabasiAlbert(600, 3, rng.New(8))
 	pool := mcmc.NewBufferPool(g)
-	res, err := Uniform(context.Background(), g, pool, 5, 32, Options{Seed: 4})
+	var first uint64
+	for run := 0; run < 2; run++ {
+		res, err := Uniform(context.Background(), g, pool, 5, 32, Options{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, _ := pool.SourceRowStats()
+		if run == 0 {
+			first = built
+		}
+		if first == 0 || first >= uint64(g.N()) || built != first*uint64(run+1) {
+			t.Fatalf("run %d: %d rows built in all, %d by the first run, for %d vertices: want the budget to stop each table at the same row count", run, built, first, g.N())
+		}
+		checkReplay(t, g, res, 32, 4)
+	}
+}
+
+// TestRankJobsShareRowTable runs a second job on a snapshot while a
+// first one is still ranking it: the two share one row table, so
+// between them they build at most one row per vertex, and the second
+// job's result is bit-identical to a run of its own.
+func TestRankJobsShareRowTable(t *testing.T) {
+	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(21))
+	pool := mcmc.NewBufferPool(g)
+	opts := func(seed uint64) Options {
+		return Options{K: 5, Seed: seed, InitialSteps: 32, MaxRounds: 2}
+	}
+	aRound1, bDone := make(chan struct{}), make(chan struct{})
+	var aErr error
+	aFinished := make(chan struct{})
+	go func() {
+		defer close(aFinished)
+		_, aErr = Run(context.Background(), g, pool, opts(1), func(p Progress) {
+			if p.Round == 1 {
+				close(aRound1)
+				<-bDone // hold the first job, and its table, until the second has run
+			}
+		})
+	}()
+	<-aRound1
+	b, err := Run(context.Background(), g, pool, opts(2), nil)
+	close(bDone)
+	<-aFinished
+	if err != nil || aErr != nil {
+		t.Fatal(err, aErr)
+	}
+	if built, _ := pool.SourceRowStats(); built == 0 || built > uint64(g.N()) {
+		t.Fatalf("%d rows built by two overlapping jobs on %d vertices: want one shared table", built, g.N())
+	}
+	solo, err := Run(context.Background(), g, mcmc.NewBufferPool(g), opts(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built, _ := pool.SourceRowStats(); built == 0 || built >= uint64(g.N()) {
-		t.Fatalf("%d rows built for %d vertices: want the bound to stop the table", built, g.N())
+	if !reflect.DeepEqual(b, solo) {
+		t.Fatalf("job on a shared table %+v, alone %+v", b.TopK, solo.TopK)
 	}
-	checkReplay(t, g, res, 32, 4)
 }
 
 // TestRankCancellation pins prompt abort: a ranking with a huge budget

@@ -504,11 +504,6 @@ type TargetSPD struct {
 // into a TargetSPD that survives subsequent runs of b.
 func NewTargetSPD(b *BFS, target int) *TargetSPD {
 	b.Run(target)
-	return b.snapshot(target)
-}
-
-// snapshot copies the latest Run, from target, into a TargetSPD.
-func (b *BFS) snapshot(target int) *TargetSPD {
 	n := b.g.N()
 	t := &TargetSPD{
 		Target: target,

@@ -472,12 +472,6 @@ type WeightedTargetSPD struct {
 // subsequent runs of d.
 func NewWeightedTargetSPD(d *Dijkstra, target int) *WeightedTargetSPD {
 	d.Run(target)
-	return d.snapshot(target)
-}
-
-// snapshot copies the latest Run, from target, into a
-// WeightedTargetSPD.
-func (d *Dijkstra) snapshot(target int) *WeightedTargetSPD {
 	n := d.g.N()
 	t := &WeightedTargetSPD{
 		Target: target,

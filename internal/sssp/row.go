@@ -2,40 +2,36 @@ package sssp
 
 import "math"
 
-// rowPackedMax is the largest distance or σ a packed row entry holds:
-// each is one 16-bit half of a uint32.
+// rowPackedMax is the largest distance or σ a row entry holds: each is
+// one 16-bit half of a uint32.
 const rowPackedMax = 1<<16 - 1
 
 // Row is the retained shortest-path data of one source s on an
-// undirected graph — d(s,t) and σ_st for every t — in the smallest
-// lossless form. In an undirected graph the same data is s's target
-// side (d(t,s) = d(s,t), σ_ts = σ_st), so one Row serves both ends of
-// the pair-dependency identity: as the source side of an evaluation
+// undirected graph — d(s,t) and σ_st for every t — packed into 16 bits
+// each. In an undirected graph the same data is s's target side
+// (d(t,s) = d(s,t), σ_ts = σ_st), so one Row serves both ends of the
+// pair-dependency identity: as the source side of an evaluation
 // δ_s•(r) (brandes.DependencyOnTargetRow) and, decoded by Target, as
 // the target snapshot of a chain on s. Immutable after construction
 // and safe to share across goroutines.
 //
-// A row is packed when every reached distance and σ is an integer in
-// [0, 2^16): 4 bytes per vertex, against the 12 (unweighted) or 16
-// (weighted) of the float64 snapshot. Otherwise — fractional weights,
-// a path count of 2^16 or more, a distance past 2^16−1 — it keeps that
-// float64 snapshot. Both forms decode to exactly the float64 values
-// the kernel produced.
+// A traversal packs when every reached distance and σ is an integer
+// in [0, 2^16): 4 bytes per vertex, against the 12 (unweighted) or 16
+// (weighted) of the float64 snapshot, and it decodes to exactly the
+// float64 values the kernel produced. Fractional weights, a path count
+// of 2^16 or more, or a distance past 2^16−1 do not pack; NewRow
+// returns nil for those and the caller keeps the kernel path.
 type Row struct {
 	// Source is the vertex the row is rooted at.
 	Source int
 	// Packed holds d(s,t) and σ_st for every t, read with RowEntry;
-	// σ = 0 marks an unreached t (a reached vertex has σ ≥ 1). Nil when
-	// the row did not pack.
+	// σ = 0 marks an unreached t (a reached vertex has σ ≥ 1).
 	Packed []uint32
-	// Full is the float64 snapshot of an unpacked row on the BFS route;
-	// WFull on the Dijkstra route. Both are nil for a packed row.
-	Full  *TargetSPD
-	WFull *WeightedTargetSPD
 }
 
-// NewRow runs one traversal from source on b and retains it as a Row.
-// b is left holding that traversal.
+// NewRow runs one traversal from source on b and packs it as a Row, or
+// returns nil when it does not pack. b is left holding that traversal
+// either way.
 func NewRow(b *BFS, source int) *Row {
 	b.Run(source)
 	n := b.g.N()
@@ -46,7 +42,7 @@ func NewRow(b *BFS, source int) *Row {
 		}
 		d, s := b.DistOf(t), b.SigmaOf(t)
 		if d > rowPackedMax || !packable(s) {
-			return &Row{Source: source, Full: b.snapshot(source)}
+			return nil
 		}
 		packed[t] = uint32(d)<<16 | uint32(s)
 	}
@@ -54,7 +50,8 @@ func NewRow(b *BFS, source int) *Row {
 }
 
 // NewWeightedRow is NewRow on the Dijkstra kernel: one traversal from
-// source on d, retained as a Row. d is left holding that traversal.
+// source on d, packed as a Row or nil. d is left holding that
+// traversal either way.
 func NewWeightedRow(d *Dijkstra, source int) *Row {
 	d.Run(source)
 	n := d.g.N()
@@ -65,7 +62,7 @@ func NewWeightedRow(d *Dijkstra, source int) *Row {
 		}
 		dt, s := d.dist[t], d.sigma[t]
 		if !packable(dt) || !packable(s) {
-			return &Row{Source: source, WFull: d.snapshot(source)}
+			return nil
 		}
 		packed[t] = uint32(dt)<<16 | uint32(s)
 	}
@@ -81,25 +78,10 @@ func packable(x float64) bool {
 	return x >= 0 && x <= rowPackedMax && x == math.Trunc(x)
 }
 
-// Bytes is the row's payload size: what a table of rows is bounded by.
-func (r *Row) Bytes() int {
-	switch {
-	case r.Full != nil:
-		return 12 * len(r.Full.Dist)
-	case r.WFull != nil:
-		return 16 * len(r.WFull.Dist)
-	default:
-		return 4 * len(r.Packed)
-	}
-}
-
-// Target returns the row as the target-side snapshot rooted at Source:
-// Full itself, or the packed row decoded into buf (its slices reused
-// when long enough) and buf returned. The row must come from NewRow.
+// Target decodes the row into buf as the target-side snapshot rooted
+// at Source, reusing buf's slices when long enough, and returns buf.
+// The row must come from NewRow.
 func (r *Row) Target(buf *TargetSPD) *TargetSPD {
-	if r.Full != nil {
-		return r.Full
-	}
 	n := len(r.Packed)
 	buf.Target = r.Source
 	buf.Dist = resize(buf.Dist, n)
@@ -116,9 +98,6 @@ func (r *Row) Target(buf *TargetSPD) *TargetSPD {
 
 // WeightedTarget is Target for a row from NewWeightedRow.
 func (r *Row) WeightedTarget(buf *WeightedTargetSPD) *WeightedTargetSPD {
-	if r.WFull != nil {
-		return r.WFull
-	}
 	n := len(r.Packed)
 	buf.Target = r.Source
 	buf.Dist = resize(buf.Dist, n)
