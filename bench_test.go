@@ -289,7 +289,7 @@ func BenchmarkEngineBatch32(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.EstimateBatch(targets, opts); err != nil {
+		if _, err := eng.EstimateBatchContext(context.Background(), targets, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func BenchmarkEngineBatch32Weighted(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.EstimateBatch(targets, opts); err != nil {
+		if _, err := eng.EstimateBatchContext(context.Background(), targets, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func BenchmarkEngineBatch32Warm(b *testing.B) {
 	opts := engine.BatchOptions{Estimation: batchBenchOpts(), Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EstimateBatch(targets, opts); err != nil {
+		if _, err := eng.EstimateBatchContext(context.Background(), targets, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +492,7 @@ func BenchmarkSwapGraphWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		if _, err := eng.MuStats(i * (g.N() / 32)); err != nil {
+		if _, err := eng.MuStatsContext(context.Background(), i*(g.N()/32)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -549,7 +549,7 @@ func streamEditsBench(b *testing.B) {
 				return
 			default:
 			}
-			if _, err := eng.EstimateBatch(targets, opts); err != nil {
+			if _, err := eng.EstimateBatchContext(context.Background(), targets, opts); err != nil {
 				return
 			}
 		}

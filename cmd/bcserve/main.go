@@ -20,7 +20,7 @@
 //	bcserve rank -in net.txt -k 10               # offline top-k ranking (no server)
 //	bcserve mutate -graph net -add 3,9 -remove 4,7   # edit a served graph in place
 //
-// Endpoints (see internal/store.NewServer for the full reference):
+// Endpoints (see internal/store.NewServerWithOptions for the full reference):
 //
 //	POST   /graphs                     upload an edge list ({"id","edge_list"} or raw body + ?id=)
 //	GET    /graphs                     list sessions and budget counters

@@ -39,7 +39,7 @@
 //     from uploaded edge lists, listed, and deleted over the /graphs
 //     management API, under a bounded memory budget with LRU eviction
 //     of idle sessions, creation singleflight, and session-coupled
-//     request contexts. cmd/bcserve mounts store.NewServer.
+//     request contexts. cmd/bcserve mounts store.NewServerWithOptions.
 //   - internal/rank — the whole-graph top-k workload: a
 //     progressive-refinement ranker that runs short fixed-step MH
 //     chains on every candidate, prunes candidates whose confidence

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,6 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	hub := 0
 	for v := 1; v < baN; v++ {
 		if g.Degree(v) > g.Degree(hub) {
@@ -70,21 +72,21 @@ func main() {
 
 	// Before: estimate the hub, and warm μ entries for both the hub
 	// and a ring vertex.
-	estBefore, err := eng.Estimate(hub, opts)
+	estBefore, err := eng.EstimateContext(ctx, hub, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactHubBefore, err := eng.ExactBCOf(hub)
+	muHubBefore, err := eng.MuStatsContext(ctx, hub)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactRingBefore, err := eng.ExactBCOf(ringV)
+	muRingBefore, err := eng.MuStatsContext(ctx, ringV)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nhub = vertex %d (degree %d), ring witness = vertex %d\n", hub, g.Degree(hub), ringV)
 	fmt.Printf("before: exact BC(hub) = %.6f, MH estimate = %.6f (%d steps)\n",
-		exactHubBefore, estBefore.Value, estBefore.PlannedSteps)
+		muHubBefore.BC, estBefore.Value, estBefore.PlannedSteps)
 
 	// Rewire: drop a few hub edges (keeping the graph connected) and
 	// route periphery shortcuts around it.
@@ -128,28 +130,28 @@ func main() {
 	// After: re-estimate on the new version. The ring witness is
 	// served from the retained entry — no new O(nm) computation.
 	missesBefore := eng.Stats().MuMisses
-	estAfter, err := eng.Estimate(hub, opts)
+	estAfter, err := eng.EstimateContext(ctx, hub, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactHubAfter, err := eng.ExactBCOf(hub)
+	muHubAfter, err := eng.MuStatsContext(ctx, hub)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactRingAfter, err := eng.ExactBCOf(ringV)
+	muRingAfter, err := eng.MuStatsContext(ctx, ringV)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter:  exact BC(hub) = %.6f, MH estimate = %.6f\n", exactHubAfter, estAfter.Value)
+	fmt.Printf("\nafter:  exact BC(hub) = %.6f, MH estimate = %.6f\n", muHubAfter.BC, estAfter.Value)
 	fmt.Printf("\n%-24s %12s %12s %9s\n", "", "before", "after", "moved")
 	row := func(name string, before, after float64) {
 		fmt.Printf("%-24s %12.6f %12.6f %+8.1f%%\n", name, before, after, 100*(after-before)/before)
 	}
-	row("exact BC(hub)", exactHubBefore, exactHubAfter)
+	row("exact BC(hub)", muHubBefore.BC, muHubAfter.BC)
 	row("MH estimate(hub)", estBefore.Value, estAfter.Value)
-	row("exact BC(ring witness)", exactRingBefore, exactRingAfter)
+	row("exact BC(ring witness)", muRingBefore.BC, muRingAfter.BC)
 	fmt.Printf("\nestimate tracks the exact move; the ring witness is untouched by construction\n")
-	if exactRingAfter != exactRingBefore {
+	if muRingAfter.BC != muRingBefore.BC {
 		log.Fatal("BUG: the ring witness moved — retention would be unsound")
 	}
 	if misses := eng.Stats().MuMisses; misses == missesBefore+1 {

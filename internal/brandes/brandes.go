@@ -3,8 +3,7 @@
 // samplers are defined in terms of: single-source dependency vectors
 // δ_s•(·) (Eq. 2/4), per-target dependency columns δ_·•(r) (the MH
 // chain's unnormalised stationary distribution, Eq. 5), edge betweenness
-// (the Girvan–Newman substrate [19]), and group betweenness for small
-// vertex sets (§3.1 of the paper).
+// (the Girvan–Newman substrate [19]) and stress centrality.
 //
 // All betweenness values use the paper's Eq. 1 normalisation,
 // BC(v) = (1/(n(n-1))) Σ_{s≠t≠v} σ_st(v)/σ_st ∈ [0,1]; dependency
@@ -59,19 +58,10 @@ func Accumulate(g *graph.Graph, spd *sssp.SPD, delta []float64) {
 	delta[spd.Source] = 0
 }
 
-// Dependencies returns δ_source•(·) as a fresh slice, running one
-// traversal + accumulation on c.
-func Dependencies(c *sssp.Computer, source int) []float64 {
-	spd := c.Run(source)
-	delta := make([]float64, c.Graph().N())
-	Accumulate(c.Graph(), spd, delta)
-	return delta
-}
-
 // DependencyOnTarget returns δ_source•(target): the dependency of
-// source on target, the quantity one MH acceptance test needs. Same
-// O(m) cost as Dependencies (the full vector is computed and one entry
-// read) — exactly the per-sample cost the paper states.
+// source on target, the quantity one MH acceptance test needs. One
+// traversal and accumulation, O(m) (the full vector is computed and one
+// entry read) — exactly the per-sample cost the paper states.
 func DependencyOnTarget(c *sssp.Computer, scratch []float64, source, target int) float64 {
 	spd := c.Run(source)
 	Accumulate(c.Graph(), spd, scratch)
@@ -160,24 +150,20 @@ func normalize(bc []float64, n int) {
 // Cost: n traversals (O(nm)); this is ground-truth machinery for the
 // experiments, not part of any estimator's hot path.
 func DependencyVector(g *graph.Graph, r int) []float64 {
-	return DependencyVectorParallel(g, r, 0)
-}
-
-// DependencyVectorParallel is DependencyVector with sources fanned out
-// over `workers` goroutines (0 = GOMAXPROCS). Undirected graphs take
-// the identity fast path (one shared target-side traversal, then a
-// forward BFS/Dijkstra plus O(n) scan per source — see identity.go);
-// directed graphs run the reference Brandes accumulation per source.
-func DependencyVectorParallel(g *graph.Graph, r int, workers int) []float64 {
-	out, _ := DependencyVectorParallelContext(context.Background(), g, r, workers)
+	out, _ := DependencyVectorParallelContext(context.Background(), g, r, 0)
 	return out
 }
 
-// DependencyVectorParallelContext is DependencyVectorParallel under a
-// context: workers poll ctx between source traversals (each a full
-// BFS/Dijkstra, so the check is free by comparison) and the whole
-// computation stops within one traversal per worker of a cancellation.
-// On cancellation the returned slice is nil and the error is ctx's.
+// DependencyVectorParallelContext is DependencyVector with sources
+// fanned out over `workers` goroutines (0 = GOMAXPROCS). Undirected
+// graphs take the identity fast path (one shared target-side
+// traversal, then a forward BFS/Dijkstra plus O(n) scan per source —
+// see identity.go); directed graphs run the reference Brandes
+// accumulation per source. Workers poll ctx between source traversals
+// (each a full BFS/Dijkstra, so the check is free by comparison) and
+// the whole computation stops within one traversal per worker of a
+// cancellation. On cancellation the returned slice is nil and the
+// error is ctx's.
 func DependencyVectorParallelContext(ctx context.Context, g *graph.Graph, r int, workers int) ([]float64, error) {
 	n := g.N()
 	if r < 0 || r >= n {
@@ -299,71 +285,4 @@ func EdgeBC(g *graph.Graph) (map[[2]int]float64, error) {
 		ebc[k] /= 2
 	}
 	return ebc, nil
-}
-
-// GroupBC computes the group betweenness centrality of set (Everett &
-// Borgatti [15]): the normalised fraction of shortest paths between
-// pairs outside the set that pass through at least one member. Computed
-// exactly in O(nm) by counting, per source, the shortest paths that
-// avoid the set (a DP over the SPD) and subtracting.
-func GroupBC(g *graph.Graph, set []int) (float64, error) {
-	n := g.N()
-	inSet := make([]bool, n)
-	for _, v := range set {
-		if v < 0 || v >= n {
-			return 0, fmt.Errorf("brandes: GroupBC vertex %d out of range", v)
-		}
-		if inSet[v] {
-			return 0, fmt.Errorf("brandes: GroupBC vertex %d repeated", v)
-		}
-		inSet[v] = true
-	}
-	outside := n - len(set)
-	if outside < 2 {
-		return 0, nil
-	}
-	c := sssp.NewComputer(g)
-	avoid := make([]float64, n) // σ̃: shortest paths from s avoiding the set
-	var total float64
-	for s := 0; s < n; s++ {
-		if inSet[s] {
-			continue
-		}
-		spd := c.Run(s)
-		for i := range avoid {
-			avoid[i] = 0
-		}
-		avoid[s] = 1
-		// Forward DP in distance order: σ̃_v = Σ_{parents u} σ̃_u,
-		// zeroed at set members.
-		for _, v := range spd.Order {
-			if v == s {
-				continue
-			}
-			if inSet[v] {
-				avoid[v] = 0
-				continue
-			}
-			ns := g.Neighbors(v)
-			ws := g.NeighborWeights(v)
-			var sum float64
-			for j, u := range ns {
-				wt := 1.0
-				if ws != nil {
-					wt = ws[j]
-				}
-				if spd.OnShortestPath(u, v, wt) {
-					sum += avoid[u]
-				}
-			}
-			avoid[v] = sum
-		}
-		for t := 0; t < n; t++ {
-			if t == s || inSet[t] || spd.Sigma[t] == 0 {
-				continue
-			}
-			total += 1 - avoid[t]/spd.Sigma[t]
-		}
-	}
-	return total / (float64(outside) * float64(outside-1)), nil
 }

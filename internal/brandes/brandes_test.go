@@ -1,6 +1,8 @@
 package brandes
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -238,7 +240,10 @@ func TestDependencyVector(t *testing.T) {
 		t.Fatal("center's own entry must be 0")
 	}
 	// Parallel agrees with serial.
-	depP := DependencyVectorParallel(g, 0, 3)
+	depP, err := DependencyVectorParallelContext(context.Background(), g, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range dep {
 		if dep[v] != depP[v] {
 			t.Fatal("parallel dependency vector differs")
@@ -467,4 +472,80 @@ func BenchmarkDependencyOnTargetIdentity(b *testing.B) {
 		vb.Run(v)
 		DependencyOnTargetIdentity(vb, ts, v)
 	}
+}
+
+// Dependencies returns δ_source•(·) as a fresh slice, running one
+// traversal + accumulation on c.
+func Dependencies(c *sssp.Computer, source int) []float64 {
+	spd := c.Run(source)
+	delta := make([]float64, c.Graph().N())
+	Accumulate(c.Graph(), spd, delta)
+	return delta
+}
+
+// GroupBC computes the group betweenness centrality of set (Everett &
+// Borgatti [15]): the normalised fraction of shortest paths between
+// pairs outside the set that pass through at least one member. Computed
+// exactly in O(nm) by counting, per source, the shortest paths that
+// avoid the set (a DP over the SPD) and subtracting.
+func GroupBC(g *graph.Graph, set []int) (float64, error) {
+	n := g.N()
+	inSet := make([]bool, n)
+	for _, v := range set {
+		if v < 0 || v >= n {
+			return 0, fmt.Errorf("brandes: GroupBC vertex %d out of range", v)
+		}
+		if inSet[v] {
+			return 0, fmt.Errorf("brandes: GroupBC vertex %d repeated", v)
+		}
+		inSet[v] = true
+	}
+	outside := n - len(set)
+	if outside < 2 {
+		return 0, nil
+	}
+	c := sssp.NewComputer(g)
+	avoid := make([]float64, n) // σ̃: shortest paths from s avoiding the set
+	var total float64
+	for s := 0; s < n; s++ {
+		if inSet[s] {
+			continue
+		}
+		spd := c.Run(s)
+		for i := range avoid {
+			avoid[i] = 0
+		}
+		avoid[s] = 1
+		// Forward DP in distance order: σ̃_v = Σ_{parents u} σ̃_u,
+		// zeroed at set members.
+		for _, v := range spd.Order {
+			if v == s {
+				continue
+			}
+			if inSet[v] {
+				avoid[v] = 0
+				continue
+			}
+			ns := g.Neighbors(v)
+			ws := g.NeighborWeights(v)
+			var sum float64
+			for j, u := range ns {
+				wt := 1.0
+				if ws != nil {
+					wt = ws[j]
+				}
+				if spd.OnShortestPath(u, v, wt) {
+					sum += avoid[u]
+				}
+			}
+			avoid[v] = sum
+		}
+		for t := 0; t < n; t++ {
+			if t == s || inSet[t] || spd.Sigma[t] == 0 {
+				continue
+			}
+			total += 1 - avoid[t]/spd.Sigma[t]
+		}
+	}
+	return total / (float64(outside) * float64(outside-1)), nil
 }

@@ -106,22 +106,12 @@ func DependencyOnTargetRow(row *sssp.Row, ts *sssp.TargetSPD) float64 {
 	return sum
 }
 
-// DependencyColumnIdentity fills out[v] = δ_v•(ts.Target) for every
-// vertex, running one BFS per source on vb. It is the identity-path
-// equivalent of n DependencyOnTarget calls sharing one target snapshot
-// — the kernel DependencyVectorParallel uses on unweighted undirected
-// graphs.
-func DependencyColumnIdentity(vb *sssp.BFS, ts *sssp.TargetSPD, out []float64, from, to, stride int) {
-	for v := from; v < to; v += stride {
-		vb.Run(v)
-		out[v] = DependencyOnTargetIdentity(vb, ts, v)
-	}
-}
-
-// dependencyColumnIdentityContext is DependencyColumnIdentity polling
-// ctx before every source traversal (each is a full BFS, so the check
-// is free by comparison); on cancellation it stops with ctx's error and
-// out left partially filled.
+// dependencyColumnIdentityContext fills out[v] = δ_v•(ts.Target) for
+// v = from, from+stride, … < to, running one BFS per source on vb: the
+// identity-path equivalent of DependencyOnTarget calls sharing one
+// target snapshot. It polls ctx before every source traversal (each is
+// a full BFS, so the check is free by comparison); on cancellation it
+// stops with ctx's error and out left partially filled.
 func dependencyColumnIdentityContext(ctx context.Context, vb *sssp.BFS, ts *sssp.TargetSPD, out []float64, from, to, stride int) error {
 	for v := from; v < to; v += stride {
 		if err := ctx.Err(); err != nil {
@@ -133,21 +123,13 @@ func dependencyColumnIdentityContext(ctx context.Context, vb *sssp.BFS, ts *sssp
 	return nil
 }
 
-// DependencyVectorWithTarget is the identity-route dependency column
-// for a prebuilt target-side snapshot: callers that already hold ts —
-// the per-target cache inside mcmc.BufferPool — skip even the one
-// target-side BFS. g must be the unweighted undirected graph ts was
-// built on; workers as in DependencyVectorParallel.
-func DependencyVectorWithTarget(g *graph.Graph, ts *sssp.TargetSPD, workers int) []float64 {
-	out, _ := DependencyVectorWithTargetContext(context.Background(), g, ts, workers)
-	return out
-}
-
-// DependencyVectorWithTargetContext is DependencyVectorWithTarget under
-// a context: every worker polls ctx between source traversals, so a
-// cancelled O(nm) column computation stops within one BFS per worker
-// instead of running to completion. On cancellation the returned slice
-// is nil and the error is ctx's.
+// DependencyVectorWithTargetContext is the identity-route dependency
+// column δ_·•(ts.Target) against a caller-supplied target snapshot,
+// fanned over workers goroutines (0 = GOMAXPROCS). g must be
+// undirected and unweighted. Every worker polls ctx between source
+// traversals, so a cancelled O(nm) column computation stops within one
+// BFS per worker instead of running to completion. On cancellation the
+// returned slice is nil and the error is ctx's.
 func DependencyVectorWithTargetContext(ctx context.Context, g *graph.Graph, ts *sssp.TargetSPD, workers int) ([]float64, error) {
 	n := g.N()
 	out := make([]float64, n)
@@ -243,19 +225,9 @@ func DependencyOnTargetRowWeighted(row *sssp.Row, ts *sssp.WeightedTargetSPD) fl
 	return sum
 }
 
-// DependencyColumnIdentityWeighted fills out[v] = δ_v•(ts.Target) for
-// every vertex, running one Dijkstra per source on vd — the weighted
-// identity-path equivalent of n DependencyOnTarget calls sharing one
-// target snapshot.
-func DependencyColumnIdentityWeighted(vd *sssp.Dijkstra, ts *sssp.WeightedTargetSPD, out []float64, from, to, stride int) {
-	for v := from; v < to; v += stride {
-		vd.Run(v)
-		out[v] = DependencyOnTargetIdentityWeighted(vd, ts, v)
-	}
-}
-
 // dependencyColumnIdentityWeightedContext is
-// DependencyColumnIdentityWeighted polling ctx before every source
+// dependencyColumnIdentityContext on a weighted undirected graph: one
+// Dijkstra run per source on vd. It polls ctx before every source
 // traversal; on cancellation it stops with ctx's error and out left
 // partially filled.
 func dependencyColumnIdentityWeightedContext(ctx context.Context, vd *sssp.Dijkstra, ts *sssp.WeightedTargetSPD, out []float64, from, to, stride int) error {
@@ -269,20 +241,12 @@ func dependencyColumnIdentityWeightedContext(ctx context.Context, vd *sssp.Dijks
 	return nil
 }
 
-// DependencyVectorWithWeightedTarget is the weighted identity-route
-// dependency column for a prebuilt target-side snapshot — the analog of
-// DependencyVectorWithTarget for weighted undirected graphs. g must be
-// the graph ts was built on; workers as in DependencyVectorParallel.
-func DependencyVectorWithWeightedTarget(g *graph.Graph, ts *sssp.WeightedTargetSPD, workers int) []float64 {
-	out, _ := DependencyVectorWithWeightedTargetContext(context.Background(), g, ts, workers)
-	return out
-}
-
-// DependencyVectorWithWeightedTargetContext is
-// DependencyVectorWithWeightedTarget under a context: every worker
-// polls ctx between source traversals, so a cancelled column
-// computation stops within one Dijkstra per worker. On cancellation the
-// returned slice is nil and the error is ctx's.
+// DependencyVectorWithWeightedTargetContext is the weighted
+// identity-route dependency column: DependencyVectorWithTargetContext
+// for weighted undirected graphs. Every worker polls ctx between
+// source traversals, so a cancelled column computation stops within
+// one Dijkstra per worker. On cancellation the returned slice is nil
+// and the error is ctx's.
 func DependencyVectorWithWeightedTargetContext(ctx context.Context, g *graph.Graph, ts *sssp.WeightedTargetSPD, workers int) ([]float64, error) {
 	n := g.N()
 	out := make([]float64, n)

@@ -51,23 +51,6 @@ func AccumulateStress(g *graph.Graph, spd *sssp.SPD, delta []float64) {
 	delta[spd.Source] = 0
 }
 
-// StressAll computes exact stress centrality for every vertex (ordered
-// pair counts; halve for unordered on undirected graphs).
-func StressAll(g *graph.Graph) []float64 {
-	n := g.N()
-	out := make([]float64, n)
-	c := sssp.NewComputer(g)
-	delta := make([]float64, n)
-	for s := 0; s < n; s++ {
-		spd := c.Run(s)
-		AccumulateStress(g, spd, delta)
-		for v := 0; v < n; v++ {
-			out[v] += delta[v]
-		}
-	}
-	return out
-}
-
 // StressDependencyOnTarget returns δS_source•(target): one traversal.
 func StressDependencyOnTarget(c *sssp.Computer, scratch []float64, source, target int) float64 {
 	spd := c.Run(source)

@@ -141,3 +141,20 @@ func TestAccumulateStressPanics(t *testing.T) {
 	}()
 	AccumulateStress(g, spd, make([]float64, 1))
 }
+
+// StressAll computes exact stress centrality for every vertex (ordered
+// pair counts; halve for unordered on undirected graphs).
+func StressAll(g *graph.Graph) []float64 {
+	n := g.N()
+	out := make([]float64, n)
+	c := sssp.NewComputer(g)
+	delta := make([]float64, n)
+	for s := 0; s < n; s++ {
+		spd := c.Run(s)
+		AccumulateStress(g, spd, delta)
+		for v := 0; v < n; v++ {
+			out[v] += delta[v]
+		}
+	}
+	return out
+}

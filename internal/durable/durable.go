@@ -210,16 +210,10 @@ func NewManager(opts Options) (*Manager, error) {
 	return &Manager{opts: opts, fs: opts.FS}, nil
 }
 
-// Dir returns the manager's root data directory.
-func (m *Manager) Dir() string { return m.opts.Dir }
-
 // Logf forwards to the manager's warning logger (Options.Logf), letting
 // callers above the durable layer (boot-time recovery in the store)
 // route their warnings to the same sink.
 func (m *Manager) Logf(format string, args ...any) { m.opts.Logf(format, args...) }
-
-// Fsync returns the manager's WAL fsync policy.
-func (m *Manager) Fsync() FsyncPolicy { return m.opts.Fsync }
 
 func (m *Manager) sessionDir(id string) string { return filepath.Join(m.opts.Dir, id) }
 
@@ -467,10 +461,6 @@ type Recovered struct {
 	// discontinuous record (the tail was discarded).
 	Torn bool
 }
-
-// IsNotExist reports whether err (from Recover) means the session has
-// no durable state at all, as opposed to unreadable state.
-func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
 // Recover rebuilds session id from its durable files: snapshot, then
 // version-continuous replay of any mid-compaction previous WAL and the

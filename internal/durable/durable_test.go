@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -502,3 +503,10 @@ func TestCompactRateDefaults(t *testing.T) {
 		}
 	}
 }
+
+// Dir returns the manager's root data directory.
+func (m *Manager) Dir() string { return m.opts.Dir }
+
+// IsNotExist reports whether err (from Recover) means the session has
+// no durable state at all, as opposed to unreadable state.
+func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }

@@ -46,8 +46,8 @@ func (f Fault) String() string {
 
 // FaultFS wraps an FS and injects one configured fault at the N-th
 // write-path operation (1-based), counting MkdirAll, Create,
-// OpenAppend, Write, Sync, Rename, Remove, RemoveAll, Truncate, and
-// SyncDir calls. With no fault armed it is a transparent
+// OpenAppend, Write, Sync, Rename, Remove, RemoveAll and SyncDir
+// calls. With no fault armed it is a transparent
 // operation-counting wrapper, which is how the kill-point sweep first
 // measures how many kill points a scenario has. Safe for concurrent
 // use.
@@ -204,13 +204,6 @@ func (f *FaultFS) RemoveAll(path string) error {
 		return err
 	}
 	return f.inner.RemoveAll(path)
-}
-
-func (f *FaultFS) Truncate(path string, size int64) error {
-	if inject, _, err := f.step("Truncate"); inject {
-		return err
-	}
-	return f.inner.Truncate(path, size)
 }
 
 func (f *FaultFS) SyncDir(dir string) error {

@@ -38,8 +38,6 @@ type FS interface {
 	Remove(path string) error
 	// RemoveAll deletes path and everything beneath it.
 	RemoveAll(path string) error
-	// Truncate cuts the file at path to size bytes.
-	Truncate(path string, size int64) error
 	// SyncDir fsyncs the directory entry table at dir, making renames
 	// and creations within it durable.
 	SyncDir(dir string) error
@@ -99,9 +97,6 @@ func (osFS) OpenAppend(path string, trunc bool) (File, error) {
 func (osFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 func (osFS) Remove(path string) error             { return os.Remove(path) }
 func (osFS) RemoveAll(path string) error          { return os.RemoveAll(path) }
-func (osFS) Truncate(path string, size int64) error {
-	return os.Truncate(path, size)
-}
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -11,7 +11,7 @@ import (
 	"bcmh/internal/rng"
 )
 
-// BatchOptions configures EstimateBatch.
+// BatchOptions configures EstimateBatchContext.
 type BatchOptions struct {
 	// Estimation carries the per-target estimation options. Its Seed
 	// field is ignored: each target's chain seed is derived from the
@@ -37,29 +37,23 @@ type BatchResult struct {
 	Estimate core.Estimate
 }
 
-// SeedFor returns the chain seed EstimateBatch uses for one target
-// under a request seed. Exported so a single Estimate call can
-// reproduce any batch entry exactly.
+// SeedFor returns the chain seed EstimateBatchContext uses for one
+// target under a request seed. Exported so a single EstimateContext
+// call can reproduce any batch entry exactly.
 func SeedFor(seed uint64, target int) uint64 {
 	return rng.New(seed).Split("target-" + strconv.Itoa(target)).Uint64()
 }
 
-// EstimateBatch estimates every target in targets over a worker pool,
-// sharing the engine's μ-cache, result cache, and buffer pool across
-// workers. Duplicate targets are dispatched once — they would use the
-// same derived seed anyway, and fanning the one estimate to every
-// occurrence avoids racing workers redundantly computing the same
-// chain. Results come back in request order; the first estimation
-// error (if any) aborts with that error.
-func (e *Engine) EstimateBatch(targets []int, opts BatchOptions) ([]BatchResult, error) {
-	return e.EstimateBatchContext(context.Background(), targets, opts)
-}
-
-// EstimateBatchContext is EstimateBatch under a context: cancellation
-// aborts the in-flight per-target chains (each worker estimates through
-// the snapshot-pinned estimation path) and stops dispatching queued
-// targets, returning ctx's error. A batch that completes is
-// bit-identical to EstimateBatch. The whole batch runs on the one
+// EstimateBatchContext estimates every target in targets over a worker
+// pool, sharing the engine's μ-cache, result cache, and buffer pool
+// across workers. Duplicate targets are dispatched once — they would
+// use the same derived seed anyway, and fanning the one estimate to
+// every occurrence avoids racing workers redundantly computing the
+// same chain. Results come back in request order; the first estimation
+// error (if any) aborts with that error. Cancellation aborts the
+// in-flight per-target chains (each worker estimates through the
+// snapshot-pinned estimation path) and stops dispatching queued
+// targets, returning ctx's error. The whole batch runs on the one
 // graph snapshot current at entry: a SwapGraph landing mid-batch
 // affects no target of it, so a batch's results are always mutually
 // consistent (one version).

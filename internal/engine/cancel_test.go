@@ -76,7 +76,7 @@ func TestExactBCOfContextCancellableWhileMuComputes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := e.ExactBCOfContext(ctx, 0)
+	_, err := e.MuStatsContext(ctx, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -84,7 +84,7 @@ func TestExactBCOfContextCancellableWhileMuComputes(t *testing.T) {
 		t.Fatalf("cancelled exact query waited %v", elapsed)
 	}
 	// The abandoned computation still lands in the μ-cache.
-	if _, err := e.ExactBCOf(0); err != nil {
+	if _, err := e.MuStatsContext(context.Background(), 0); err != nil {
 		t.Fatalf("background μ computation failed: %v", err)
 	}
 	if st := e.Stats(); st.MuMisses != 1 || st.MuHits != 1 {
@@ -104,7 +104,7 @@ func TestLifecycleCancelAbortsDetachedMuComputation(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.MuStats(0)
+		_, err := e.MuStatsContext(context.Background(), 0)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the computation start
@@ -126,7 +126,7 @@ func TestEstimateContextCacheHitSurvivesCancelledContext(t *testing.T) {
 	e := newKarateEngine(t)
 	opts := plannedOpts()
 	opts.Seed = 12
-	want, err := e.Estimate(0, opts)
+	want, err := e.EstimateContext(context.Background(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,13 +51,17 @@
 // invalidated. InstallCompacted swaps in the background-folded CSR of
 // the serving version without changing anything logical.
 //
-// Engine.Estimate serves one target; Engine.EstimateBatch fans a target
-// list over a bounded worker pool with per-target seeds derived
+// There is one exported method per job. EstimateContext serves one
+// target. MuStatsContext returns a target's exact profile, whose BC
+// field is the exact value. EstimateBatchContext fans a target list
+// over a bounded worker pool with per-target seeds derived
 // deterministically from one request seed, so batch results are
 // reproducible and independent of scheduling (the whole batch runs on
-// the one snapshot captured at entry). Engine.Stats exposes the cache,
-// version, and in-flight counters; server.go wraps it all in the
-// HTTP/JSON surface cmd/bcserve serves.
+// the one snapshot captured at entry). Each is the bc case of a
+// snapshot-pinned, measure-generic path (estimateOn, muStatsOn), which
+// the HTTP handlers in server.go call directly. Engine.Stats exposes
+// the cache, version, and in-flight counters; server.go wraps it all
+// in the HTTP/JSON surface internal/store mounts per session.
 package engine
 
 import (
@@ -90,18 +94,6 @@ type Config struct {
 	// lifecycle context here so an evicted graph stops consuming CPU.
 	// Nil means context.Background (background work always completes).
 	Lifecycle context.Context
-	// DegreeRelabel, when true, renumbers the prepared graph's vertices
-	// in degree-descending order (graph.RelabelByDegree) before
-	// serving, so the public CSR itself — not just the traversal
-	// kernels' private layouts — streams hub rows first. The relabeling
-	// composes with the largest-component extraction through Mapping(),
-	// which keeps translating engine ids back to the caller's original
-	// ids; requests address engine ids either way. Estimates on a
-	// relabeled engine are the same graph isomorphism-invariantly but
-	// not bit-identically (chain targets and seeds land on renumbered
-	// vertices), so leave it off where golden reproducibility against
-	// an unrelabeled run matters.
-	DegreeRelabel bool
 }
 
 // snapshot is one immutable serving state: a graph version, the CSR it
@@ -178,22 +170,6 @@ func NewWithConfig(g *graph.Graph, cfg Config) (*Engine, error) {
 	prepared, mapping, err := core.Prepare(g)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DegreeRelabel {
-		rel, newToOld, rerr := graph.RelabelByDegree(prepared)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if mapping == nil {
-			mapping = newToOld
-		} else {
-			composed := make([]int, len(newToOld))
-			for v, p := range newToOld {
-				composed[v] = mapping[p]
-			}
-			mapping = composed
-		}
-		prepared = rel
 	}
 	size := cfg.ResultCacheSize
 	if size == 0 {
@@ -410,35 +386,23 @@ func (e *Engine) InstallCompacted(next *graph.Graph) error {
 	return nil
 }
 
-// MuStats returns the exact concentration profile μ(r) (and with it the
-// exact BC(r)) of target r, computing it at most once per graph
-// version (less, when retention carries entries across versions).
-// Concurrent first calls for the same target block on a single
-// computation; every later call is a cache hit.
-func (e *Engine) MuStats(r int) (mcmc.MuStats, error) {
-	return e.MuStatsContext(context.Background(), r)
-}
-
-// MuStatsContext is MuStats under a context. The O(nm) computation
-// itself is shared across requesters and runs to completion in a
-// detached goroutine (abandoned work still warms the cache), but a
-// requester whose ctx is cancelled stops waiting and returns ctx's
-// error immediately — so exact-BC and planned-steps requests are
-// cancellable even while μ is being derived.
+// MuStatsContext returns the exact concentration profile μ(r) (and with
+// it the exact BC(r)) of target r on the serving snapshot. It is the bc
+// case of muStatsOn.
 func (e *Engine) MuStatsContext(ctx context.Context, r int) (mcmc.MuStats, error) {
 	return e.muStatsOn(ctx, e.current(), measure.Spec{}, r)
 }
 
-// MeasureStatsContext is MuStatsContext for an arbitrary measure: the
-// exact concentration profile of spec at r (MuStats.BC holds the exact
-// value under the shared Σd/(n(n−1)) normalisation), cached per
-// (measure, vertex) with the same single-computation semantics. The
-// zero spec is exactly MuStatsContext.
-func (e *Engine) MeasureStatsContext(ctx context.Context, spec measure.Spec, r int) (mcmc.MuStats, error) {
-	return e.muStatsOn(ctx, e.current(), spec, r)
-}
-
-// muStatsOn is MeasureStatsContext pinned to one snapshot.
+// muStatsOn returns the exact concentration profile of spec at r on
+// snapshot sn (MuStats.BC holds the exact value under the shared
+// Σd/(n(n−1)) normalisation; it is what /exact serves). It is computed
+// at most once per (measure, vertex) and snapshot (less, when
+// retention carries entries across versions). The O(nm) computation is
+// shared across requesters and runs to completion in a detached
+// goroutine (abandoned work still warms the cache), but a requester
+// whose ctx is cancelled stops waiting and returns ctx's error
+// immediately — so exact and planned-steps requests are cancellable
+// even while μ is being derived.
 func (e *Engine) muStatsOn(ctx context.Context, sn *snapshot, spec measure.Spec, r int) (mcmc.MuStats, error) {
 	if err := sn.checkVertex(r); err != nil {
 		return mcmc.MuStats{}, err
@@ -478,67 +442,24 @@ func (e *Engine) muStatsOn(ctx context.Context, sn *snapshot, spec measure.Spec,
 	}
 }
 
-// ExactBCOf returns the exact betweenness of r, served from the μ-cache
-// (MuExact's dependency column yields BC(r) as a by-product), so
-// repeated exact queries for one vertex cost one O(nm) evaluation
-// total. This is the engine's /exact path.
-func (e *Engine) ExactBCOf(r int) (float64, error) {
-	return e.ExactBCOfContext(context.Background(), r)
-}
-
-// ExactBCOfContext is ExactBCOf under a context (see MuStatsContext for
-// the cancellation semantics).
-func (e *Engine) ExactBCOfContext(ctx context.Context, r int) (float64, error) {
-	ms, err := e.MuStatsContext(ctx, r)
-	if err != nil {
-		return 0, err
-	}
-	return ms.BC, nil
-}
-
-// ExactMeasureOfContext returns the exact value of spec's centrality at
-// r, served from the (measure, vertex) μ-cache exactly like
-// ExactBCOfContext serves bc — the exact column derived for planning
-// yields the value as a by-product, so repeated exact queries cost one
-// evaluation total.
-func (e *Engine) ExactMeasureOfContext(ctx context.Context, spec measure.Spec, r int) (float64, error) {
-	ms, err := e.MeasureStatsContext(ctx, spec, r)
-	if err != nil {
-		return 0, err
-	}
-	return ms.BC, nil
-}
-
-// Estimate estimates the betweenness of vertex r under opts, sharing
-// the engine's μ-cache, result cache, and buffer pool. Results are
-// bit-identical to core.EstimateBC with the same options and seed on
-// the snapshot's graph.
-func (e *Engine) Estimate(r int, opts core.Options) (core.Estimate, error) {
-	return e.EstimateContext(context.Background(), r, opts)
-}
-
-// EstimateContext is Estimate under a context: a cancelled ctx aborts
-// the in-flight chains promptly with ctx's error instead of letting
-// them run to their full step budget (the serving layer passes each
-// request's context here, so a disconnected client or an evicted
-// session stops consuming CPU). Cache lookups are unaffected — a hit is
-// served even under a cancelled context — and aborted runs are never
-// cached. The request runs entirely on the snapshot current at entry:
-// a SwapGraph mid-estimate neither perturbs nor aborts it.
+// EstimateContext estimates the betweenness of vertex r under opts on
+// the serving snapshot. It is the bc case of estimateOn.
 func (e *Engine) EstimateContext(ctx context.Context, r int, opts core.Options) (core.Estimate, error) {
 	return e.estimateOn(ctx, e.current(), measure.Spec{}, r, opts)
 }
 
-// EstimateMeasureContext is EstimateContext for an arbitrary measure:
-// identical caching, planning, snapshot-isolation, and cancellation
-// semantics, with the result LRU and μ-cache keyed by (measure,
-// vertex) so measures never answer each other's requests. The zero
-// spec is exactly EstimateContext.
-func (e *Engine) EstimateMeasureContext(ctx context.Context, spec measure.Spec, r int, opts core.Options) (core.Estimate, error) {
-	return e.estimateOn(ctx, e.current(), spec, r, opts)
-}
-
-// estimateOn is EstimateMeasureContext pinned to one snapshot.
+// estimateOn estimates spec's centrality at r under opts on snapshot
+// sn, sharing the engine's μ-cache, result cache, and buffer pool.
+// Bc results are bit-identical to core.EstimateBC with the same
+// options and seed on the snapshot's graph. A cancelled ctx aborts the
+// in-flight chains promptly with ctx's error instead of letting them
+// run to their full step budget (the serving layer passes each
+// request's context here, so a disconnected client or an evicted
+// session stops consuming CPU). Cache lookups are unaffected — a hit
+// is served even under a cancelled context — and aborted runs are
+// never cached. The result LRU and μ-cache are keyed by (measure,
+// vertex), so measures never answer each other's requests. A SwapGraph
+// mid-estimate neither perturbs nor aborts the run.
 func (e *Engine) estimateOn(ctx context.Context, sn *snapshot, spec measure.Spec, r int, opts core.Options) (core.Estimate, error) {
 	if err := sn.checkVertex(r); err != nil {
 		return core.Estimate{}, err
@@ -614,7 +535,7 @@ type Stats struct {
 	// InFlight is the number of estimations running right now.
 	InFlight int64 `json:"in_flight"`
 	// Estimates counts completed chain estimations (cache hits
-	// excluded); Batches counts EstimateBatch requests.
+	// excluded); Batches counts EstimateBatchContext requests.
 	Estimates uint64 `json:"estimates"`
 	Batches   uint64 `json:"batches"`
 }

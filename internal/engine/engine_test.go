@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestEstimateMatchesCore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.Estimate(r, opts)
+				got, err := e.EstimateContext(context.Background(), r, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +79,7 @@ func TestEstimateZeroBCVertex(t *testing.T) {
 	// Karate vertex 11 hangs off vertex 0 alone: BC = 0, and the
 	// planned path must short-circuit without running a chain.
 	e := newKarateEngine(t)
-	est, err := e.Estimate(11, plannedOpts())
+	est, err := e.EstimateContext(context.Background(), 11, plannedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +90,13 @@ func TestEstimateZeroBCVertex(t *testing.T) {
 
 func TestEstimateVertexOutOfRange(t *testing.T) {
 	e := newKarateEngine(t)
-	if _, err := e.Estimate(34, plannedOpts()); err == nil {
+	if _, err := e.EstimateContext(context.Background(), 34, plannedOpts()); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
-	if _, err := e.Estimate(-1, plannedOpts()); err == nil {
+	if _, err := e.EstimateContext(context.Background(), -1, plannedOpts()); err == nil {
 		t.Fatal("negative vertex accepted")
 	}
-	if _, err := e.EstimateBatch([]int{0, 99}, BatchOptions{Estimation: plannedOpts()}); err == nil {
+	if _, err := e.EstimateBatchContext(context.Background(), []int{0, 99}, BatchOptions{Estimation: plannedOpts()}); err == nil {
 		t.Fatal("batch with out-of-range target accepted")
 	}
 }
@@ -104,11 +105,11 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	e := newKarateEngine(t)
 	opts := plannedOpts()
 	opts.Seed = 3
-	first, err := e.Estimate(0, opts)
+	first, err := e.EstimateContext(context.Background(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Estimate(0, opts)
+	second, err := e.EstimateContext(context.Background(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	}
 	// Explicit defaults and zero-valued fields are the same request.
 	explicit := core.Options{Epsilon: 0.05, Delta: 0.1, MaxSteps: 512, Chains: 1, Seed: 3}
-	if _, err := e.Estimate(0, explicit); err != nil {
+	if _, err := e.EstimateContext(context.Background(), 0, explicit); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.ResultHits != 2 {
@@ -129,7 +130,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	}
 	// A different seed is a different request.
 	opts.Seed = 4
-	if _, err := e.Estimate(0, opts); err != nil {
+	if _, err := e.EstimateContext(context.Background(), 0, opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Estimates != 2 {
@@ -152,7 +153,7 @@ func TestConcurrentEstimatesShareOneMu(t *testing.T) {
 			defer wg.Done()
 			opts := plannedOpts()
 			opts.Seed = uint64(i + 1)
-			_, errs[i] = e.Estimate(0, opts)
+			_, errs[i] = e.EstimateContext(context.Background(), 0, opts)
 		}(i)
 	}
 	wg.Wait()
@@ -181,7 +182,7 @@ func batchValues(t *testing.T, targets []int, opts BatchOptions) []float64 {
 	// A fresh engine per run: determinism must come from seeds, not
 	// from cache state left by a previous run.
 	e := newKarateEngine(t)
-	results, err := e.EstimateBatch(targets, opts)
+	results, err := e.EstimateBatchContext(context.Background(), targets, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestBatchEntryReproducibleViaEstimate(t *testing.T) {
 	e := newKarateEngine(t)
 	targets := []int{0, 2, 33}
 	opts := BatchOptions{Estimation: plannedOpts(), Seed: 5}
-	results, err := e.EstimateBatch(targets, opts)
+	results, err := e.EstimateBatchContext(context.Background(), targets, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestBatchEntryReproducibleViaEstimate(t *testing.T) {
 	for i, r := range targets {
 		o := plannedOpts()
 		o.Seed = SeedFor(opts.Seed, r)
-		est, err := single.Estimate(r, o)
+		est, err := single.EstimateContext(context.Background(), r, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +271,7 @@ func TestEstimateMatchesCoreWeighted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Estimate(r, opts)
+		got, err := e.EstimateContext(context.Background(), r, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestEstimateMatchesCoreWeighted(t *testing.T) {
 		}
 	}
 	targets := []int{0, 2, 33, 0, 2, 33}
-	results, err := e.EstimateBatch(targets, BatchOptions{Estimation: plannedOpts(), Seed: 5, Concurrency: 4})
+	results, err := e.EstimateBatchContext(context.Background(), targets, BatchOptions{Estimation: plannedOpts(), Seed: 5, Concurrency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestEstimateMatchesCoreWeighted(t *testing.T) {
 	for i, r := range targets {
 		o := plannedOpts()
 		o.Seed = SeedFor(5, r)
-		est, err := single.Estimate(r, o)
+		est, err := single.EstimateContext(context.Background(), r, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestBatchSharesWorkAcrossDuplicates(t *testing.T) {
 	// LRU-only design misses: racing workers would recompute them).
 	targets := []int{0, 2, 31, 33, 0, 2, 31, 33, 0, 2, 31, 33, 0, 2, 31, 33}
 	e := newKarateEngine(t)
-	results, err := e.EstimateBatch(targets, BatchOptions{Estimation: plannedOpts(), Seed: 1, Concurrency: 8})
+	results, err := e.EstimateBatchContext(context.Background(), targets, BatchOptions{Estimation: plannedOpts(), Seed: 1, Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestBatchSharesWorkAcrossDuplicates(t *testing.T) {
 		}
 	}
 	// A second identical batch is all result-cache hits.
-	if _, err := e.EstimateBatch(targets, BatchOptions{Estimation: plannedOpts(), Seed: 1, Concurrency: 8}); err != nil {
+	if _, err := e.EstimateBatchContext(context.Background(), targets, BatchOptions{Estimation: plannedOpts(), Seed: 1, Concurrency: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Estimates != 4 || st.ResultHits != 4 {
@@ -341,14 +342,14 @@ func TestOptionsNormalizationUnifiesCacheKeys(t *testing.T) {
 	e := newKarateEngine(t)
 	canonical := plannedOpts()
 	canonical.Seed = 6
-	if _, err := e.Estimate(0, canonical); err != nil {
+	if _, err := e.EstimateContext(context.Background(), 0, canonical); err != nil {
 		t.Fatal(err)
 	}
 	odd := canonical
 	odd.Steps = -1
 	odd.Chains = -2
 	odd.MuBound = -0.5
-	est, err := e.Estimate(0, odd)
+	est, err := e.EstimateContext(context.Background(), 0, odd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestCachedPerChainIsDetached(t *testing.T) {
 	// cache.
 	e := newKarateEngine(t)
 	opts := core.Options{Steps: 200, Chains: 3, Seed: 8}
-	first, err := e.Estimate(0, opts)
+	first, err := e.EstimateContext(context.Background(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestCachedPerChainIsDetached(t *testing.T) {
 	}
 	want := first.PerChain[0].Estimate
 	first.PerChain[0].Estimate = -42
-	second, err := e.Estimate(0, opts)
+	second, err := e.EstimateContext(context.Background(), 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestCachedPerChainIsDetached(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	e := newKarateEngine(t)
-	results, err := e.EstimateBatch(nil, BatchOptions{Estimation: plannedOpts()})
+	results, err := e.EstimateBatchContext(context.Background(), nil, BatchOptions{Estimation: plannedOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +471,12 @@ func TestPooledBuffersDoNotPerturbChains(t *testing.T) {
 	for i, r := range order {
 		opts := plannedOpts()
 		opts.Seed = rnd.Uint64()
-		got, err := shared.Estimate(r, opts)
+		got, err := shared.EstimateContext(context.Background(), r, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh := newKarateEngine(t)
-		want, err := fresh.Estimate(r, opts)
+		want, err := fresh.EstimateContext(context.Background(), r, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

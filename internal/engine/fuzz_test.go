@@ -81,7 +81,7 @@ func FuzzEstimateRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	h := NewServer(newKarateEngine(f))
+	h := NewServerWithLabels(newKarateEngine(f), nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req EstimateRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil &&
@@ -113,7 +113,7 @@ func FuzzBatchRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	h := NewServer(newKarateEngine(f))
+	h := NewServerWithLabels(newKarateEngine(f), nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req BatchRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil &&

@@ -51,7 +51,7 @@ func TestGoldenKarateExactBC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(e))
+	srv := httptest.NewServer(NewServerWithLabels(e, nil))
 	defer srv.Close()
 	for v, nx := range karateGoldenNX {
 		want := repoFromNX(nx, n)

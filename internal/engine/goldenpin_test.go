@@ -95,7 +95,7 @@ func TestGoldenWeightedBCPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(e))
+	srv := httptest.NewServer(NewServerWithLabels(e, nil))
 	t.Cleanup(srv.Close)
 	est := func(body string) func() []byte {
 		return func() []byte { return postRaw(t, srv.URL+"/estimate", body) }

@@ -36,7 +36,7 @@ func TestServerEstimateMeasures(t *testing.T) {
 			if resp.Measure != tc.name || resp.MeasureK != tc.wantK {
 				t.Fatalf("measure echo %q/%d, want %q/%d", resp.Measure, resp.MeasureK, tc.name, tc.wantK)
 			}
-			want, err := e.EstimateMeasureContext(context.Background(), tc.spec, 0, core.Options{Steps: 256, Seed: 5})
+			want, err := e.estimateOn(context.Background(), e.current(), tc.spec, 0, core.Options{Steps: 256, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,12 +120,12 @@ func TestServerExactMeasure(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/exact/0?measure=coverage", &resp); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	want, err := e.ExactMeasureOfContext(context.Background(), measure.Spec{Kind: measure.Coverage}, 0)
+	want, err := e.muStatsOn(context.Background(), e.current(), measure.Spec{Kind: measure.Coverage}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Value != want || resp.Measure != "coverage" || resp.K != 0 {
-		t.Fatalf("coverage exact %+v, want value %v", resp, want)
+	if resp.Value != want.BC || resp.Measure != "coverage" || resp.K != 0 {
+		t.Fatalf("coverage exact %+v, want value %v", resp, want.BC)
 	}
 
 	if code := getJSON(t, srv.URL+"/exact/0?measure=kpath&k=3", &resp); code != http.StatusOK {
@@ -140,12 +140,12 @@ func TestServerExactMeasure(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/exact/0?measure=bc", &legacy); code != http.StatusOK {
 		t.Fatalf("bc exact status %d", code)
 	}
-	exact, err := e.ExactBCOf(0)
+	exact, err := e.MuStatsContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.BC != exact {
-		t.Fatalf("bc exact %v, want %v", legacy.BC, exact)
+	if legacy.BC != exact.BC {
+		t.Fatalf("bc exact %v, want %v", legacy.BC, exact.BC)
 	}
 
 	var errResp map[string]string

@@ -152,26 +152,22 @@ func parseEstimator(name string) (mcmc.EstimatorKind, error) {
 	}
 }
 
-// NewServer returns the HTTP handler cmd/bcserve mounts over e:
+// NewServerWithLabels returns the HTTP handler internal/store mounts
+// over each session's engine e:
 //
 //	POST /estimate        estimate one vertex (EstimateRequest)
 //	POST /estimate/batch  estimate a target list (BatchRequest)
-//	GET  /exact/{v}       exact betweenness of v (μ-cache by-product)
+//	GET  /exact/{v}       exact value at v (μ-cache by-product)
 //	GET  /stats           engine counters and graph size
 //
-// Request and response vertices are the prepared graph's ids, [0, n).
-func NewServer(e *Engine) http.Handler {
-	return NewServerWithLabels(e, nil)
-}
-
-// NewServerWithLabels is NewServer with requests addressed by original
-// input labels instead of engine vertex ids: labels[i] is the original
-// label of engine vertex i (the composition of edge-list compaction and
-// largest-component extraction). Responses report the same labels.
-// Edge-list readers compact labels in first-appearance order, so even a
-// file whose labels are already 0..n-1 usually ends up relabelled —
-// cmd/bcserve always serves labels so "vertex": 33 means the file's
-// vertex 33.
+// Requests are addressed by original input labels: labels[i] is the
+// original label of engine vertex i (the composition of edge-list
+// compaction and largest-component extraction). Responses report the
+// same labels. Edge-list readers compact labels in first-appearance
+// order, so even a file whose labels are already 0..n-1 usually ends up
+// relabelled — cmd/bcserve always serves labels so "vertex": 33 means
+// the file's vertex 33. Nil labels address the prepared graph's ids,
+// [0, n), directly.
 func NewServerWithLabels(e *Engine, labels []int64) http.Handler {
 	s := &server{e: e, labelOf: labels}
 	if labels != nil {
@@ -300,6 +296,8 @@ func (p *muxProbe) WriteHeader(code int) {
 //     alongside;
 //   - ErrUnknownVertex (out-of-range ids, labels not in the serving
 //     table) → 404;
+//   - mcmc.ErrNonFinite (the graph's shortest-path counts exceed
+//     float64's range, so a dependency value is NaN or ±Inf) → 422;
 //   - everything else (malformed options, over-budget requests) → 400.
 func StatusForError(ctx context.Context, err error) (int, error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -311,6 +309,9 @@ func StatusForError(ctx context.Context, err error) (int, error) {
 	}
 	if errors.Is(err, ErrUnknownVertex) {
 		return http.StatusNotFound, err
+	}
+	if errors.Is(err, mcmc.ErrNonFinite) {
+		return http.StatusUnprocessableEntity, err
 	}
 	return http.StatusBadRequest, err
 }
@@ -385,7 +386,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Estimator: kind,
 		Adaptive:  req.Adaptive,
 	}
-	est, err := s.e.EstimateMeasureContext(r.Context(), spec, vertex, opts)
+	est, err := s.e.estimateOn(r.Context(), s.e.current(), spec, vertex, opts)
 	if err != nil {
 		writeRequestError(w, r.Context(), err)
 		return
@@ -479,21 +480,16 @@ func (s *server) handleExact(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, r.Context(), err)
 		return
 	}
-	if spec.IsBC() {
-		bc, err := s.e.ExactBCOfContext(r.Context(), v)
-		if err != nil {
-			writeRequestError(w, r.Context(), err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, ExactResponse{Vertex: label, BC: bc})
-		return
-	}
-	val, err := s.e.ExactMeasureOfContext(r.Context(), spec, v)
+	ms, err := s.e.muStatsOn(r.Context(), s.e.current(), spec, v)
 	if err != nil {
 		writeRequestError(w, r.Context(), err)
 		return
 	}
-	resp := MeasureExactResponse{Vertex: label, Measure: spec.Kind.String(), Value: val}
+	if spec.IsBC() {
+		WriteJSON(w, http.StatusOK, ExactResponse{Vertex: label, BC: ms.BC})
+		return
+	}
+	resp := MeasureExactResponse{Vertex: label, Measure: spec.Kind.String(), Value: ms.BC}
 	if spec.Kind == measure.KPath {
 		resp.K = spec.K
 	}

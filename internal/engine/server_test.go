@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,7 +17,7 @@ import (
 func newKarateServer(t *testing.T) (*Engine, *httptest.Server) {
 	t.Helper()
 	e := newKarateEngine(t)
-	srv := httptest.NewServer(NewServer(e))
+	srv := httptest.NewServer(NewServerWithLabels(e, nil))
 	t.Cleanup(srv.Close)
 	return e, srv
 }
@@ -60,7 +61,7 @@ func TestServerEstimate(t *testing.T) {
 	}
 	// The HTTP path must agree with the direct engine call (which is
 	// a result-cache hit now).
-	want, err := e.Estimate(0, core.Options{Epsilon: 0.05, MaxSteps: 512, Seed: 7})
+	want, err := e.EstimateContext(context.Background(), 0, core.Options{Epsilon: 0.05, MaxSteps: 512, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestServerBatch(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	e, srv := newKarateServer(t)
-	if _, err := e.Estimate(0, plannedOpts()); err != nil {
+	if _, err := e.EstimateContext(context.Background(), 0, plannedOpts()); err != nil {
 		t.Fatal(err)
 	}
 	var resp StatsResponse
@@ -220,12 +221,12 @@ func TestServerWithLabels(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/exact/100", &exact); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	want, err := e.ExactBCOf(0)
+	want, err := e.MuStatsContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Vertex != 100 || exact.BC != want {
-		t.Fatalf("labelled exact %+v, want vertex 100 bc %v", exact, want)
+	if exact.Vertex != 100 || exact.BC != want.BC {
+		t.Fatalf("labelled exact %+v, want vertex 100 bc %v", exact, want.BC)
 	}
 
 	var est EstimateResponse
@@ -233,7 +234,7 @@ func TestServerWithLabels(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/estimate", req, &est); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	direct, err := e.Estimate(33, core.Options{Steps: 200, Seed: 3})
+	direct, err := e.EstimateContext(context.Background(), 33, core.Options{Steps: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -20,12 +21,13 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	const inA, inB = 2, 10
-	msA, err := e.MuStats(inA)
+	msA, err := e.MuStatsContext(ctx, inA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.MuStats(inB); err != nil {
+	if _, err := e.MuStatsContext(ctx, inB); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := e.Stats().MuMisses
@@ -47,7 +49,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	}
 
 	// The ring-A entry serves without recomputation and stays exact.
-	msA2, err := e.MuStats(inA)
+	msA2, err := e.MuStatsContext(ctx, inA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 		t.Fatalf("retained BC(%d) = %v, exact on new graph = %v", inA, msA2.BC, wantA)
 	}
 	// The ring-B entry recomputes against the overlay graph.
-	msB2, err := e.MuStats(inB)
+	msB2, err := e.MuStatsContext(ctx, inB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	// Estimates on the overlay snapshot are bit-identical to a fresh
 	// engine over the same logical graph.
 	opts := core.Options{Steps: 2048, Seed: 11}
-	got, err := e.Estimate(inB, opts)
+	got, err := e.EstimateContext(ctx, inB, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestStreamSwapReusesPoolAndRetainsMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Estimate(inB, opts)
+	want, err := ref.EstimateContext(ctx, inB, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +112,13 @@ func TestStreamSwapChained(t *testing.T) {
 			t.Fatalf("gen %d: pool replaced", gen)
 		}
 		for _, r := range []int{2, 9} {
-			got, err := e.ExactBCOf(r)
+			ms, err := e.MuStatsContext(context.Background(), r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := brandes.BCOfVertexExact(next, r)
-			if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("gen %d: ExactBCOf(%d) = %v, want %v", gen, r, got, want)
+			if diff := ms.BC - want; diff > 1e-12 || diff < -1e-12 {
+				t.Fatalf("gen %d: exact BC(%d) = %v, want %v", gen, r, ms.BC, want)
 			}
 		}
 	}
@@ -196,7 +198,7 @@ func TestInstallCompacted(t *testing.T) {
 	if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.MuStats(2); err != nil {
+	if _, err := e.MuStatsContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := e.Stats().MuMisses
@@ -217,7 +219,7 @@ func TestInstallCompacted(t *testing.T) {
 	if e.Pool() != pool {
 		t.Fatal("InstallCompacted must keep the buffer pool")
 	}
-	if _, err := e.MuStats(2); err != nil {
+	if _, err := e.MuStatsContext(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().MuMisses; got != missesBefore {
@@ -229,12 +231,12 @@ func TestInstallCompacted(t *testing.T) {
 	if _, err := e.SwapGraph(next2, rep2.Pairs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.ExactBCOf(10)
+	ms, err := e.MuStatsContext(context.Background(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := brandes.BCOfVertexExact(next2, 10)
-	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("post-compaction ExactBCOf = %v, want %v", got, want)
+	if diff := ms.BC - want; diff > 1e-12 || diff < -1e-12 {
+		t.Fatalf("post-compaction exact BC = %v, want %v", ms.BC, want)
 	}
 }

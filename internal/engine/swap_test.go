@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -49,11 +50,11 @@ func TestSwapGraphRetainsProvablyUnaffectedMu(t *testing.T) {
 	}
 	const inA, inB = 2, 10
 	// Warm both μ entries.
-	msA, err := e.MuStats(inA)
+	msA, err := e.MuStatsContext(context.Background(), inA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.MuStats(inB); err != nil {
+	if _, err := e.MuStatsContext(context.Background(), inB); err != nil {
 		t.Fatal(err)
 	}
 	missesBefore := e.Stats().MuMisses
@@ -76,7 +77,7 @@ func TestSwapGraphRetainsProvablyUnaffectedMu(t *testing.T) {
 
 	// The ring-A entry must be served without a new computation and
 	// stay exact for the NEW graph.
-	msA2, err := e.MuStats(inA)
+	msA2, err := e.MuStatsContext(context.Background(), inA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestSwapGraphRetainsProvablyUnaffectedMu(t *testing.T) {
 	}
 
 	// The ring-B entry must be recomputed and match the new graph.
-	msB2, err := e.MuStats(inB)
+	msB2, err := e.MuStatsContext(context.Background(), inB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 	}
 	opts := core.Options{Steps: 512, Seed: 7}
 	const target = 10 // in ring B, where the edit lands
-	before, err := e.Estimate(target, opts)
+	before, err := e.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 	if _, err := e.SwapGraph(next, rep.Pairs); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Estimate(target, opts)
+	after, err := e.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Estimate(target, opts)
+	want, err := ref.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSwapGraphResultCacheIsVersionTagged(t *testing.T) {
 	// The old version's entry is still served to old-version keys only;
 	// a repeat of the new request is a cache hit.
 	hitsBefore := e.Stats().ResultHits
-	again, err := e.Estimate(target, opts)
+	again, err := e.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestSwapGraphInFlightEstimateIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refEng.Estimate(target, opts)
+	want, err := refEng.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSwapGraphInFlightEstimateIsBitIdentical(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		est, err := e.Estimate(target, opts)
+		est, err := e.EstimateContext(context.Background(), target, opts)
 		done <- outcome{est, err}
 	}()
 	// estimateOn captures its snapshot before InFlight increments, so
@@ -223,7 +224,7 @@ func TestSwapGraphInFlightEstimateIsBitIdentical(t *testing.T) {
 		t.Fatalf("in-flight estimate %v != no-mutation reference %v", out.est.Value, want.Value)
 	}
 	// And a post-swap request sees the new graph.
-	after, err := e.Estimate(target, opts)
+	after, err := e.EstimateContext(context.Background(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestSwapGraphNilPairsInvalidatesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []int{1, 2, 9} {
-		if _, err := e.MuStats(r); err != nil {
+		if _, err := e.MuStatsContext(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,13 +310,13 @@ func TestSwapGraphSequence(t *testing.T) {
 			t.Fatalf("version = %d, want %d", e.Version(), gen)
 		}
 		for _, r := range []int{2, 9} {
-			got, err := e.ExactBCOf(r)
+			ms, err := e.MuStatsContext(context.Background(), r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := brandes.BCOfVertexExact(next, r)
-			if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-				t.Fatal(fmt.Sprintf("gen %d: ExactBCOf(%d) = %v, want %v", gen, r, got, want))
+			if diff := ms.BC - want; diff > 1e-12 || diff < -1e-12 {
+				t.Fatal(fmt.Sprintf("gen %d: exact BC(%d) = %v, want %v", gen, r, ms.BC, want))
 			}
 		}
 		cur = next

@@ -93,41 +93,3 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	n, err := io.WriteString(w, sb.String())
 	return int64(n), err
 }
-
-// String renders the table.
-func (t *Table) String() string {
-	var sb strings.Builder
-	if _, err := t.WriteTo(&sb); err != nil {
-		panic(err) // strings.Builder cannot fail
-	}
-	return sb.String()
-}
-
-// CSV writes the table as comma-separated values (headers first).
-func (t *Table) CSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.headers))
-	for i, h := range t.headers {
-		cells[i] = esc(h)
-	}
-	if _, err := io.WriteString(w, strings.Join(cells, ",")+"\n"); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		if _, err := io.WriteString(w, strings.Join(cells, ",")+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"bcmh/internal/rng"
-)
+import "bcmh/internal/rng"
 
 // BFSDistances computes unweighted shortest-path distances from s into
 // dist, which must have length g.N(). Unreachable vertices get -1.
@@ -96,46 +92,6 @@ func LargestComponent(g *Graph) (*Graph, []int, error) {
 	return InducedSubgraph(g, keep)
 }
 
-// ComponentsExcluding returns the sizes of the connected components of
-// G \ v (v removed). This is the decomposition Theorem 2 reasons about:
-// a vertex r is a balanced separator when at least two components of
-// G \ r have Θ(n) vertices.
-func ComponentsExcluding(g *Graph, v int) ([]int, error) {
-	n := g.N()
-	if v < 0 || v >= n {
-		return nil, fmt.Errorf("graph: ComponentsExcluding vertex %d out of range", v)
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	comp[v] = -2 // excluded
-	var sizes []int
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		id := len(sizes)
-		comp[s] = id
-		queue = queue[:0]
-		queue = append(queue, s)
-		size := 0
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			size++
-			for _, w := range g.Neighbors(u) {
-				if comp[w] == -1 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		sizes = append(sizes, size)
-	}
-	return sizes, nil
-}
-
 // Eccentricity returns the greatest BFS distance from v to any reachable
 // vertex, together with a farthest vertex.
 func Eccentricity(g *Graph, v int) (ecc, farthest int) {
@@ -154,8 +110,7 @@ func Eccentricity(g *Graph, v int) (ecc, farthest int) {
 // ApproxDiameter lower-bounds the diameter with k double sweeps from
 // random start vertices (the standard heuristic; exact on trees). For
 // the VC-dimension sample bound of [30] a lower bound on the vertex
-// diameter still yields a valid — if slightly optimistic — sample size,
-// and the experiments additionally report ExactDiameter on small graphs.
+// diameter still yields a valid — if slightly optimistic — sample size.
 func ApproxDiameter(g *Graph, r *rng.RNG, sweeps int) int {
 	n := g.N()
 	if n == 0 {
@@ -174,37 +129,4 @@ func ApproxDiameter(g *Graph, r *rng.RNG, sweeps int) int {
 		}
 	}
 	return best
-}
-
-// ExactDiameter computes the diameter by BFS from every vertex: O(nm).
-// Disconnected graphs report the largest finite eccentricity.
-func ExactDiameter(g *Graph) int {
-	n := g.N()
-	dist := make([]int, n)
-	diam := 0
-	for s := 0; s < n; s++ {
-		BFSDistances(g, s, dist)
-		for _, d := range dist {
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
-// VertexDiameter returns the number of vertices on a longest shortest
-// path (diameter+1 for unweighted graphs), the quantity the RK [30]
-// sample bound needs.
-func VertexDiameter(g *Graph, r *rng.RNG, sweeps int) int {
-	return ApproxDiameter(g, r, sweeps) + 1
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d.
-func DegreeHistogram(g *Graph) []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -234,4 +235,77 @@ func TestReadWriteFile(t *testing.T) {
 	if _, _, err := ReadEdgeListFile(dir + "/missing.txt"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// ComponentsExcluding returns the sizes of the connected components of
+// G \ v (v removed). This is the decomposition Theorem 2 reasons about:
+// a vertex r is a balanced separator when at least two components of
+// G \ r have Θ(n) vertices.
+func ComponentsExcluding(g *Graph, v int) ([]int, error) {
+	n := g.N()
+	if v < 0 || v >= n {
+		return nil, fmt.Errorf("graph: ComponentsExcluding vertex %d out of range", v)
+	}
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	comp[v] = -2 // excluded
+	var sizes []int
+	queue := make([]int, 0, n)
+	for s := 0; s < n; s++ {
+		if comp[s] != -1 {
+			continue
+		}
+		id := len(sizes)
+		comp[s] = id
+		queue = queue[:0]
+		queue = append(queue, s)
+		size := 0
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			size++
+			for _, w := range g.Neighbors(u) {
+				if comp[w] == -1 {
+					comp[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+		sizes = append(sizes, size)
+	}
+	return sizes, nil
+}
+
+// ExactDiameter computes the diameter by BFS from every vertex: O(nm).
+// Disconnected graphs report the largest finite eccentricity.
+func ExactDiameter(g *Graph) int {
+	n := g.N()
+	dist := make([]int, n)
+	diam := 0
+	for s := 0; s < n; s++ {
+		BFSDistances(g, s, dist)
+		for _, d := range dist {
+			if d > diam {
+				diam = d
+			}
+		}
+	}
+	return diam
+}
+
+// VertexDiameter returns the number of vertices on a longest shortest
+// path (diameter+1 for unweighted graphs), the quantity the RK [30]
+// sample bound needs.
+func VertexDiameter(g *Graph, r *rng.RNG, sweeps int) int {
+	return ApproxDiameter(g, r, sweeps) + 1
+}
+
+// DegreeHistogram returns counts[d] = number of vertices of degree d.
+func DegreeHistogram(g *Graph) []int {
+	counts := make([]int, g.MaxDegree()+1)
+	for v := 0; v < g.N(); v++ {
+		counts[g.Degree(v)]++
+	}
+	return counts
 }

@@ -120,20 +120,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return i < len(ns) && ns[i] == v
 }
 
-// Weight returns the weight of edge (u,v) and whether the edge exists.
-// Unweighted graphs report weight 1 for existing edges.
-func (g *Graph) Weight(u, v int) (float64, bool) {
-	ns := g.Neighbors(u)
-	i := sort.SearchInts(ns, v)
-	if i >= len(ns) || ns[i] != v {
-		return 0, false
-	}
-	if ws := g.NeighborWeights(u); ws != nil {
-		return ws[i], true
-	}
-	return 1, true
-}
-
 // ForEachEdge invokes fn once per edge. For undirected graphs each edge
 // {u,v} is reported once with u < v; for directed graphs every arc (u,v)
 // is reported. The weight is 1 for unweighted graphs.

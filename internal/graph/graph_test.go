@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -271,4 +272,18 @@ func TestBuildProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Weight returns the weight of edge (u,v) and whether the edge exists.
+// Unweighted graphs report weight 1 for existing edges.
+func (g *Graph) Weight(u, v int) (float64, bool) {
+	ns := g.Neighbors(u)
+	i := sort.SearchInts(ns, v)
+	if i >= len(ns) || ns[i] != v {
+		return 0, false
+	}
+	if ws := g.NeighborWeights(u); ws != nil {
+		return ws[i], true
+	}
+	return 1, true
 }

@@ -2,11 +2,188 @@ package graph
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"bcmh/internal/rng"
 )
+
+// Structural metrics: local/global clustering coefficients, degeneracy
+// (k-core decomposition), degree assortativity and the top-k degree
+// list. No program uses them; they live beside their tests.
+
+// LocalClustering returns the local clustering coefficient of v: the
+// fraction of pairs of v's neighbors that are themselves adjacent.
+// Vertices of degree < 2 have coefficient 0.
+func LocalClustering(g *Graph, v int) float64 {
+	ns := g.Neighbors(v)
+	d := len(ns)
+	if d < 2 {
+		return 0
+	}
+	links := 0
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			if g.HasEdge(ns[i], ns[j]) {
+				links++
+			}
+		}
+	}
+	return 2 * float64(links) / (float64(d) * float64(d-1))
+}
+
+// AverageClustering returns the mean local clustering coefficient over
+// all vertices (Watts–Strogatz's C).
+func AverageClustering(g *Graph) float64 {
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	var sum float64
+	for v := 0; v < n; v++ {
+		sum += LocalClustering(g, v)
+	}
+	return sum / float64(n)
+}
+
+// GlobalClustering returns the transitivity: 3 × triangles / open
+// triads ("closed paths of length two over all paths of length two").
+func GlobalClustering(g *Graph) float64 {
+	var closed, triads float64
+	for v := 0; v < g.N(); v++ {
+		ns := g.Neighbors(v)
+		d := len(ns)
+		if d < 2 {
+			continue
+		}
+		triads += float64(d*(d-1)) / 2
+		for i := 0; i < d; i++ {
+			for j := i + 1; j < d; j++ {
+				if g.HasEdge(ns[i], ns[j]) {
+					closed++
+				}
+			}
+		}
+	}
+	if triads == 0 {
+		return 0
+	}
+	return closed / triads
+}
+
+// CoreNumbers returns the k-core number of every vertex (the largest k
+// such that the vertex belongs to a subgraph of minimum degree k),
+// computed with the standard peeling algorithm in O(n + m).
+func CoreNumbers(g *Graph) []int {
+	n := g.N()
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg[v] = g.Degree(v)
+		if deg[v] > maxDeg {
+			maxDeg = deg[v]
+		}
+	}
+	// Bucket sort vertices by degree.
+	binStart := make([]int, maxDeg+2)
+	for _, d := range deg {
+		binStart[d+1]++
+	}
+	for i := 1; i < len(binStart); i++ {
+		binStart[i] += binStart[i-1]
+	}
+	pos := make([]int, n)
+	sorted := make([]int, n)
+	fill := append([]int(nil), binStart[:maxDeg+1]...)
+	for v := 0; v < n; v++ {
+		pos[v] = fill[deg[v]]
+		sorted[pos[v]] = v
+		fill[deg[v]]++
+	}
+	core := append([]int(nil), deg...)
+	for i := 0; i < n; i++ {
+		v := sorted[i]
+		for _, u := range g.Neighbors(v) {
+			if core[u] > core[v] {
+				// Move u one bucket down: swap with the first vertex of
+				// its current bucket.
+				du := core[u]
+				pu := pos[u]
+				pw := binStart[du]
+				w := sorted[pw]
+				if u != w {
+					sorted[pu], sorted[pw] = w, u
+					pos[u], pos[w] = pw, pu
+				}
+				binStart[du]++
+				core[u]--
+			}
+		}
+	}
+	return core
+}
+
+// Degeneracy returns the graph's degeneracy (maximum core number).
+func Degeneracy(g *Graph) int {
+	best := 0
+	for _, c := range CoreNumbers(g) {
+		if c > best {
+			best = c
+		}
+	}
+	return best
+}
+
+// DegreeAssortativity returns the Pearson correlation of degrees across
+// edges (Newman's r): positive when high-degree vertices attach to each
+// other, negative for hub-and-spoke structure.
+func DegreeAssortativity(g *Graph) float64 {
+	var sx, sy, sxy, sxx, syy float64
+	var cnt float64
+	g.ForEachEdge(func(u, v int, _ float64) {
+		// Count each undirected edge in both orientations so the
+		// measure is symmetric.
+		du, dv := float64(g.Degree(u)), float64(g.Degree(v))
+		for _, p := range [2][2]float64{{du, dv}, {dv, du}} {
+			sx += p[0]
+			sy += p[1]
+			sxy += p[0] * p[1]
+			sxx += p[0] * p[0]
+			syy += p[1] * p[1]
+			cnt++
+		}
+	})
+	if cnt == 0 {
+		return 0
+	}
+	num := sxy/cnt - (sx/cnt)*(sy/cnt)
+	den := (sxx/cnt - (sx/cnt)*(sx/cnt))
+	den2 := (syy/cnt - (sy/cnt)*(sy/cnt))
+	if den <= 0 || den2 <= 0 {
+		return 0
+	}
+	return num / (math.Sqrt(den) * math.Sqrt(den2))
+}
+
+// TopKByDegree returns the k highest-degree vertices (ties broken by
+// lower id), a helper shared by examples and experiments.
+func TopKByDegree(g *Graph, k int) []int {
+	idx := make([]int, g.N())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if g.Degree(idx[a]) != g.Degree(idx[b]) {
+			return g.Degree(idx[a]) > g.Degree(idx[b])
+		}
+		return idx[a] < idx[b]
+	})
+	if k > len(idx) {
+		k = len(idx)
+	}
+	return idx[:k]
+}
 
 func TestLocalClustering(t *testing.T) {
 	// Triangle: every vertex has coefficient 1.

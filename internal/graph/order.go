@@ -2,10 +2,8 @@ package graph
 
 // Vertex orderings: a cached degree-descending relabeling consumed by
 // the traversal kernels (sssp.BFS lays out its private CSR in this
-// order so bottom-up sweeps stream hub rows cache-friendly), plus a
-// whole-graph relabel for callers that want the public CSR itself
-// reordered (engine.Config.DegreeRelabel composes it through the
-// prepared-vertex mapping).
+// order so bottom-up sweeps stream hub rows cache-friendly). The
+// public CSR keeps the caller's vertex ids.
 
 // Ordering is a bijective relabeling of a graph's vertices. Perm[v] is
 // the slot assigned to vertex v; Inv[s] is the vertex occupying slot
@@ -75,47 +73,4 @@ func computeDegreeOrdering(g *Graph) *Ordering {
 		o.Inv[s] = int32(v)
 	}
 	return o
-}
-
-// RelabelByDegree returns a copy of g with vertices renumbered in
-// degree-descending order (new vertex i is the i-th highest-degree
-// vertex of g, ties by ascending old id), along with newToOld mapping
-// new ids back to g's ids. Edge weights are preserved; the overlay, if
-// any, is folded in. The relabeled graph starts a fresh ordering cache
-// — its DegreeOrdering is (near-)identity by construction.
-func RelabelByDegree(g *Graph) (*Graph, []int, error) {
-	ord := g.DegreeOrdering()
-	n := g.N()
-	newToOld := make([]int, n)
-	for s := 0; s < n; s++ {
-		newToOld[s] = int(ord.Inv[s])
-	}
-	var b *Builder
-	if g.Directed() {
-		b = NewDirectedBuilder(n)
-	} else {
-		b = NewBuilder(n)
-	}
-	for u := 0; u < n; u++ {
-		nu := int(ord.Perm[u])
-		ns := g.Neighbors(u)
-		ws := g.NeighborWeights(u)
-		for i, v := range ns {
-			nv := int(ord.Perm[v])
-			if !g.Directed() && nv < nu {
-				continue // add each undirected edge once
-			}
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			b.AddWeightedEdge(nu, nv, w)
-		}
-	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	out.version = g.version
-	return out, newToOld, nil
 }

@@ -61,15 +61,6 @@ func (g *Graph) OverlayEdits() int {
 	return g.ov.edits
 }
 
-// OverlayTouched returns the number of vertices whose adjacency is
-// replaced by the overlay (0 for clean graphs).
-func (g *Graph) OverlayTouched() int {
-	if g.ov == nil {
-		return 0
-	}
-	return len(g.ov.touched)
-}
-
 // ShouldCompactOverlay reports whether the overlay has grown past the
 // point where folding it into a fresh CSR pays for itself: more than
 // maxEdits absorbed operations, or replacement lists on more than

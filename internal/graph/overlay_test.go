@@ -215,3 +215,12 @@ func TestPairConnected(t *testing.T) {
 		t.Fatal("self-reachability")
 	}
 }
+
+// OverlayTouched returns the number of vertices whose adjacency is
+// replaced by the overlay (0 for clean graphs).
+func (g *Graph) OverlayTouched() int {
+	if g.ov == nil {
+		return 0
+	}
+	return len(g.ov.touched)
+}

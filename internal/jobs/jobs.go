@@ -130,12 +130,6 @@ type Job struct {
 	finished time.Time
 }
 
-// ID returns the job id.
-func (j *Job) ID() string { return j.id }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Info is a point-in-time job description, JSON-shaped for the HTTP
 // layer. Progress carries the Runner's latest report while running;
 // Result carries the returned value once done; Meta is the immutable
@@ -313,13 +307,6 @@ func (m *Manager) List() []Info {
 	return out
 }
 
-// Len returns the number of tracked jobs.
-func (m *Manager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.jobs)
-}
-
 // evictLocked drops the oldest terminal jobs while over MaxTracked.
 // Caller holds m.mu.
 func (m *Manager) evictLocked() {
@@ -345,23 +332,4 @@ func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status.Terminal()
-}
-
-// Close cancels every job (with ErrClosed as the cause) and rejects
-// further Starts. Idempotent; it does not wait for runners to exit.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel(ErrClosed)
-	}
 }

@@ -241,3 +241,35 @@ func TestJobMetaIsRecorded(t *testing.T) {
 		t.Fatalf("meta = %#v", got)
 	}
 }
+
+// ID returns the job id.
+func (j *Job) ID() string { return j.id }
+
+// Done returns a channel closed when the job reaches a terminal state.
+func (j *Job) Done() <-chan struct{} { return j.done }
+
+// Len returns the number of tracked jobs.
+func (m *Manager) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.jobs)
+}
+
+// Close cancels every job (with ErrClosed as the cause) and rejects
+// further Starts. Idempotent; it does not wait for runners to exit.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	m.closed = true
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
+	}
+	m.mu.Unlock()
+	for _, j := range jobs {
+		j.cancel(ErrClosed)
+	}
+}

@@ -61,9 +61,6 @@ func NewLaplacian(g *graph.Graph) (*Laplacian, error) {
 // N returns the operator's dimension.
 func (l *Laplacian) N() int { return l.g.N() }
 
-// Degree returns deg(v), the diagonal entry L_vv.
-func (l *Laplacian) Degree(v int) float64 { return l.deg[v] }
-
 // Apply computes out = L·x.
 func (l *Laplacian) Apply(x, out []float64) {
 	for v := 0; v < l.g.N(); v++ {

@@ -7,6 +7,7 @@ import (
 
 	"bcmh/internal/graph"
 	"bcmh/internal/rng"
+	"bcmh/internal/sssp"
 )
 
 // carryTestGraph builds the block-structured graph the carry pins run
@@ -372,4 +373,67 @@ func TestAdvanceDropsSupersededSnapshots(t *testing.T) {
 	if snapshots, aliases := cached(); snapshots != 0 || aliases != 0 {
 		t.Fatalf("after the second Advance: %d snapshots and %d alias tables still cached", snapshots, aliases)
 	}
+}
+
+// CarryTo moves the oracle to next — another snapshot of the same
+// undirected lineage — reseating its traversal kernel (O(overlay) for
+// overlay siblings, full rebuild otherwise) and recomputing the
+// per-target snapshots. affected is the vertex set of the blocks the
+// intervening edits touched (nil = treat everything as affected).
+//
+// The memo survives when no target lies in an affected block: rows at
+// affected states are invalidated individually and the rest stay valid
+// — δ_v(r) only depends on the blocks between v and r, so entries with
+// both endpoints outside the affected region are unchanged. If any
+// target is affected the whole memo is dropped (one epoch bump).
+func (o *SetOracle) CarryTo(next *graph.Graph, affected []bool) {
+	switch {
+	case o.bfs != nil:
+		o.bfs.Reseat(next)
+	case o.dij != nil:
+		o.dij.Reseat(next)
+	default:
+		o.c = sssp.NewComputer(next)
+	}
+	o.g = next
+	switch {
+	case o.bfs != nil:
+		o.tspds = o.tspds[:0]
+		for _, r := range o.targets {
+			o.tspds = append(o.tspds, sssp.NewTargetSPD(o.bfs, r))
+		}
+	case o.dij != nil:
+		o.wtspds = o.wtspds[:0]
+		for _, r := range o.targets {
+			o.wtspds = append(o.wtspds, sssp.NewWeightedTargetSPD(o.dij, r))
+		}
+	}
+	if o.memoStamp == nil {
+		return
+	}
+	drop := affected == nil
+	for _, r := range o.targets {
+		if drop {
+			break
+		}
+		drop = affected[r]
+	}
+	if drop {
+		o.memoEpoch = bumpEpoch(o.memoStamp, o.memoEpoch)
+		return
+	}
+	// Stamp 0 is permanently invalid: epochs start at 1 and skip 0 on
+	// wrap, so zeroing a row's stamp retires it without an epoch bump.
+	for v, a := range affected {
+		if a {
+			o.memoStamp[v] = 0
+		}
+	}
+}
+
+// CarryStats returns how many chain memos were carried across version
+// bumps and how many were discarded because the target's block was
+// affected.
+func (p *BufferPool) CarryStats() (carried, discarded uint64) {
+	return p.carried.Load(), p.discarded.Load()
 }

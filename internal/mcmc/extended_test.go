@@ -20,7 +20,8 @@ import (
 // The pair dependency factors over the SPDs of ri and rj:
 // σ_vt(r) = σ_vr · σ_rt when d(v,r) + d(r,t) = d(v,t), else 0 — so one
 // traversal from each of ri, rj plus one per source v suffices:
-// O(n(m+n)) total for unweighted graphs.
+// O(n(m+n)) total for unweighted graphs. No program uses it; it lives
+// beside its tests.
 
 // ExtendedRelativeExact computes the footnote-2 extended relative
 // betweenness score of ri with respect to rj, exactly.
@@ -32,9 +33,11 @@ func ExtendedRelativeExact(g *graph.Graph, ri, rj int) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("mcmc: graph too small (n=%d)", n)
 	}
+	// Each Computer owns the SPD its Run returns, so the two target
+	// traversals stay valid while c runs every source.
+	spdI := sssp.NewComputer(g).Run(ri)
+	spdJ := sssp.NewComputer(g).Run(rj)
 	c := sssp.NewComputer(g)
-	spdI := c.Run(ri).Clone()
-	spdJ := c.Run(rj).Clone()
 	var total float64
 	for v := 0; v < n; v++ {
 		spdV := c.Run(v)

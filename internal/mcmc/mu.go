@@ -68,49 +68,49 @@ func MuFromDeps(deps []float64) MuStats {
 // MuExact computes MuStats for vertex r by exact O(nm) dependency
 // evaluation — ground truth for experiments T3/T4/T10.
 func MuExact(g *graph.Graph, r int) (MuStats, error) {
-	return MuExactPooled(g, r, nil)
+	return MuExactPooledContext(context.Background(), g, r, nil)
 }
 
-// MuExactPooled is MuExact sharing pool's per-target shortest-path
-// snapshot cache: the target-side BFS the dependency column needs is
-// the same one the chains' fast oracle reads, so a μ computation warms
-// the cache for every subsequent estimation of the same vertex (and
-// vice versa). The column itself is parked in the same cache entry for
-// the next chain run on the target to take (see BufferPool), so the
-// chain a μ was derived for reads its dependencies instead of
-// re-traversing. A nil pool — or a graph on the Brandes route —
-// computes standalone.
-func MuExactPooled(g *graph.Graph, r int, pool *BufferPool) (MuStats, error) {
-	return MuExactPooledContext(context.Background(), g, r, pool)
-}
-
-// MuExactPooledContext is MuExactPooled under a context: the O(nm)
-// column computation polls ctx between source traversals and aborts
-// with ctx's error, so a lifecycle-scoped μ derivation (e.g. one owned
-// by an evicted serving session) stops within one traversal per worker.
+// MuExactPooledContext is MuExact sharing pool's per-target
+// shortest-path snapshot cache: the target-side BFS the dependency
+// column needs is the same one the chains' fast oracle reads, so a μ
+// computation warms the cache for every subsequent estimation of the
+// same vertex (and vice versa). The column itself is parked in the
+// same cache entry for the next chain run on the target to take (see
+// BufferPool), so the chain a μ was derived for reads its dependencies
+// instead of re-traversing. A nil pool — or a graph on the Brandes
+// route — computes standalone. The O(nm) column computation polls ctx
+// between source traversals and aborts with ctx's error, so a
+// lifecycle-scoped μ derivation (e.g. one owned by an evicted serving
+// session) stops within one traversal per worker.
 func MuExactPooledContext(ctx context.Context, g *graph.Graph, r int, pool *BufferPool) (MuStats, error) {
 	if r < 0 || r >= g.N() {
 		return MuStats{}, fmt.Errorf("mcmc: MuExact target %d out of range", r)
 	}
+	var ent *tspdEntry
 	if pool != nil {
-		if ent := pool.target(g, r); ent != nil {
-			var deps []float64
-			var err error
-			if ent.spd != nil {
-				deps, err = brandes.DependencyVectorWithTargetContext(ctx, g, ent.spd, 0)
-			} else {
-				deps, err = brandes.DependencyVectorWithWeightedTargetContext(ctx, g, ent.wspd, 0)
-			}
-			if err != nil {
-				return MuStats{}, err
-			}
-			ent.col.Store(&deps)
-			return MuFromDeps(deps), nil
-		}
+		ent = pool.target(g, r)
 	}
-	deps, err := brandes.DependencyVectorParallelContext(ctx, g, r, 0)
+	var deps []float64
+	var err error
+	switch {
+	case ent == nil:
+		deps, err = brandes.DependencyVectorParallelContext(ctx, g, r, 0)
+	case ent.spd != nil:
+		deps, err = brandes.DependencyVectorWithTargetContext(ctx, g, ent.spd, 0)
+	default:
+		deps, err = brandes.DependencyVectorWithWeightedTargetContext(ctx, g, ent.wspd, 0)
+	}
 	if err != nil {
 		return MuStats{}, err
+	}
+	for v, d := range deps {
+		if nonFinite(d) {
+			return MuStats{}, fmt.Errorf("mcmc: dependency at vertex %d is %v: %w", v, d, ErrNonFinite)
+		}
+	}
+	if ent != nil {
+		ent.col.Store(&deps)
 	}
 	return MuFromDeps(deps), nil
 }

@@ -141,13 +141,6 @@ type Oracle struct {
 	Hits  int
 }
 
-// NewOracle returns an oracle for δ_·•(target) on g, auto-selecting the
-// evaluation route. When useCache is false every Dep call performs a
-// full evaluation (ablation T8d).
-func NewOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
-	return newOracleBuffered(g, target, useCache, newChainBuffers(g), targetState{}, nil)
-}
-
 // newOracleBuffered wires an Oracle around recycled chain buffers. The
 // buffers may have served a previous target; bumping the memo epoch
 // invalidates every stale entry in O(1). A non-nil ts.spd/ts.wspd
@@ -238,26 +231,6 @@ func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffer
 	return o, nil
 }
 
-// newReferenceOracle forces the Brandes route regardless of graph kind —
-// the baseline the equivalence tests hold the identity route to.
-func newReferenceOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
-	if target < 0 || target >= g.N() {
-		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
-	}
-	o := &Oracle{
-		g:      g,
-		target: target,
-		c:      sssp.NewComputer(g),
-		delta:  make([]float64, g.N()),
-	}
-	if useCache {
-		o.memoVal = make([]float64, g.N())
-		o.memoStamp = make([]uint32, g.N())
-		o.memoEpoch = 1
-	}
-	return o, nil
-}
-
 // Dep returns δ_v•(target).
 func (o *Oracle) Dep(v int) float64 {
 	if o.memoStamp != nil && o.memoStamp[v] == o.memoEpoch &&
@@ -308,9 +281,6 @@ func (o *Oracle) eval(v int) float64 {
 		return brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
 	}
 }
-
-// Target returns the oracle's target vertex.
-func (o *Oracle) Target() int { return o.target }
 
 // Work reports (evaluations, memo hits) — the StatOracle accounting
 // surface the measure-generic chain loop reads.
@@ -457,63 +427,4 @@ func (o *SetOracle) Deps(v int) []float64 {
 		o.memoStamp[v] = o.memoEpoch
 	}
 	return out
-}
-
-// Targets returns the oracle's target set (not a copy; do not modify).
-func (o *SetOracle) Targets() []int { return o.targets }
-
-// CarryTo moves the oracle to next — another snapshot of the same
-// undirected lineage — reseating its traversal kernel (O(overlay) for
-// overlay siblings, full rebuild otherwise) and recomputing the
-// per-target snapshots. affected is the vertex set of the blocks the
-// intervening edits touched (nil = treat everything as affected).
-//
-// The memo survives when no target lies in an affected block: rows at
-// affected states are invalidated individually and the rest stay valid
-// — δ_v(r) only depends on the blocks between v and r, so entries with
-// both endpoints outside the affected region are unchanged. If any
-// target is affected the whole memo is dropped (one epoch bump).
-func (o *SetOracle) CarryTo(next *graph.Graph, affected []bool) {
-	switch {
-	case o.bfs != nil:
-		o.bfs.Reseat(next)
-	case o.dij != nil:
-		o.dij.Reseat(next)
-	default:
-		o.c = sssp.NewComputer(next)
-	}
-	o.g = next
-	switch {
-	case o.bfs != nil:
-		o.tspds = o.tspds[:0]
-		for _, r := range o.targets {
-			o.tspds = append(o.tspds, sssp.NewTargetSPD(o.bfs, r))
-		}
-	case o.dij != nil:
-		o.wtspds = o.wtspds[:0]
-		for _, r := range o.targets {
-			o.wtspds = append(o.wtspds, sssp.NewWeightedTargetSPD(o.dij, r))
-		}
-	}
-	if o.memoStamp == nil {
-		return
-	}
-	drop := affected == nil
-	for _, r := range o.targets {
-		if drop {
-			break
-		}
-		drop = affected[r]
-	}
-	if drop {
-		o.memoEpoch = bumpEpoch(o.memoStamp, o.memoEpoch)
-		return
-	}
-	// Stamp 0 is permanently invalid: epochs start at 1 and skip 0 on
-	// wrap, so zeroing a row's stamp retires it without an epoch bump.
-	for v, a := range affected {
-		if a {
-			o.memoStamp[v] = 0
-		}
-	}
 }

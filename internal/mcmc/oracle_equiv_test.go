@@ -2,6 +2,7 @@ package mcmc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -321,7 +322,6 @@ func TestChainBitIdenticalWhereExact(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig(600)
-		cfg.TraceEvery = 100
 		runWith := func(o *Oracle) Result {
 			b := newChainBuffers(tc.g)
 			res, err := runSingleChain(context.Background(), tc.g, o, cfg, rng.New(97), b, nil)
@@ -452,7 +452,7 @@ func testPooledMatchesUnpooledAfterMu(t *testing.T) {
 					pool = fx.pool()
 				}
 				want := run(t, fx.g, fx.r, vr.cfg, vr.chains, nil)
-				if _, err := MuExactPooled(fx.g, fx.r, pool); err != nil {
+				if _, err := MuExactPooledContext(context.Background(), fx.g, fx.r, pool); err != nil {
 					t.Fatal(err)
 				}
 				ent := pool.target(fx.g, fx.r)
@@ -491,7 +491,7 @@ func TestParkedColumnTakenOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MuExactPooled(g, 0, pool); err != nil {
+	if _, err := MuExactPooledContext(context.Background(), g, 0, pool); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 6
@@ -610,4 +610,31 @@ func TestTargetSPDCacheLRU(t *testing.T) {
 	if wpool.target(w, 0).wspd == wfirst {
 		t.Fatal("evicted weighted snapshot pointer resurrected")
 	}
+}
+
+// NewOracle returns an oracle for δ_·•(target) on g, auto-selecting the
+// evaluation route. When useCache is false every Dep call performs a
+// full evaluation (ablation T8d).
+func NewOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
+	return newOracleBuffered(g, target, useCache, newChainBuffers(g), targetState{}, nil)
+}
+
+// newReferenceOracle forces the Brandes route regardless of graph kind —
+// the baseline the equivalence tests hold the identity route to.
+func newReferenceOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
+	if target < 0 || target >= g.N() {
+		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
+	}
+	o := &Oracle{
+		g:      g,
+		target: target,
+		c:      sssp.NewComputer(g),
+		delta:  make([]float64, g.N()),
+	}
+	if useCache {
+		o.memoVal = make([]float64, g.N())
+		o.memoStamp = make([]uint32, g.N())
+		o.memoEpoch = 1
+	}
+	return o, nil
 }

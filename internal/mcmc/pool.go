@@ -299,13 +299,6 @@ func (p *BufferPool) affectedAfter(v int, version uint64) bool {
 	return atomic.LoadUint64(&p.lastAffected[v]) > version
 }
 
-// CarryStats returns how many chain memos were carried across version
-// bumps and how many were discarded because the target's block was
-// affected.
-func (p *BufferPool) CarryStats() (carried, discarded uint64) {
-	return p.carried.Load(), p.discarded.Load()
-}
-
 // ColumnChains returns how many chains were served from a dependency
 // column a μ derivation parked, instead of traversing on memo misses.
 func (p *BufferPool) ColumnChains() uint64 { return p.columnChains.Load() }

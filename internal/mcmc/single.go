@@ -2,6 +2,7 @@ package mcmc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,6 +17,15 @@ import (
 // miss), whose BFS dwarfs the check, so the abort latency is bounded
 // by max(256 memo-hit steps, one dependency evaluation).
 const cancelCheckInterval = 256
+
+// ErrNonFinite is wrapped by every chain run and μ derivation that
+// evaluated a NaN or ±Inf dependency value. Shortest-path counts σ past
+// float64's range produce them (σ = +Inf makes a pair's σ ratio
+// Inf/Inf), and no estimate or μ built on one means anything.
+var ErrNonFinite = errors.New("non-finite dependency value (shortest-path counts exceed float64's range)")
+
+// nonFinite reports whether d is NaN or ±Inf.
+func nonFinite(d float64) bool { return math.IsNaN(d) || math.IsInf(d, 0) }
 
 // EstimatorKind selects which estimate a Result reports as its primary
 // Estimate. All variants are computed on every run (they share the
@@ -86,12 +96,9 @@ type Config struct {
 	// InitState fixes the initial state; -1 (default) draws it
 	// uniformly at random.
 	InitState int
-	// TraceEvery, when positive, records the running primary estimate
-	// every TraceEvery steps into Result.Trace (experiment F1 series).
-	TraceEvery int
 	// CollectFTrace records the raw f(v_t) value of every counted chain
-	// state into Result.FTrace, feeding the Diagnose convergence
-	// diagnostics. One float64 per step of memory.
+	// state into Result.FTrace, feeding the rank package's batch-means
+	// interval estimates. One float64 per step of memory.
 	CollectFTrace bool
 	// CollectProposalTrace records the (importance-weighted) f value of
 	// every proposed state into Result.ProposalFTrace — the sample
@@ -149,11 +156,8 @@ type Result struct {
 	// δ over uniform proposals. MuHat = MaxDepSeen/MeanDepProposal.
 	MaxDepSeen      float64
 	MeanDepProposal float64
-	// Trace is the running primary estimate at every TraceEvery steps
-	// (nil unless requested).
-	Trace []float64
 	// FTrace holds f(v_t) for every counted chain state (nil unless
-	// Config.CollectFTrace was set); feed it to Diagnose.
+	// Config.CollectFTrace was set).
 	FTrace []float64
 	// ProposalFTrace holds the importance-weighted f of every proposed
 	// state (nil unless Config.CollectProposalTrace was set); its mean
@@ -191,9 +195,6 @@ func (c *Config) validate(n int) error {
 	}
 	if c.InitState >= n {
 		return fmt.Errorf("mcmc: InitState %d out of range (n=%d)", c.InitState, n)
-	}
-	if c.TraceEvery < 0 {
-		return fmt.Errorf("mcmc: TraceEvery must be non-negative")
 	}
 	if c.AdaptiveEps < 0 {
 		return fmt.Errorf("mcmc: AdaptiveEps must be non-negative")
@@ -290,6 +291,9 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 		cur = rnd.Intn(n)
 	}
 	depCur := oracle.Dep(cur)
+	if nonFinite(depCur) {
+		return res, fmt.Errorf("mcmc: dependency at vertex %d is %v: %w", cur, depCur, ErrNonFinite)
+	}
 	res.MaxDepSeen = depCur
 
 	visStamp, visEpoch := b.visStamp, b.nextVisEpoch()
@@ -353,39 +357,6 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 	countState(depCur, 0)
 	eq7Sum += fOf(depCur, n)
 
-	finish := func() {
-		// Chain average over counted states.
-		if chainStates > 0 {
-			res.ChainAverage = chainSum / float64(chainStates)
-		}
-		// Eq. 7 literal: accepted-state sum over T+1 (T = the steps
-		// actually run, which only differs from cfg.Steps when the
-		// adaptive rule stopped early).
-		res.PaperEq7 = eq7Sum / float64(stepsRun+1)
-		if propCount > 0 {
-			res.ProposalSide = propSum / float64(propCount)
-		}
-		// Harmonic correction: Σδ ≈ n·p⁺ / mean(1/δ);
-		// BC = Σδ/(n(n-1)) ⇒ BC ≈ p⁺ / (mean(1/δ)·(n-1)).
-		if invCount > 0 && propCount > 0 {
-			pPos := propPosFrac / float64(propCount)
-			meanInv := invSum / float64(invCount)
-			if meanInv > 0 {
-				res.Harmonic = pPos / (meanInv * float64(n-1))
-			}
-		}
-		switch cfg.Estimator {
-		case EstimatorChainAverage:
-			res.Estimate = res.ChainAverage
-		case EstimatorPaperEq7:
-			res.Estimate = res.PaperEq7
-		case EstimatorProposalSide:
-			res.Estimate = res.ProposalSide
-		case EstimatorHarmonic:
-			res.Estimate = res.Harmonic
-		}
-	}
-
 	evalsSeen, _ := oracle.Work()
 	for t := 1; t <= cfg.Steps; t++ {
 		if cancellable && t%cancelCheckInterval == 0 {
@@ -395,6 +366,9 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 		}
 		prop := propose()
 		depNew := oracle.Dep(prop)
+		if nonFinite(depNew) {
+			return res, fmt.Errorf("mcmc: dependency at vertex %d is %v: %w", prop, depNew, ErrNonFinite)
+		}
 		// A memo miss just paid a full traversal; re-check the context
 		// so a chain stuck in cold-cache evaluations (memo disabled, or
 		// a large state space early in the run) aborts within one
@@ -452,10 +426,6 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 			eq7Sum += fOf(depCur, n)
 		}
 		countState(depCur, t)
-		if cfg.TraceEvery > 0 && t%cfg.TraceEvery == 0 {
-			finish()
-			res.Trace = append(res.Trace, res.Estimate)
-		}
 		if adaptive && (t == nextCheck || t == cfg.Steps) {
 			// Union-bound spending across checkpoints: δ_i =
 			// δ/((i+1)(i+2)) telescopes to δ over all i ≥ 0.
@@ -477,7 +447,36 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 			}
 		}
 	}
-	finish()
+	// Chain average over counted states.
+	if chainStates > 0 {
+		res.ChainAverage = chainSum / float64(chainStates)
+	}
+	// Eq. 7 literal: accepted-state sum over T+1 (T = the steps
+	// actually run, which only differs from cfg.Steps when the
+	// adaptive rule stopped early).
+	res.PaperEq7 = eq7Sum / float64(stepsRun+1)
+	if propCount > 0 {
+		res.ProposalSide = propSum / float64(propCount)
+	}
+	// Harmonic correction: Σδ ≈ n·p⁺ / mean(1/δ);
+	// BC = Σδ/(n(n-1)) ⇒ BC ≈ p⁺ / (mean(1/δ)·(n-1)).
+	if invCount > 0 && propCount > 0 {
+		pPos := propPosFrac / float64(propCount)
+		meanInv := invSum / float64(invCount)
+		if meanInv > 0 {
+			res.Harmonic = pPos / (meanInv * float64(n-1))
+		}
+	}
+	switch cfg.Estimator {
+	case EstimatorChainAverage:
+		res.Estimate = res.ChainAverage
+	case EstimatorPaperEq7:
+		res.Estimate = res.PaperEq7
+	case EstimatorProposalSide:
+		res.Estimate = res.ProposalSide
+	case EstimatorHarmonic:
+		res.Estimate = res.Harmonic
+	}
 	res.StepsRun = stepsRun
 	res.AcceptanceRate = float64(accepted) / float64(stepsRun)
 	res.UniqueStates = uniqueStates

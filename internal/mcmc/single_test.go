@@ -346,22 +346,6 @@ func TestDegreeProposalSameLimit(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	g := graph.KarateClub()
-	cfg := DefaultConfig(1000)
-	cfg.TraceEvery = 100
-	res, err := runBC(g, 0, cfg, 59, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 10 {
-		t.Fatalf("trace length %d", len(res.Trace))
-	}
-	if res.Trace[len(res.Trace)-1] != res.Estimate {
-		t.Fatal("final trace point should equal the estimate")
-	}
-}
-
 func TestCacheAblationSameResult(t *testing.T) {
 	g := graph.KarateClub()
 	on := DefaultConfig(500)
@@ -389,11 +373,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.InitState = 99
 	if _, err := runBC(g, 1, cfg, 1, nil); err == nil {
 		t.Fatal("bad init state accepted")
-	}
-	cfg = DefaultConfig(10)
-	cfg.TraceEvery = -1
-	if _, err := runBC(g, 1, cfg, 1, nil); err == nil {
-		t.Fatal("negative trace accepted")
 	}
 	if _, err := runBC(g, 9, DefaultConfig(10), 1, nil); err == nil {
 		t.Fatal("bad target accepted")

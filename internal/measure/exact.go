@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -72,7 +73,8 @@ func ExactColumn(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mc
 // support, and the chain-average limit. BC routes to the existing
 // pooled μ derivation (warming the pool's snapshot cache exactly as
 // before); other measures go through ExactColumn. This is what the
-// engine's μ-cache stores per (measure, vertex).
+// engine's μ-cache stores per (measure, vertex). A column with a NaN
+// or ±Inf entry is an error wrapping mcmc.ErrNonFinite.
 func Stats(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.BufferPool) (mcmc.MuStats, error) {
 	if spec.IsBC() {
 		return mcmc.MuExactPooledContext(ctx, g, r, pool)
@@ -80,6 +82,11 @@ func Stats(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.Buf
 	deps, err := ExactColumn(ctx, g, spec, r, pool)
 	if err != nil {
 		return mcmc.MuStats{}, err
+	}
+	for v, d := range deps {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return mcmc.MuStats{}, fmt.Errorf("measure: %s value at vertex %d is %v: %w", spec.Kind, v, d, mcmc.ErrNonFinite)
+		}
 	}
 	return mcmc.MuFromDeps(deps), nil
 }

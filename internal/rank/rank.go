@@ -15,7 +15,7 @@
 // candidate's running estimate pools them by step count and its
 // interval half-width is Confidence·√(Σ wᵢ²·MCSEᵢ²) with the per-chain
 // Monte-Carlo standard errors taken from the trace diagnostics
-// (batch-means ESS, the same machinery as mcmc.Diagnose). A candidate
+// (batch-means ESS, stats.ESSBatchMeans). A candidate
 // is pruned when its upper bound falls strictly below the k-th largest
 // lower bound; refinement stops when at most k candidates survive, the
 // round limit is hit, or the total step budget is exhausted.

@@ -13,8 +13,8 @@ type Alias struct {
 }
 
 // NewAlias builds an alias table from the given non-negative weights.
-// It returns nil if weights is empty or sums to zero or contains a
-// negative/NaN entry is a panic, mirroring WeightedIndex.
+// It returns nil if weights is empty or sums to zero; a negative or NaN
+// entry panics.
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	if n == 0 {

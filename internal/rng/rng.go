@@ -9,17 +9,16 @@
 // which they are invoked.
 //
 // RNG is not safe for concurrent use; give each goroutine its own stream
-// via Split or NewSeeded.
+// via Split or New.
 package rng
-
-import "math"
 
 // RNG is a deterministic pseudo-random number generator
 // (xoshiro256** 1.0, Blackman & Vigna). The zero value is not usable;
-// construct instances with New, NewSeeded, or Split.
+// construct instances with New or Split.
 type RNG struct {
 	s0, s1, s2, s3 uint64
-	// cached spare normal variate for NormFloat64 (Marsaglia polar).
+	// cached spare normal variate for the tests' NormFloat64 (Marsaglia
+	// polar); Reseed clears it.
 	haveSpare bool
 	spare     float64
 }
@@ -42,10 +41,6 @@ func New(seed uint64) *RNG {
 	r.Reseed(seed)
 	return r
 }
-
-// NewSeeded is an alias of New kept for call-site readability when the
-// seed is derived rather than user-provided.
-func NewSeeded(seed uint64) *RNG { return New(seed) }
 
 // Reseed resets the generator to the state produced by seed, discarding
 // any cached state.
@@ -88,9 +83,6 @@ func (r *RNG) Split(label string) *RNG {
 	return New(r.Uint64() ^ h)
 }
 
-// Int63 returns a non-negative int64 with 63 uniform bits.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Bias is removed by rejection sampling (Lemire-style threshold check is
 // unnecessary at these call rates; a simple modulo-rejection loop keeps
@@ -130,9 +122,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability 1/2.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -144,62 +133,11 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a uniform random permutation of [0, n) as a fresh slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts permutes s uniformly in place (Fisher–Yates).
 func (r *RNG) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle permutes n elements in place using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1
-// (mean 1), via inversion.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-		// u == 0 happens with probability 2^-53; redraw.
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method,
-// caching the spare deviate).
-func (r *RNG) NormFloat64() float64 {
-	if r.haveSpare {
-		r.haveSpare = false
-		return r.spare
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		factor := math.Sqrt(-2 * math.Log(s) / s)
-		r.spare = v * factor
-		r.haveSpare = true
-		return u * factor
 	}
 }
 
@@ -209,38 +147,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 		panic("rng: Range with hi < lo")
 	}
 	return lo + (hi-lo)*r.Float64()
-}
-
-// WeightedIndex draws an index in [0, len(weights)) with probability
-// proportional to weights[i]. Negative weights panic; an all-zero or
-// empty weight vector returns -1. Linear scan; intended for small or
-// rarely-sampled weight vectors (use an alias table for hot loops).
-func (r *RNG) WeightedIndex(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: WeightedIndex with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		return -1
-	}
-	x := r.Float64() * total
-	var cum float64
-	for i, w := range weights {
-		cum += w
-		if x < cum {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // SampleWithoutReplacement returns k distinct uniform values from [0, n)

@@ -472,3 +472,86 @@ func BenchmarkAliasDraw(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Perm returns a uniform random permutation of [0, n) as a fresh slice.
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.ShuffleInts(p)
+	return p
+}
+
+// Shuffle permutes n elements in place using the provided swap function.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		swap(i, j)
+	}
+}
+
+// ExpFloat64 returns an exponentially distributed float64 with rate 1
+// (mean 1), via inversion.
+func (r *RNG) ExpFloat64() float64 {
+	for {
+		u := r.Float64()
+		if u > 0 {
+			return -math.Log(u)
+		}
+		// u == 0 happens with probability 2^-53; redraw.
+	}
+}
+
+// NormFloat64 returns a standard normal variate (Marsaglia polar method,
+// caching the spare deviate).
+func (r *RNG) NormFloat64() float64 {
+	if r.haveSpare {
+		r.haveSpare = false
+		return r.spare
+	}
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s >= 1 || s == 0 {
+			continue
+		}
+		factor := math.Sqrt(-2 * math.Log(s) / s)
+		r.spare = v * factor
+		r.haveSpare = true
+		return u * factor
+	}
+}
+
+// WeightedIndex draws an index in [0, len(weights)) with probability
+// proportional to weights[i]. Negative weights panic; an all-zero or
+// empty weight vector returns -1. Linear scan; intended for small or
+// rarely-sampled weight vectors (use an alias table for hot loops).
+func (r *RNG) WeightedIndex(weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		if w < 0 || math.IsNaN(w) {
+			panic("rng: WeightedIndex with negative or NaN weight")
+		}
+		total += w
+	}
+	if total <= 0 {
+		return -1
+	}
+	x := r.Float64() * total
+	var cum float64
+	for i, w := range weights {
+		cum += w
+		if x < cum {
+			return i
+		}
+	}
+	// Floating-point slack: return the last positive-weight index.
+	for i := len(weights) - 1; i >= 0; i-- {
+		if weights[i] > 0 {
+			return i
+		}
+	}
+	return -1
+}

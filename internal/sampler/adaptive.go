@@ -46,9 +46,6 @@ func NewAdaptive(g *graph.Graph, target int) (*Adaptive, error) {
 	}, nil
 }
 
-// Name implements PointEstimator-style labelling.
-func (a *Adaptive) Name() string { return "adaptive[31]" }
-
 // AdaptiveResult reports the estimate and how much work certification
 // took.
 type AdaptiveResult struct {

@@ -1,9 +1,8 @@
 // Package sampler implements the prior betweenness estimators the paper
 // compares against (§3.2): uniform source sampling (Bader et al. [2]),
-// distance-proportional source sampling and the exact-optimal oracle
-// sampler (Chehreghani [13]), shortest-path pair sampling
-// (Riondato–Kornaropoulos [30]), and a bidirectional-BFS path sampler in
-// the spirit of KADABRA [7].
+// distance-proportional source sampling (Chehreghani [13]),
+// shortest-path pair sampling (Riondato–Kornaropoulos [30]), and a
+// bidirectional-BFS path sampler in the spirit of KADABRA [7].
 //
 // Budget semantics: every estimator's `samples` argument counts
 // traversal-shaped units of work — one BFS/Dijkstra + dependency
@@ -26,17 +25,9 @@ import (
 
 // PointEstimator estimates the betweenness of one fixed target vertex.
 type PointEstimator interface {
-	// Name identifies the estimator in experiment tables.
-	Name() string
 	// Estimate returns an estimate of BC(target) using the given number
 	// of samples and randomness source.
 	Estimate(samples int, r *rng.RNG) float64
-}
-
-// AllEstimator estimates betweenness for every vertex at once.
-type AllEstimator interface {
-	// EstimateAll returns a length-n estimate vector.
-	EstimateAll(samples int, r *rng.RNG) []float64
 }
 
 // UniformSource is the uniform source sampler of Bader et al. [2]: draw
@@ -62,9 +53,6 @@ func NewUniformSource(g *graph.Graph, target int) (*UniformSource, error) {
 	}, nil
 }
 
-// Name implements PointEstimator.
-func (u *UniformSource) Name() string { return "uniform[2]" }
-
 // Estimate implements PointEstimator.
 func (u *UniformSource) Estimate(samples int, r *rng.RNG) float64 {
 	if samples <= 0 {
@@ -79,9 +67,9 @@ func (u *UniformSource) Estimate(samples int, r *rng.RNG) float64 {
 	return sum / float64(samples)
 }
 
-// EstimateAll implements AllEstimator: each sampled source's full
-// dependency vector updates every vertex, so one budget estimates all
-// of V(G) — the form used for rankings (experiment T6).
+// EstimateAll returns a length-n estimate vector: each sampled
+// source's full dependency vector updates every vertex, so one budget
+// estimates all of V(G) — the form used for rankings (experiment T6).
 func (u *UniformSource) EstimateAll(samples int, r *rng.RNG) []float64 {
 	n := u.g.N()
 	out := make([]float64, n)
@@ -153,9 +141,6 @@ func NewDistanceSource(g *graph.Graph, target int) (*DistanceSource, error) {
 	return d, nil
 }
 
-// Name implements PointEstimator.
-func (d *DistanceSource) Name() string { return "distance[13]" }
-
 // Estimate implements PointEstimator.
 func (d *DistanceSource) Estimate(samples int, r *rng.RNG) float64 {
 	if samples <= 0 {
@@ -171,75 +156,11 @@ func (d *DistanceSource) Estimate(samples int, r *rng.RNG) float64 {
 	return sum / float64(samples)
 }
 
-// OptimalOracle is the zero-variance sampler of [13]: sources drawn
-// with P[s] ∝ δ_s•(target). Building it requires the exact dependency
-// column (O(nm)), whose sum already is the answer — the paper's point
-// is precisely that this distribution is unattainable, motivating the
-// MH chain that converges to it. It exists here as ground-truth
-// machinery: every sample must equal BC(target) exactly.
-type OptimalOracle struct {
-	target int
-	bc     float64
-	alias  *rng.Alias
-	dep    []float64
-	total  float64
-	n      int
-}
-
-// NewOptimalOracle precomputes the exact dependency column for target.
-func NewOptimalOracle(g *graph.Graph, target int) (*OptimalOracle, error) {
-	n := g.N()
-	if target < 0 || target >= n {
-		return nil, fmt.Errorf("sampler: target %d out of range", target)
-	}
-	dep := brandes.DependencyVector(g, target)
-	var total float64
-	for _, v := range dep {
-		total += v
-	}
-	o := &OptimalOracle{
-		target: target,
-		dep:    dep,
-		total:  total,
-		n:      n,
-		bc:     total / (float64(n) * float64(n-1)),
-	}
-	if total > 0 {
-		o.alias = rng.NewAlias(dep)
-	}
-	return o, nil
-}
-
-// Name implements PointEstimator.
-func (o *OptimalOracle) Name() string { return "optimal[13]" }
-
-// BC returns the exact betweenness the oracle was built from.
-func (o *OptimalOracle) BC() float64 { return o.bc }
-
-// Dependencies exposes the exact dependency column δ_·•(target); the
-// experiments reuse it for μ(r) and bias ground truth.
-func (o *OptimalOracle) Dependencies() []float64 { return o.dep }
-
-// Estimate implements PointEstimator. Every sample evaluates the [13]
-// estimator δ_s/(n(n-1)P[s]) at P[s] = δ_s/total, which is constant —
-// the "error 0" property of optimal sampling.
-func (o *OptimalOracle) Estimate(samples int, r *rng.RNG) float64 {
-	if samples <= 0 || o.alias == nil {
-		return o.bc // BC = 0 graphs: the estimate is exactly 0 too
-	}
-	var sum float64
-	for i := 0; i < samples; i++ {
-		s := o.alias.Draw(r)
-		sum += o.dep[s] / (float64(o.n) * float64(o.n-1)) * o.total / o.dep[s]
-	}
-	return sum / float64(samples)
-}
-
 // RK is the Riondato–Kornaropoulos shortest-path sampler [30]: draw a
 // uniform ordered pair (s,t), sample one uniform shortest s→t path, and
 // credit 1/samples to every interior vertex. E[estimate_v] = BC(v)
-// under Eq. 1's normalisation. The VC-dimension sample size for a
-// uniform guarantee over all vertices is stats.RKSampleSize.
+// under Eq. 1's normalisation; [30] gives the VC-dimension sample size
+// for a uniform guarantee over all vertices.
 type RK struct {
 	g      *graph.Graph
 	c      *sssp.Computer
@@ -253,9 +174,6 @@ func NewRK(g *graph.Graph, target int) (*RK, error) {
 	}
 	return &RK{g: g, c: sssp.NewComputer(g), target: target}, nil
 }
-
-// Name implements PointEstimator.
-func (k *RK) Name() string { return "RK[30]" }
 
 // Estimate implements PointEstimator.
 func (k *RK) Estimate(samples int, r *rng.RNG) float64 {
@@ -286,7 +204,8 @@ func (k *RK) Estimate(samples int, r *rng.RNG) float64 {
 	return float64(hits) / float64(samples) * float64(n) / float64(n-1)
 }
 
-// EstimateAll implements AllEstimator.
+// EstimateAll returns a length-n estimate vector from one pair-sampling
+// budget.
 func (k *RK) EstimateAll(samples int, r *rng.RNG) []float64 {
 	n := k.g.N()
 	out := make([]float64, n)
@@ -337,13 +256,6 @@ func NewKadabraLite(g *graph.Graph, target int) (*KadabraLite, error) {
 	return &KadabraLite{g: g, bb: sssp.NewBBPathSampler(g), target: target}, nil
 }
 
-// Name implements PointEstimator.
-func (k *KadabraLite) Name() string { return "bb-BFS[7]" }
-
-// EdgesTouched reports total adjacency entries scanned so far, the work
-// measure T7 compares against full-BFS samplers.
-func (k *KadabraLite) EdgesTouched() int { return k.bb.EdgesTouched }
-
 // Estimate implements PointEstimator.
 func (k *KadabraLite) Estimate(samples int, r *rng.RNG) float64 {
 	if samples <= 0 {
@@ -368,31 +280,4 @@ func (k *KadabraLite) Estimate(samples int, r *rng.RNG) float64 {
 		}
 	}
 	return float64(hits) / float64(samples) * float64(n) / float64(n-1)
-}
-
-// EstimateAll implements AllEstimator.
-func (k *KadabraLite) EstimateAll(samples int, r *rng.RNG) []float64 {
-	n := k.g.N()
-	out := make([]float64, n)
-	if samples <= 0 {
-		return out
-	}
-	for i := 0; i < samples; i++ {
-		s := r.Intn(n)
-		t := r.Intn(n)
-		if s == t {
-			continue
-		}
-		path := k.bb.Sample(s, t, r)
-		if len(path) > 2 {
-			for _, v := range path[1 : len(path)-1] {
-				out[v]++
-			}
-		}
-	}
-	scale := float64(n) / (float64(samples) * float64(n-1))
-	for v := range out {
-		out[v] *= scale
-	}
-	return out
 }

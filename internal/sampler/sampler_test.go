@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -296,25 +297,6 @@ func TestWeightedGraphSourceSamplers(t *testing.T) {
 	}
 }
 
-func TestEstimatorNames(t *testing.T) {
-	g := graph.Path(4)
-	u, _ := NewUniformSource(g, 1)
-	d, _ := NewDistanceSource(g, 1)
-	o, _ := NewOptimalOracle(g, 1)
-	k, _ := NewRK(g, 1)
-	kl, _ := NewKadabraLite(g, 1)
-	names := map[string]bool{}
-	for _, e := range []PointEstimator{u, d, o, k, kl} {
-		if e.Name() == "" {
-			t.Fatal("empty estimator name")
-		}
-		if names[e.Name()] {
-			t.Fatalf("duplicate estimator name %q", e.Name())
-		}
-		names[e.Name()] = true
-	}
-}
-
 func BenchmarkUniformSample(b *testing.B) {
 	g := graph.BarabasiAlbert(5000, 3, rng.New(1))
 	u, _ := NewUniformSource(g, 0)
@@ -343,4 +325,97 @@ func BenchmarkKadabraSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Estimate(1, r)
 	}
+}
+
+// OptimalOracle is the zero-variance sampler of [13]: sources drawn
+// with P[s] ∝ δ_s•(target). Building it requires the exact dependency
+// column (O(nm)), whose sum already is the answer — the paper's point
+// is precisely that this distribution is unattainable, motivating the
+// MH chain that converges to it. No program samples from it; it lives
+// beside its tests, where every sample must equal BC(target) exactly.
+type OptimalOracle struct {
+	target int
+	bc     float64
+	alias  *rng.Alias
+	dep    []float64
+	total  float64
+	n      int
+}
+
+// NewOptimalOracle precomputes the exact dependency column for target.
+func NewOptimalOracle(g *graph.Graph, target int) (*OptimalOracle, error) {
+	n := g.N()
+	if target < 0 || target >= n {
+		return nil, fmt.Errorf("sampler: target %d out of range", target)
+	}
+	dep := brandes.DependencyVector(g, target)
+	var total float64
+	for _, v := range dep {
+		total += v
+	}
+	o := &OptimalOracle{
+		target: target,
+		dep:    dep,
+		total:  total,
+		n:      n,
+		bc:     total / (float64(n) * float64(n-1)),
+	}
+	if total > 0 {
+		o.alias = rng.NewAlias(dep)
+	}
+	return o, nil
+}
+
+// BC returns the exact betweenness the oracle was built from.
+func (o *OptimalOracle) BC() float64 { return o.bc }
+
+// Dependencies exposes the exact dependency column δ_·•(target); the
+// experiments reuse it for μ(r) and bias ground truth.
+func (o *OptimalOracle) Dependencies() []float64 { return o.dep }
+
+// Estimate implements PointEstimator. Every sample evaluates the [13]
+// estimator δ_s/(n(n-1)P[s]) at P[s] = δ_s/total, which is constant —
+// the "error 0" property of optimal sampling.
+func (o *OptimalOracle) Estimate(samples int, r *rng.RNG) float64 {
+	if samples <= 0 || o.alias == nil {
+		return o.bc // BC = 0 graphs: the estimate is exactly 0 too
+	}
+	var sum float64
+	for i := 0; i < samples; i++ {
+		s := o.alias.Draw(r)
+		sum += o.dep[s] / (float64(o.n) * float64(o.n-1)) * o.total / o.dep[s]
+	}
+	return sum / float64(samples)
+}
+
+// EdgesTouched reports total adjacency entries scanned so far, the work
+// measure T7 compares against full-BFS samplers.
+func (k *KadabraLite) EdgesTouched() int { return k.bb.EdgesTouched }
+
+// EstimateAll returns a length-n estimate vector from one path-sampling
+// budget.
+func (k *KadabraLite) EstimateAll(samples int, r *rng.RNG) []float64 {
+	n := k.g.N()
+	out := make([]float64, n)
+	if samples <= 0 {
+		return out
+	}
+	for i := 0; i < samples; i++ {
+		s := r.Intn(n)
+		t := r.Intn(n)
+		if s == t {
+			continue
+		}
+		path := k.bb.Sample(s, t, r)
+		if len(path) > 2 {
+			for _, v := range path[1 : len(path)-1] {
+				out[v]++
+			}
+		}
+	}
+	scale := float64(n) / (float64(samples) * float64(n-1))
+	for v := range out {
+		out[v] *= scale
+	}
+	return out
 }

@@ -250,9 +250,6 @@ func (b *BFS) Reseat(g2 *graph.Graph) bool {
 	return true
 }
 
-// Graph returns the graph this kernel traverses.
-func (b *BFS) Graph() *graph.Graph { return b.g }
-
 // Ordering returns the internal slot relabeling the kernel traverses
 // under, or nil when slots equal vertex ids (classic mode, directed
 // graphs). Scan fast paths compare it by pointer against a
@@ -460,26 +457,6 @@ func (b *BFS) DistOf(v int) int32 {
 // SigmaOf returns σ_source,v of the latest Run. Defined only at
 // reached vertices.
 func (b *BFS) SigmaOf(v int) float64 { return b.sigma[b.slotOf(v)] }
-
-// Order returns the vertices reached by the latest Run in BFS
-// (non-decreasing distance) order, source first. Positions within one
-// level are unspecified: the classic kernel yields discovery order,
-// the direction-optimizing one ascending slot order on bottom-up
-// levels. No estimator consumes intra-level positions.
-func (b *BFS) Order() []int32 {
-	if b.ord == nil {
-		return b.queue
-	}
-	if cap(b.orderBuf) < len(b.queue) {
-		b.orderBuf = make([]int32, len(b.queue), cap(b.queue))
-	}
-	ob := b.orderBuf[:len(b.queue)]
-	for i, s := range b.queue {
-		ob[i] = b.ord.Inv[s]
-	}
-	b.orderBuf = ob
-	return ob
-}
 
 // TargetSPD is a retained dense snapshot of the shortest-path data
 // rooted at one fixed vertex of an unweighted graph: d(target, t) and

@@ -162,3 +162,23 @@ func BenchmarkComputerBFS(b *testing.B) {
 		c.Run(i % g.N())
 	}
 }
+
+// Order returns the vertices reached by the latest Run in BFS
+// (non-decreasing distance) order, source first. Positions within one
+// level are unspecified: the classic kernel yields discovery order,
+// the direction-optimizing one ascending slot order on bottom-up
+// levels. No estimator consumes intra-level positions.
+func (b *BFS) Order() []int32 {
+	if b.ord == nil {
+		return b.queue
+	}
+	if cap(b.orderBuf) < len(b.queue) {
+		b.orderBuf = make([]int32, len(b.queue), cap(b.queue))
+	}
+	ob := b.orderBuf[:len(b.queue)]
+	for i, s := range b.queue {
+		ob[i] = b.ord.Inv[s]
+	}
+	b.orderBuf = ob
+	return ob
+}

@@ -252,9 +252,6 @@ func (d *Dijkstra) Reseat(g2 *graph.Graph) bool {
 	return true
 }
 
-// Graph returns the graph this kernel traverses.
-func (d *Dijkstra) Graph() *graph.Graph { return d.g }
-
 // Run traverses from source, filling distances, path counts and the
 // settle order. It panics if source is out of range.
 func (d *Dijkstra) Run(source int) {
@@ -448,10 +445,6 @@ func (d *Dijkstra) DistOf(v int) float64 { return d.dist[v] }
 // SigmaOf returns σ_source,v of the latest Run. Defined only at
 // reached vertices.
 func (d *Dijkstra) SigmaOf(v int) float64 { return d.sigma[v] }
-
-// Order returns the vertices settled by the latest Run in
-// non-decreasing distance order, source first.
-func (d *Dijkstra) Order() []int32 { return d.order }
 
 // WeightedTargetSPD is the weighted analog of TargetSPD: a retained
 // dense snapshot of the shortest-path data rooted at one fixed vertex

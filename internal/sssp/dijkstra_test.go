@@ -309,3 +309,7 @@ func BenchmarkDijkstraKernelDial(b *testing.B) {
 		k.Run(i % g.N())
 	}
 }
+
+// Order returns the vertices settled by the latest Run in
+// non-decreasing distance order, source first.
+func (d *Dijkstra) Order() []int32 { return d.order }

@@ -34,16 +34,6 @@ type SPD struct {
 	Order  []int     // reachable vertices in non-decreasing Dist, Source first
 }
 
-// Clone returns a deep copy of the SPD that survives subsequent Runs.
-func (s *SPD) Clone() *SPD {
-	return &SPD{
-		Source: s.Source,
-		Dist:   append([]float64(nil), s.Dist...),
-		Sigma:  append([]float64(nil), s.Sigma...),
-		Order:  append([]int(nil), s.Order...),
-	}
-}
-
 // OnShortestPath reports whether edge (u,v) is a DAG edge of the SPD,
 // i.e. lies on some shortest path from the source through u to v.
 func (s *SPD) OnShortestPath(u, v int, w float64) bool {
@@ -217,17 +207,6 @@ func (c *Computer) heapPop() (int, float64) {
 		i = smallest
 	}
 	return v, d
-}
-
-// PathCount returns σ_st, the number of shortest paths between s and t
-// (0 if t is unreachable). One traversal from s.
-func PathCount(g *graph.Graph, s, t int) float64 {
-	c := NewComputer(g)
-	spd := c.Run(s)
-	if spd.Dist[t] == Unreachable {
-		return 0
-	}
-	return spd.Sigma[t]
 }
 
 // randSource matches the single method of *rng.RNG the samplers need;

@@ -554,3 +554,24 @@ func BenchmarkBBPathSample(b *testing.B) {
 		bb.Sample(s, t, r)
 	}
 }
+
+// Clone returns a deep copy of the SPD that survives subsequent Runs.
+func (s *SPD) Clone() *SPD {
+	return &SPD{
+		Source: s.Source,
+		Dist:   append([]float64(nil), s.Dist...),
+		Sigma:  append([]float64(nil), s.Sigma...),
+		Order:  append([]int(nil), s.Order...),
+	}
+}
+
+// PathCount returns σ_st, the number of shortest paths between s and t
+// (0 if t is unreachable). One traversal from s.
+func PathCount(g *graph.Graph, s, t int) float64 {
+	c := NewComputer(g)
+	spd := c.Run(s)
+	if spd.Dist[t] == Unreachable {
+		return 0
+	}
+	return spd.Sigma[t]
+}

@@ -14,12 +14,6 @@ func HoeffdingN(eps, delta float64) int {
 	return int(math.Ceil(math.Log(2/delta) / (2 * eps * eps)))
 }
 
-// HoeffdingBound returns the Hoeffding tail bound 2 exp(-2 n eps²) for
-// the mean of n iid samples of a [0,1]-valued variable.
-func HoeffdingBound(n int, eps float64) float64 {
-	return 2 * math.Exp(-2*float64(n)*eps*eps)
-}
-
 // MCMCBound evaluates the right-hand side of the paper's Inequality 12
 // (the Łatuszyński–Miasojedow–Niemiro bound specialised by Theorem 1):
 //
@@ -60,30 +54,6 @@ func MCMCSampleSize(eps, delta, mu float64) int {
 		return math.MaxInt
 	}
 	return int(t)
-}
-
-// RKSampleSize returns the Riondato–Kornaropoulos [30] sample size for
-// estimating all betweenness values within eps with probability 1-delta:
-//
-//	r >= (c/eps²) (floor(log2(VD-2)) + 1 + ln(1/delta))
-//
-// where VD is the vertex diameter (number of vertices on the longest
-// shortest path) and c is the universal VC constant, 0.5 in their
-// implementation.
-func RKSampleSize(eps, delta float64, vertexDiameter int) int {
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		panic("stats: RKSampleSize requires eps > 0 and delta in (0,1)")
-	}
-	vd := vertexDiameter
-	if vd < 2 {
-		vd = 2
-	}
-	var ld float64
-	if vd > 2 {
-		ld = math.Floor(math.Log2(float64(vd - 2)))
-	}
-	const c = 0.5
-	return int(math.Ceil(c / (eps * eps) * (ld + 1 + math.Log(1/delta))))
 }
 
 // Autocorrelation returns the lag-k sample autocorrelation of xs.

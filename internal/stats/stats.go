@@ -47,9 +47,6 @@ func (w *Welford) AddAll(xs []float64) {
 	}
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the sample mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -72,41 +69,12 @@ func (w *Welford) PopVariance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Min returns the smallest observation (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
 // StdErr returns the standard error of the mean.
 func (w *Welford) StdErr() float64 {
 	if w.n == 0 {
 		return 0
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// Merge combines another accumulator into w (parallel variant of
-// Welford's update, Chan et al.).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n = n
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -127,9 +95,6 @@ func Variance(xs []float64) float64 {
 	w.AddAll(xs)
 	return w.Variance()
 }
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics. It returns NaN on empty input
@@ -173,36 +138,6 @@ func MeanAbsError(est, truth []float64) float64 {
 		s += math.Abs(est[i] - truth[i])
 	}
 	return s / float64(len(est))
-}
-
-// MaxAbsError returns the maximum of |est[i]-truth[i]|.
-func MaxAbsError(est, truth []float64) float64 {
-	if len(est) != len(truth) {
-		panic("stats: MaxAbsError length mismatch")
-	}
-	var m float64
-	for i := range est {
-		if d := math.Abs(est[i] - truth[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// RMSE returns the root-mean-square error between est and truth.
-func RMSE(est, truth []float64) float64 {
-	if len(est) != len(truth) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(est) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range est {
-		d := est[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(est)))
 }
 
 // RelError returns |est-truth|/|truth|, or |est| when truth == 0 (so a

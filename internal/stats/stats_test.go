@@ -1,12 +1,82 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the
+// range are clamped into the first/last bin so no observation is lost.
+// No program uses it; it lives beside its tests.
+type Histogram struct {
+	Lo, Hi float64
+	Counts []int
+	total  int
+}
+
+// NewHistogram creates a histogram with bins equal-width bins over
+// [lo, hi). It panics if bins <= 0 or hi <= lo.
+func NewHistogram(lo, hi float64, bins int) *Histogram {
+	if bins <= 0 {
+		panic("stats: NewHistogram with non-positive bins")
+	}
+	if hi <= lo {
+		panic("stats: NewHistogram with hi <= lo")
+	}
+	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
+}
+
+// Add records one observation.
+func (h *Histogram) Add(x float64) {
+	b := int(math.Floor((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts))))
+	if b < 0 {
+		b = 0
+	}
+	if b >= len(h.Counts) {
+		b = len(h.Counts) - 1
+	}
+	h.Counts[b]++
+	h.total++
+}
+
+// Total returns the number of recorded observations.
+func (h *Histogram) Total() int { return h.total }
+
+// Fraction returns the share of observations in bin b.
+func (h *Histogram) Fraction(b int) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	return float64(h.Counts[b]) / float64(h.total)
+}
+
+// String renders a compact ASCII bar chart, one line per bin, suitable
+// for experiment logs.
+func (h *Histogram) String() string {
+	var sb strings.Builder
+	maxCount := 0
+	for _, c := range h.Counts {
+		if c > maxCount {
+			maxCount = c
+		}
+	}
+	width := (h.Hi - h.Lo) / float64(len(h.Counts))
+	for i, c := range h.Counts {
+		bar := 0
+		if maxCount > 0 {
+			bar = c * 40 / maxCount
+		}
+		fmt.Fprintf(&sb, "[%10.4g,%10.4g) %7d %s\n",
+			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c,
+			strings.Repeat("#", bar))
+	}
+	return sb.String()
+}
 
 func TestWelfordBasics(t *testing.T) {
 	var w Welford
@@ -435,4 +505,96 @@ func BenchmarkKendallTau64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		KendallTau(x, y)
 	}
+}
+
+// N returns the number of observations.
+func (w *Welford) N() int { return w.n }
+
+// Min returns the smallest observation (0 when empty).
+func (w *Welford) Min() float64 { return w.min }
+
+// Max returns the largest observation (0 when empty).
+func (w *Welford) Max() float64 { return w.max }
+
+// Merge combines another accumulator into w (parallel variant of
+// Welford's update, Chan et al.).
+func (w *Welford) Merge(o *Welford) {
+	if o.n == 0 {
+		return
+	}
+	if w.n == 0 {
+		*w = *o
+		return
+	}
+	n := w.n + o.n
+	d := o.mean - w.mean
+	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
+	w.mean += d * float64(o.n) / float64(n)
+	if o.min < w.min {
+		w.min = o.min
+	}
+	if o.max > w.max {
+		w.max = o.max
+	}
+	w.n = n
+}
+
+// MaxAbsError returns the maximum of |est[i]-truth[i]|.
+func MaxAbsError(est, truth []float64) float64 {
+	if len(est) != len(truth) {
+		panic("stats: MaxAbsError length mismatch")
+	}
+	var m float64
+	for i := range est {
+		if d := math.Abs(est[i] - truth[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// RMSE returns the root-mean-square error between est and truth.
+func RMSE(est, truth []float64) float64 {
+	if len(est) != len(truth) {
+		panic("stats: RMSE length mismatch")
+	}
+	if len(est) == 0 {
+		return 0
+	}
+	var s float64
+	for i := range est {
+		d := est[i] - truth[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(est)))
+}
+
+// HoeffdingBound returns the Hoeffding tail bound 2 exp(-2 n eps²) for
+// the mean of n iid samples of a [0,1]-valued variable.
+func HoeffdingBound(n int, eps float64) float64 {
+	return 2 * math.Exp(-2*float64(n)*eps*eps)
+}
+
+// RKSampleSize returns the Riondato–Kornaropoulos [30] sample size for
+// estimating all betweenness values within eps with probability 1-delta:
+//
+//	r >= (c/eps²) (floor(log2(VD-2)) + 1 + ln(1/delta))
+//
+// where VD is the vertex diameter (number of vertices on the longest
+// shortest path) and c is the universal VC constant, 0.5 in their
+// implementation.
+func RKSampleSize(eps, delta float64, vertexDiameter int) int {
+	if eps <= 0 || delta <= 0 || delta >= 1 {
+		panic("stats: RKSampleSize requires eps > 0 and delta in (0,1)")
+	}
+	vd := vertexDiameter
+	if vd < 2 {
+		vd = 2
+	}
+	var ld float64
+	if vd > 2 {
+		ld = math.Floor(math.Log2(float64(vd - 2)))
+	}
+	const c = 0.5
+	return int(math.Ceil(c / (eps * eps) * (ld + 1 + math.Log(1/delta))))
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -175,7 +176,7 @@ func TestOpenRecoversCatalog(t *testing.T) {
 	}
 	want := graphBytes(t, a.Engine().Graph())
 	opts := core.Options{Steps: 2000, Seed: 9}
-	wantEst, err := a.Engine().Estimate(20, opts)
+	wantEst, err := a.Engine().EstimateContext(context.Background(), 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestOpenRecoversCatalog(t *testing.T) {
 	}
 	// The live session served an overlay, the recovered one a replayed
 	// clean CSR: same-seed estimates must not tell them apart.
-	gotEst, err := a2.Engine().Estimate(20, opts)
+	gotEst, err := a2.Engine().EstimateContext(context.Background(), 20, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestOpenRecoversCatalog(t *testing.T) {
 // answering 200 throughout.
 func TestDegradedModeHTTP(t *testing.T) {
 	st, _, ffs := newDurableStore(t, Config{})
-	srv := httptest.NewServer(NewServer(st, ""))
+	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{}))
 	t.Cleanup(srv.Close)
 
 	uploadGraph(t, srv, "karate", graph.KarateClub())
@@ -347,3 +348,6 @@ func TestWalBytesGrowAndCompact(t *testing.T) {
 		t.Fatalf("compaction degraded the session: %v", cause)
 	}
 }
+
+// Durable reports whether the session is configured for persistence.
+func (s *Session) Durable() bool { return s.durable }

@@ -56,9 +56,6 @@ type ServerOptions struct {
 	// MaxRankJobs bounds concurrently running ranking jobs (zero:
 	// jobs.DefaultMaxRunning).
 	MaxRankJobs int
-	// MaxTrackedJobs bounds retained job records (zero:
-	// jobs.DefaultMaxTracked).
-	MaxTrackedJobs int
 	// SyncRankN is the synchronous fast-path threshold: a ranking
 	// request without an explicit "sync" field runs inside the request
 	// when the session's graph has at most this many vertices. Zero
@@ -67,8 +64,8 @@ type ServerOptions struct {
 	SyncRankN int
 }
 
-// NewServer returns the multi-tenant HTTP handler cmd/bcserve mounts
-// over a store:
+// NewServerWithOptions returns the multi-tenant HTTP handler
+// cmd/bcserve mounts over a store:
 //
 //	POST   /graphs                      create a session from an uploaded edge list
 //	GET    /graphs                      list sessions + store budget counters
@@ -86,7 +83,7 @@ type ServerOptions struct {
 //
 // The single-graph routes of earlier releases — POST /estimate,
 // POST /estimate/batch, GET /exact/{v}, GET /stats — remain mounted as
-// aliases for the session named defaultID (404 when defaultID is empty
+// aliases for the session named opts.DefaultID (404 when it is empty
 // or no such session exists), so existing clients keep working
 // unchanged against the default graph.
 //
@@ -96,17 +93,12 @@ type ServerOptions struct {
 // request aborts it with 503 and the session-closed message. Ranking
 // jobs outlive their originating request but not their session — they
 // run under the session's lifecycle context and die with it.
-func NewServer(st *Store, defaultID string) http.Handler {
-	return NewServerWithOptions(st, ServerOptions{DefaultID: defaultID})
-}
-
-// NewServerWithOptions is NewServer with explicit server options.
 func NewServerWithOptions(st *Store, opts ServerOptions) http.Handler {
 	s := &storeServer{
 		st:        st,
 		defaultID: opts.DefaultID,
 		opts:      opts,
-		jobs:      jobs.NewManager(jobs.Config{MaxRunning: opts.MaxRankJobs, MaxTracked: opts.MaxTrackedJobs}),
+		jobs:      jobs.NewManager(jobs.Config{MaxRunning: opts.MaxRankJobs}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /graphs", s.handleCreate)

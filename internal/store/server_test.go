@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 	"bcmh/internal/core"
 	"bcmh/internal/engine"
 	"bcmh/internal/graph"
+	"bcmh/internal/jobs"
+	"bcmh/internal/mcmc"
 	"bcmh/internal/rng"
 )
 
@@ -21,7 +24,7 @@ func newTestServer(t *testing.T, cfg Config, defaultID string) (*Store, *httptes
 	t.Helper()
 	st := New(cfg)
 	t.Cleanup(st.Close)
-	srv := httptest.NewServer(NewServer(st, defaultID))
+	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{DefaultID: defaultID}))
 	t.Cleanup(srv.Close)
 	return st, srv
 }
@@ -140,7 +143,7 @@ func TestSessionEstimateRoutesMatchEngine(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/estimate", req, &est); code != http.StatusOK {
 		t.Fatalf("estimate: status %d", code)
 	}
-	want, err := sess.Engine().Estimate(v33, core.Options{Steps: 400, Seed: 7})
+	want, err := sess.Engine().EstimateContext(context.Background(), v33, core.Options{Steps: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +164,12 @@ func TestSessionEstimateRoutesMatchEngine(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, srv.URL+"/graphs/karate/exact/33", nil, &exact); code != http.StatusOK {
 		t.Fatalf("exact: status %d", code)
 	}
-	wantBC, err := sess.Engine().ExactBCOf(v33)
+	ms, err := sess.Engine().MuStatsContext(context.Background(), v33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.BC != wantBC {
-		t.Fatalf("exact %v, want %v", exact.BC, wantBC)
+	if exact.BC != ms.BC {
+		t.Fatalf("exact %v, want %v", exact.BC, ms.BC)
 	}
 
 	var stats SessionStatsResponse
@@ -184,7 +187,7 @@ func TestDefaultSessionAliasRoutes(t *testing.T) {
 	if _, err := st.CreateFromGraph("default", graph.KarateClub(), nil, true); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(st, "default"))
+	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{DefaultID: "default"}))
 	t.Cleanup(srv.Close)
 
 	// The legacy single-graph routes hit the default session.
@@ -223,7 +226,7 @@ func TestMuColumnChainsCounted(t *testing.T) {
 	if _, err := st.CreateFromGraph("karate", graph.KarateClub(), nil, true); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(st, "karate"))
+	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{DefaultID: "karate"}))
 	t.Cleanup(srv.Close)
 	estimate := func(req engine.EstimateRequest) {
 		t.Helper()
@@ -270,7 +273,7 @@ func TestSourceRowsCounted(t *testing.T) {
 	if _, err := st.CreateFromGraph("road", g, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(st, "road"))
+	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{DefaultID: "road"}))
 	t.Cleanup(srv.Close)
 	syncTrue := true
 	var res RankResult
@@ -368,7 +371,7 @@ func TestServerErrorPaths(t *testing.T) {
 
 	// Body over the HTTP cap (bcserve's MaxBytesHandler): also 413,
 	// for both upload shapes — not a 400 masquerading as bad syntax.
-	capped := httptest.NewServer(http.MaxBytesHandler(NewServer(New(Config{}), ""), 1024))
+	capped := httptest.NewServer(http.MaxBytesHandler(NewServerWithOptions(New(Config{}), ServerOptions{}), 1024))
 	defer capped.Close()
 	bigBody := edgeList(t, graph.BarabasiAlbert(500, 3, rng.New(9)))
 	resp, err = http.Post(capped.URL+"/graphs?id=fat", "text/plain", strings.NewReader(bigBody))
@@ -436,7 +439,7 @@ func TestServerErrorPaths(t *testing.T) {
 func TestMidRequestCancellationStatus(t *testing.T) {
 	st := New(Config{})
 	t.Cleanup(st.Close)
-	handler := NewServer(st, "")
+	handler := NewServerWithOptions(st, ServerOptions{})
 	if _, err := st.CreateFromGraph("big", graph.BarabasiAlbert(2000, 3, rng.New(23)), nil, false); err != nil {
 		t.Fatal(err)
 	}
@@ -551,12 +554,12 @@ func TestUploadedSessionsServeIndependently(t *testing.T) {
 					vid = v
 				}
 			}
-			want, err := eng.ExactBCOf(vid)
+			want, err := eng.MuStatsContext(context.Background(), vid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if exact.BC != want {
-				t.Fatalf("%s label %d: %v != %v", id, label, exact.BC, want)
+			if exact.BC != want.BC {
+				t.Fatalf("%s label %d: %v != %v", id, label, exact.BC, want.BC)
 			}
 		}
 	}
@@ -587,5 +590,67 @@ func TestStoreMuxErrorsAreJSON(t *testing.T) {
 		} else if errBody.Error == "" {
 			t.Errorf("GET %s: empty error message", path)
 		}
+	}
+}
+
+// diamondChain returns k diamonds in a row: hubs 0..k, and diamond i's
+// two middle vertices k+1+2i and k+2+2i, each joined to hubs i and
+// i+1. The end hubs are joined by 2^k shortest paths, so σ passes
+// float64's range from k = 1024.
+func diamondChain(k int) *graph.Graph {
+	b := graph.NewBuilder(3*k + 1)
+	for i := 0; i < k; i++ {
+		for _, mid := range []int{k + 1 + 2*i, k + 2 + 2*i} {
+			b.AddEdge(i, mid)
+			b.AddEdge(mid, i+1)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestNonFinitePathCountsRejected pins what a graph whose path counts
+// overflow float64 gets: every route that would compute with a NaN or
+// ±Inf dependency answers 422 with the cause, an async rank job ends
+// failed, the job list stays readable, and the library call returns an
+// error instead of a NaN diagnostic.
+func TestNonFinitePathCountsRejected(t *testing.T) {
+	_, srv := newTestServer(t, Config{}, "")
+	uploadGraph(t, srv, "dia", diamondChain(1100))
+	base := srv.URL + "/graphs/dia"
+	var errBody struct {
+		Error string `json:"error"`
+	}
+	if code := doJSON(t, http.MethodGet, base+"/exact/550", nil, &errBody); code != http.StatusUnprocessableEntity || !strings.Contains(errBody.Error, "non-finite") {
+		t.Fatalf("exact: status %d, error %q; want 422 naming the non-finite value", code, errBody.Error)
+	}
+	for _, req := range []engine.EstimateRequest{
+		{Vertex: 550, Steps: 64, Seed: 1},
+		{Vertex: 550, Epsilon: 0.1, Delta: 0.1, MaxSteps: 256, Seed: 1},
+	} {
+		errBody.Error = ""
+		if code := doJSON(t, http.MethodPost, base+"/estimate", req, &errBody); code != http.StatusUnprocessableEntity || !strings.Contains(errBody.Error, "non-finite") {
+			t.Fatalf("estimate %+v: status %d, error %q; want 422 naming the non-finite value", req, code, errBody.Error)
+		}
+	}
+
+	syncFalse := false
+	var sub struct {
+		ID string `json:"id"`
+	}
+	rreq := RankRequest{K: 3, Seed: 1, MaxCandidates: 8, TotalBudget: 4096, MaxRounds: 1, Sync: &syncFalse}
+	if code := doJSON(t, http.MethodPost, base+"/rank", rreq, &sub); code != http.StatusAccepted {
+		t.Fatalf("rank: status %d, want 202", code)
+	}
+	view := pollJob(t, srv, sub.ID, 30*time.Second)
+	if view.Status != jobs.StatusFailed || !strings.Contains(view.Error, "non-finite") {
+		t.Fatalf("rank job ended %q with error %q; want failed naming the non-finite value", view.Status, view.Error)
+	}
+	if code := doJSON(t, http.MethodGet, srv.URL+"/jobs", nil, nil); code != http.StatusOK {
+		t.Fatalf("GET /jobs after the failed job: status %d", code)
+	}
+
+	_, err := core.EstimateBC(diamondChain(1100), 550, core.Options{Steps: 64, Seed: 1})
+	if !errors.Is(err, mcmc.ErrNonFinite) {
+		t.Fatalf("core.EstimateBC: err = %v, want one wrapping mcmc.ErrNonFinite", err)
 	}
 }

@@ -246,9 +246,6 @@ func (s *Session) degrade(cause error) {
 	s.degraded.CompareAndSwap(nil, &degradedInfo{cause: cause, at: time.Now()})
 }
 
-// Durable reports whether the session is configured for persistence.
-func (s *Session) Durable() bool { return s.durable }
-
 // Degraded returns the session's read-only degradation state and its
 // pinned first cause (nil when healthy).
 func (s *Session) Degraded() (bool, error) {
@@ -286,16 +283,6 @@ func (s *Session) Cost() int64 { return s.cost.Load() }
 
 // Version returns the session's current graph version.
 func (s *Session) Version() uint64 { return s.eng.Version() }
-
-// Mutations returns the number of edit batches applied to the session.
-func (s *Session) Mutations() uint64 { return s.mutations.Load() }
-
-// Pinned reports whether the session is exempt from LRU eviction
-// (sessions preloaded at server startup are).
-func (s *Session) Pinned() bool { return s.pinned }
-
-// CreatedAt returns the session creation time.
-func (s *Session) CreatedAt() time.Time { return s.created }
 
 // LastUsed returns the time of the session's most recent use.
 func (s *Session) LastUsed() time.Time { return time.Unix(0, s.lastUsed.Load()) }

@@ -401,12 +401,12 @@ func TestTwoSessionsServeConcurrentTrafficIndependently(t *testing.T) {
 				return
 			}
 			defer release()
-			got, err := sess.Engine().Estimate(j.vertex, opts(j.seed))
+			got, err := sess.Engine().EstimateContext(context.Background(), j.vertex, opts(j.seed))
 			if err != nil {
 				errCh <- fmt.Errorf("%s/%d: %v", j.id, j.vertex, err)
 				return
 			}
-			want, err := ref[j.id].Estimate(j.vertex, opts(j.seed))
+			want, err := ref[j.id].EstimateContext(context.Background(), j.vertex, opts(j.seed))
 			if err != nil {
 				errCh <- err
 				return
@@ -446,7 +446,7 @@ func TestTwoSessionsServeConcurrentTrafficIndependently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if _, err := sess.Engine().Estimate(0, opts(7)); err != nil {
+	if _, err := sess.Engine().EstimateContext(context.Background(), 0, opts(7)); err != nil {
 		t.Fatalf("survivor stopped serving: %v", err)
 	}
 }

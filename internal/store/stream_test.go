@@ -368,7 +368,7 @@ func TestStreamOverlayCompaction(t *testing.T) {
 	if !graph.SameStorage(eng.Graph(), compacted) {
 		t.Fatal("post-compaction batch did not chain off the compacted storage")
 	}
-	ms, err := eng.MuStats(45)
+	ms, err := eng.MuStatsContext(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,3 +686,6 @@ func TestStreamWALRateCompactionSingleFlight(t *testing.T) {
 	}
 	t.Logf("snapshot writes: %d (1 create + %d rate-triggered folds)", writes, writes-1)
 }
+
+// Mutations returns the number of edit batches applied to the session.
+func (s *Session) Mutations() uint64 { return s.mutations.Load() }
