@@ -131,10 +131,10 @@
 //   - the WAL records it before it becomes visible (one group-
 //     committed record per batch);
 //   - engine.SwapGraph installs it atomically, carrying the buffer
-//     pool, the μ-cache entries the biconnected-component retention
-//     rule proves unaffected (graph.AffectedByEdits, answered by the
-//     amortized graph.AffectedTracker), and warm chain memos across
-//     the version bump;
+//     pool and the μ-cache entries the biconnected-component retention
+//     rule proves unaffected (answered by the amortized
+//     graph.AffectedTracker) across the version bump; chain memos do
+//     not carry, since every chain starts a fresh one;
 //   - an outgrown overlay is folded back into a flat CSR off-lock
 //     (graph.Compact; graph.RebaseCompacted re-anchors batches that
 //     land mid-fold), and the WAL compacts by absolute size or by

@@ -40,16 +40,17 @@
 // bit-identically to a run with no mutation at all, while the next
 // request sees the new graph. Result-cache keys carry the version, so
 // a stale entry can never answer a post-mutation request. One buffer
-// pool serves the whole lineage: kernels reseat in O(overlay), and
-// warm chain memos carry across the bump for targets the batch cannot
-// have affected. μ-cache entries survive a swap under the same rule:
-// the biconnected-component argument of graph.AffectedByEdits
-// (targets outside every edited block's block-cut-tree span keep their
-// exact μ, BC, and concentration profile), answered by an amortized
-// block-forest tracker (graph.AffectedTracker) that may be coarser
-// than the exact rule but never unsound; all other entries are
-// invalidated. InstallCompacted swaps in the background-folded CSR of
-// the serving version without changing anything logical.
+// pool serves the whole lineage: kernels reseat in O(overlay), while
+// every chain starts its memo afresh, so its evals and cache hits are
+// those of a cold run. μ-cache entries survive a swap when the batch
+// cannot have affected their target: by the biconnected-component
+// argument in internal/graph's blocks.go, targets outside every edited
+// block's block-cut-tree span keep their exact μ, BC, and
+// concentration profile. An amortized block-forest tracker
+// (graph.AffectedTracker) answers which targets those are; it may be
+// coarser than the exact rule but is never unsound. All other entries
+// are invalidated. InstallCompacted swaps in the background-folded CSR
+// of the serving version without changing anything logical.
 //
 // There is one exported method per job. EstimateContext serves one
 // target. MuStatsContext returns a target's exact profile, whose BC
@@ -270,16 +271,17 @@ type SwapReport struct {
 // It runs in O(batch + caches):
 //
 //   - the affected region comes from an amortized block-forest
-//     tracker (graph.AffectedTracker), a sound overapproximation of
-//     graph.AffectedByEdits that can be coarser after many edits in one
+//     tracker (graph.AffectedTracker), a sound overapproximation of the
+//     exact block rule that can be coarser after many edits in one
 //     region;
 //   - connectivity is the caller's contract, not checked here: the
 //     store vets every removed pair with graph.PairConnected before the
 //     batch is logged (additions never disconnect, and removals whose
 //     endpoints stay connected leave the graph connected);
-//   - the buffer pool is carried forward (pool.Advance), so kernels
-//     reseat in O(overlay) and warm chain memos survive per the carry
-//     rules in internal/mcmc.
+//   - the buffer pool is carried forward, so kernels reseat in
+//     O(overlay); pool.Advance drops its cached target snapshots and
+//     alias tables of older versions. Chain memos do not carry: every
+//     chain starts a fresh one.
 //
 // In-flight estimates are untouched: they hold the previous snapshot
 // and complete on it bit-identically. The result LRU needs no sweep —
@@ -316,7 +318,7 @@ func (e *Engine) SwapGraph(next *graph.Graph, pairs [][2]int) (SwapReport, error
 			nAffected++
 		}
 	}
-	cur.pool.Advance(next, affected)
+	cur.pool.Advance(next)
 	fresh := &snapshot{
 		g:       next,
 		pool:    cur.pool,

@@ -6,6 +6,31 @@ import (
 	"bcmh/internal/rng"
 )
 
+// AffectedByEdits returns the exact affected region of an edit batch
+// with the given endpoint pairs (as a dense bool slice), evaluated on
+// the *post-edit* graph g: the union, over the pairs, of the blocks on
+// the block-cut-tree path between the pair's endpoints. Vertices
+// outside it provably keep their exact dependency column δ_·•(r) (the
+// soundness argument is at the top of blocks.go). A nil or empty pair
+// list marks every vertex affected. It is the reference the tracker
+// is held to.
+func AffectedByEdits(g *Graph, pairs [][2]int) []bool {
+	n := g.N()
+	affected := make([]bool, n)
+	if len(pairs) == 0 {
+		for i := range affected {
+			affected[i] = true
+		}
+		return affected
+	}
+	bf := Blocks(g)
+	parent := make([]int, len(bf.tree))
+	for _, p := range pairs {
+		bf.markPath(p[0], p[1], affected, parent)
+	}
+	return affected
+}
+
 // TestAffectedTrackerSound chains random overlay batches and checks the
 // tracker's answer is always a superset of the exact AffectedByEdits
 // set (the tracker is allowed to be coarser, never finer), across

@@ -216,34 +216,10 @@ func (bf *BlockForest) markPath(u, v int, affected []bool, parent []int) {
 	}
 }
 
-// AffectedByEdits returns the set of vertices (as a dense bool slice)
-// whose betweenness/dependency structure may have been affected by an
-// edit batch with the given endpoint pairs, evaluated on the
-// *post-edit* graph g: the union, over the pairs, of the blocks on the
-// block-cut-tree path between the pair's endpoints. Vertices outside
-// the set provably keep their exact dependency column δ_·•(r) — the
-// soundness argument is at the top of this file — so version-tagged
-// caches may retain their entries. A nil or empty pair list marks
-// every vertex affected (nothing can be proven about an unknown edit).
-func AffectedByEdits(g *Graph, pairs [][2]int) []bool {
-	n := g.N()
-	affected := make([]bool, n)
-	if len(pairs) == 0 {
-		for i := range affected {
-			affected[i] = true
-		}
-		return affected
-	}
-	bf := Blocks(g)
-	parent := make([]int, len(bf.tree))
-	for _, p := range pairs {
-		bf.markPath(p[0], p[1], affected, parent)
-	}
-	return affected
-}
-
-// AffectedTracker amortizes AffectedByEdits across a stream of edit
-// batches: instead of an O(n+m) block decomposition per batch, it keeps
+// AffectedTracker answers, for each batch in a stream of edit batches,
+// the affected region described at the top of this file, which
+// version-tagged caches use to decide which entries to keep. Instead
+// of an O(n+m) block decomposition per batch, it keeps
 // the forest of an earlier version plus the cumulative dirty set (the
 // union of every affected set reported since that forest was built) and
 // answers from them in O(batch · tree-path + dirty).
@@ -264,8 +240,8 @@ func AffectedByEdits(g *Graph, pairs [][2]int) []bool {
 //     inside dirty.
 //
 // Hence: stale-path marks alone when they avoid dirty, stale-path ∪
-// dirty otherwise — always a sound overapproximation of
-// AffectedByEdits. The forest is rebuilt (and dirty cleared) once the
+// dirty otherwise — always a sound overapproximation of the exact
+// region. The forest is rebuilt (and dirty cleared) once the
 // dirty set covers enough of the graph that the fallback stops being
 // informative. Not safe for concurrent use; the serving layer calls it
 // under its swap lock.
@@ -300,8 +276,10 @@ func NewAffectedTracker(g *Graph) *AffectedTracker {
 
 // Affected returns the affected vertex set of an edit batch with the
 // given endpoint pairs, g being the post-batch graph: a sound (possibly
-// coarser) overapproximation of AffectedByEdits(g, pairs). Nil or empty
-// pairs mark everything, like AffectedByEdits.
+// coarser) overapproximation of the union, over the pairs, of the
+// blocks on the block-cut-tree path between the pair's endpoints. Nil
+// or empty pairs mark everything (nothing can be proven about an
+// unknown edit).
 func (t *AffectedTracker) Affected(g *Graph, pairs [][2]int) []bool {
 	n := len(t.dirty)
 	affected := make([]bool, n)

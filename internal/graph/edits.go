@@ -56,7 +56,7 @@ type Edit struct {
 // out, the endpoints whose adjacency changed (sorted, deduplicated),
 // and the applied endpoint pairs (u < v). The pairs — not just the
 // vertex set — seed the engine's cache-retention analysis
-// (AffectedByEdits): a removal's affected region is the block-cut-tree
+// (AffectedTracker): a removal's affected region is the block-cut-tree
 // path *between* its endpoints, which the flat vertex set cannot
 // express.
 type EditReport struct {

@@ -23,11 +23,9 @@
 // representation; RebaseCompacted re-anchors batches that landed
 // while a background fold ran. ApplyEdits is the batch plus an
 // immediate Compact, for callers that want a clean CSR (WAL replay).
-// AffectedByEdits and the amortized
-// AffectedTracker bound which vertices an edit batch can have
-// affected (by the biconnected-block factorization of shortest
-// paths), which is what lets caches and warm chains survive
-// mutations.
+// The amortized AffectedTracker bounds which vertices an edit batch
+// can have affected (by the biconnected-block factorization of
+// shortest paths), which is what lets caches survive mutations.
 package graph
 
 import (

@@ -51,8 +51,6 @@ var (
 	ErrNotFound = errors.New("jobs: job not found")
 	// ErrTooMany: the manager is at its concurrent-execution bound (429).
 	ErrTooMany = errors.New("jobs: too many concurrent jobs")
-	// ErrClosed: the manager has shut down (503).
-	ErrClosed = errors.New("jobs: manager closed")
 	// ErrCancelled is the cancellation cause Cancel installs on the
 	// job's context.
 	ErrCancelled = errors.New("jobs: job cancelled")
@@ -104,7 +102,6 @@ type Manager struct {
 	jobs    map[string]*Job
 	order   []string // insertion order, for oldest-first eviction
 	running int
-	closed  bool
 }
 
 // NewManager returns an empty manager.
@@ -187,13 +184,9 @@ func newID() string {
 // on and its mutation policy). onExit, when non-nil, runs after the
 // job reaches its terminal state — the store uses it to release the
 // session's in-flight reservation. Start fails with ErrTooMany at the
-// concurrent-execution bound and ErrClosed after Close.
+// concurrent-execution bound.
 func (m *Manager) Start(parent context.Context, owner string, meta any, run Runner, onExit func()) (*Job, error) {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
 	if m.running >= m.cfg.MaxRunning {
 		m.mu.Unlock()
 		return nil, ErrTooMany

@@ -182,26 +182,6 @@ func TestJobRetentionEviction(t *testing.T) {
 	}
 }
 
-func TestManagerClose(t *testing.T) {
-	m := NewManager(Config{})
-	j, err := m.Start(context.Background(), "g", nil, func(ctx context.Context, report func(any)) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	info := waitTerminal(t, j)
-	if info.Status != StatusCancelled || info.Error != ErrClosed.Error() {
-		t.Fatalf("want cancelled with ErrClosed cause, got %+v", info)
-	}
-	if _, err := m.Start(context.Background(), "g", nil,
-		func(ctx context.Context, report func(any)) (any, error) { return nil, nil }, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Start after Close: want ErrClosed, got %v", err)
-	}
-}
-
 func TestJobList(t *testing.T) {
 	m := NewManager(Config{MaxRunning: 4})
 	for i := 0; i < 3; i++ {
@@ -224,7 +204,6 @@ func TestJobList(t *testing.T) {
 
 func TestJobMetaIsRecorded(t *testing.T) {
 	m := NewManager(Config{})
-	defer m.Close()
 	meta := map[string]any{"graph_version": uint64(3), "on_mutate": "cancel"}
 	j, err := m.Start(context.Background(), "g", meta, func(ctx context.Context, report func(any)) (any, error) {
 		return nil, nil
@@ -253,23 +232,4 @@ func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.jobs)
-}
-
-// Close cancels every job (with ErrClosed as the cause) and rejects
-// further Starts. Idempotent; it does not wait for runners to exit.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel(ErrClosed)
-	}
 }

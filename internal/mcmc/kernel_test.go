@@ -147,7 +147,7 @@ func TestEmpiricalStationaryDistribution(t *testing.T) {
 	for _, d := range dep {
 		sum += d
 	}
-	oracle, err := NewOracle(g, r, true)
+	oracle, err := NewOracle(g, r)
 	if err != nil {
 		t.Fatal(err)
 	}

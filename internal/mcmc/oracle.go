@@ -23,7 +23,6 @@ package mcmc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"bcmh/internal/brandes"
 	"bcmh/internal/graph"
@@ -62,9 +61,9 @@ func routeFor(g *graph.Graph) oracleRoute {
 	}
 }
 
-// Oracle evaluates δ_v•(target) with optional memoisation. MH chains
-// revisit states whenever a proposal is rejected, so the memo converts
-// the dominant cost from O(steps) to O(unique-states) evaluations.
+// Oracle evaluates δ_v•(target), the betweenness chain's StatOracle.
+// It keeps no memo: the chain loop memoises every value it reads (see
+// runSingleChain), so each Dep call is one evaluation.
 //
 // Three evaluation routes sit behind the same interface, selected by
 // the graph (see routeFor):
@@ -84,20 +83,17 @@ func routeFor(g *graph.Graph) oracleRoute {
 // An oracle of the chain run that took a μ derivation's parked column
 // (see BufferPool) reads δ_v•(target) from that column instead: the
 // column was filled by the same identity kernels, so every value, and
-// the Evals/Hits accounting, is what a traversal would have produced.
-// An oracle of a run through a SourceRows table (SourceRows.BC, the
-// table rank jobs share per snapshot) takes its target side from the
-// target's row and answers a memo miss at v by scanning v's row
-// against it (brandes.DependencyOnTargetRow[Weighted]), traversing
-// only to build a row no chain has built yet: the same values, bit
-// for bit, at one traversal per vertex per table. A vertex without a
-// row (its traversal does not pack, or the row budget is spent) takes
-// the identity route above.
-//
-// The memo is a dense epoch-stamped array, not a map: at chain lengths
-// in the thousands, map hashing on every step is measurable.
+// the chain's Evals/CacheHits accounting, is what a traversal would
+// have produced. An oracle of a run through a SourceRows table
+// (SourceRows.BC, the table rank jobs share per snapshot) takes its
+// target side from the target's row and answers an evaluation at v by
+// scanning v's row against it
+// (brandes.DependencyOnTargetRow[Weighted]), traversing only to build
+// a row no chain has built yet: the same values, bit for bit, at one
+// traversal per vertex per table. A vertex without a row (its
+// traversal does not pack, or the row budget is spent) takes the
+// identity route above.
 type Oracle struct {
-	g      *graph.Graph
 	target int
 
 	// Brandes route state.
@@ -110,61 +106,27 @@ type Oracle struct {
 	dij   *sssp.Dijkstra
 	wtspd *sssp.WeightedTargetSPD
 	// col, when non-nil, is the exact column δ_·•(target) parked by a μ
-	// derivation; memo misses read it instead of traversing.
+	// derivation; evaluations read it instead of traversing.
 	col []float64
 	// rows, when non-nil, is the table of source rows the run shares:
-	// memo misses scan v's row (built on this oracle's kernel if no
+	// evaluations scan v's row (built on this oracle's kernel if no
 	// chain has yet) instead of traversing. rowEvals counts the
 	// evaluations a row served.
 	rows     *SourceRows
 	rowEvals int
-
-	// Dense memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch —
-	// and, when the memo was carried across graph versions, iff v's
-	// block has not been affected since memoVersion (the lastAffected
-	// check below). A nil memoStamp disables memoisation (ablation T8d).
-	memoVal   []float64
-	memoStamp []uint32
-	memoEpoch uint32
-
-	// Carry-over validity: entries older than this oracle were computed
-	// at graph version memoVersion; lastAffected (shared with the pool,
-	// read atomically — swaps write it concurrently) tells whether a
-	// vertex's block was edited after that. Nil lastAffected means the
-	// memo never crosses versions and the stamp alone decides.
-	memoVersion  uint64
-	lastAffected []uint64
-
-	// Evals counts dependency evaluations performed (memo misses); Hits
-	// counts memo hits. Work accounting for experiments T7/T8d.
-	Evals int
-	Hits  int
 }
 
-// newOracleBuffered wires an Oracle around recycled chain buffers. The
-// buffers may have served a previous target; bumping the memo epoch
-// invalidates every stale entry in O(1). A non-nil ts.spd/ts.wspd
-// supplies the target-side snapshot for the matching identity route
-// (from the BufferPool's shared cache); nil makes the oracle compute
-// its own. A non-nil ts.col is a parked μ column the oracle answers
-// memo misses from (counted in pool's ColumnChains).
-//
-// With a non-nil pool, the memo survives graph-version bumps when it is
-// provably still exact: the buffers last served the same target, at a
-// version at or before g's, and no swap since then affected the
-// target's block (pool.lastAffected). δ_v(r) depends only on the blocks
-// of the block-cut forest containing v and r — contributions from other
-// blocks factor through the cut vertices and cancel in the identity
-// formula — so entries at unaffected states stay valid; states whose
-// block *was* edited are rejected individually by Dep's lastAffected
-// check. Chains restarted on a new snapshot therefore keep their warm
-// memos instead of re-evaluating every revisited state from scratch.
-func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffers, ts targetState, pool *BufferPool) (*Oracle, error) {
+// newOracleBuffered wires an Oracle around the kernels of recycled
+// chain buffers. A non-nil ts.spd/ts.wspd supplies the target-side
+// snapshot for the matching identity route (from the BufferPool's
+// shared cache); nil makes the oracle compute its own. A non-nil ts.col
+// is a parked μ column the oracle answers from (counted in pool's
+// ColumnChains when pool is non-nil).
+func newOracleBuffered(g *graph.Graph, target int, b *chainBuffers, ts targetState, pool *BufferPool) (*Oracle, error) {
 	if target < 0 || target >= g.N() {
 		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
 	}
 	o := &Oracle{
-		g:      g,
 		target: target,
 		c:      b.c,
 		delta:  b.delta,
@@ -200,58 +162,14 @@ func newOracleBuffered(g *graph.Graph, target int, useCache bool, b *chainBuffer
 		}
 		o.wtspd = wtspd
 	}
-	if useCache {
-		o.memoVal = b.memoVal
-		o.memoStamp = b.memoStamp
-		// Only a strictly newer snapshot triggers a carry: same-version
-		// reuse keeps the old bump-per-oracle behavior so Evals/Hits
-		// stay deterministic regardless of buffer recycling order.
-		crossVersion := pool != nil && b.memoTarget == target && b.memoVersion < g.Version()
-		if crossVersion && !pool.affectedAfter(target, b.memoVersion) {
-			// Carry: keep the epoch (existing entries stay stamped) and
-			// judge each entry per state against lastAffected in Dep.
-			// memoVersion must stay at the fill version — advancing it
-			// would blind the per-state check to edits in between.
-			o.memoEpoch = b.memoEpoch
-			o.memoVersion = b.memoVersion
-			o.lastAffected = pool.lastAffected
-			pool.carried.Add(1)
-		} else {
-			if crossVersion {
-				pool.discarded.Add(1)
-			}
-			// Fresh memo: every entry will be computed on g itself, so
-			// the stamp alone decides validity (lastAffected stays nil).
-			o.memoEpoch = b.nextMemoEpoch()
-			b.memoTarget = target
-			b.memoVersion = g.Version()
-			o.memoVersion = b.memoVersion
-		}
-	}
 	return o, nil
 }
 
-// Dep returns δ_v•(target).
-func (o *Oracle) Dep(v int) float64 {
-	if o.memoStamp != nil && o.memoStamp[v] == o.memoEpoch &&
-		(o.lastAffected == nil || atomic.LoadUint64(&o.lastAffected[v]) <= o.memoVersion) {
-		o.Hits++
-		return o.memoVal[v]
-	}
-	o.Evals++
-	d := o.eval(v)
-	if o.memoStamp != nil {
-		o.memoStamp[v] = o.memoEpoch
-		o.memoVal[v] = d
-	}
-	return d
-}
-
-// eval computes δ_v•(target) on the oracle's route: from a parked
+// Dep returns δ_v•(target) on the oracle's route: from a parked
 // column, from v's row in the run's table, or by a traversal from v
 // and a scan (skipping the traversal when building v's row has just
 // run it and the row did not pack).
-func (o *Oracle) eval(v int) float64 {
+func (o *Oracle) Dep(v int) float64 {
 	if o.col != nil {
 		return o.col[v]
 	}
@@ -282,10 +200,6 @@ func (o *Oracle) eval(v int) float64 {
 	}
 }
 
-// Work reports (evaluations, memo hits) — the StatOracle accounting
-// surface the measure-generic chain loop reads.
-func (o *Oracle) Work() (evals, hits int) { return o.Evals, o.Hits }
-
 // SetOracle evaluates the vector (δ_v•(r))_{r ∈ R} for a fixed set R.
 // On the Brandes route a single traversal from v yields δ_v•(x) for
 // every x, so the whole R-vector costs the same O(m) as a single entry;
@@ -310,8 +224,8 @@ type SetOracle struct {
 
 	// Dense memo, flattened row-major: row v is
 	// memoVal[v*len(targets) : (v+1)*len(targets)], valid iff
-	// memoStamp[v] == memoEpoch — the same epoch tagging Oracle uses,
-	// so Retarget invalidates every row in O(1) instead of trusting a
+	// memoStamp[v] == memoEpoch — the same epoch tagging the
+	// single-space chain's memo uses, so Retarget invalidates every row in O(1) instead of trusting a
 	// binary stamp that would survive a target-set change and serve
 	// stale vectors. Nil memoStamp disables memoisation.
 	memoVal   []float64

@@ -66,7 +66,7 @@ func TestFastOracleMatchesReference(t *testing.T) {
 		scratch := make([]float64, n)
 		targets := []int{0, 1, n / 2, n - 1}
 		for _, r := range targets {
-			fast, err := NewOracle(g, r, true)
+			fast, err := NewOracle(g, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestWeightedFastOracleMatchesReference(t *testing.T) {
 		scratch := make([]float64, n)
 		targets := []int{0, 1, n / 2, n - 1}
 		for _, r := range targets {
-			fast, err := NewOracle(g, r, true)
+			fast, err := NewOracle(g, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestSetOracleFastMatchesReference(t *testing.T) {
 // back to Brandes.
 func TestOracleRouteSelection(t *testing.T) {
 	w := graph.WithUniformWeights(graph.KarateClub(), 1, 9, rng.New(51))
-	o, err := NewOracle(w, 0, true)
+	o, err := NewOracle(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestOracleRouteSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	od, err := NewOracle(dg, 1, true)
+	od, err := NewOracle(dg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestChainBitIdenticalWhereExact(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := tc.g.N()
-		fast, err := NewOracle(tc.g, tc.r, true)
+		fast, err := NewOracle(tc.g, tc.r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newReferenceOracle(tc.g, tc.r, true)
+		ref, err := newReferenceOracle(tc.g, tc.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,14 +328,12 @@ func TestChainBitIdenticalWhereExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res.Evals = o.Evals
-			res.CacheHits = o.Hits
 			return res
 		}
 		fastRes := runWith(fast)
 		refRes := runWith(ref)
-		// Oracles were warmed identically above, so even the work
-		// counters must agree.
+		// Each chain memoises on its own fresh buffers, so even the
+		// work counters must agree.
 		if !reflect.DeepEqual(fastRes, refRes) {
 			t.Fatalf("%s: chain results differ:\nfast %+v\nref  %+v", tc.name, fastRes, refRes)
 		}
@@ -402,7 +400,7 @@ func testPooledMatchesUnpooledAfterMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlayPool.Advance(overlay, nil)
+	overlayPool.Advance(overlay)
 
 	fixtures := []struct {
 		name string
@@ -613,28 +611,20 @@ func TestTargetSPDCacheLRU(t *testing.T) {
 }
 
 // NewOracle returns an oracle for δ_·•(target) on g, auto-selecting the
-// evaluation route. When useCache is false every Dep call performs a
-// full evaluation (ablation T8d).
-func NewOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
-	return newOracleBuffered(g, target, useCache, newChainBuffers(g), targetState{}, nil)
+// evaluation route, on buffers of its own.
+func NewOracle(g *graph.Graph, target int) (*Oracle, error) {
+	return newOracleBuffered(g, target, newChainBuffers(g), targetState{}, nil)
 }
 
 // newReferenceOracle forces the Brandes route regardless of graph kind —
 // the baseline the equivalence tests hold the identity route to.
-func newReferenceOracle(g *graph.Graph, target int, useCache bool) (*Oracle, error) {
+func newReferenceOracle(g *graph.Graph, target int) (*Oracle, error) {
 	if target < 0 || target >= g.N() {
 		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
 	}
-	o := &Oracle{
-		g:      g,
+	return &Oracle{
 		target: target,
 		c:      sssp.NewComputer(g),
 		delta:  make([]float64, g.N()),
-	}
-	if useCache {
-		o.memoVal = make([]float64, g.N())
-		o.memoStamp = make([]uint32, g.N())
-		o.memoEpoch = 1
-	}
-	return o, nil
+	}, nil
 }

@@ -33,9 +33,9 @@ const aliasCacheSize = 8
 // undirected graphs get the specialized BFS kernel the identity oracle
 // runs on; weighted undirected graphs get the specialized Dijkstra
 // kernel; directed graphs get the general Computer plus the Brandes
-// accumulation scratch. The memo and visited arrays are dense and
-// epoch-stamped, so reuse across targets costs a counter bump instead
-// of a map clear (or an O(n) zeroing).
+// accumulation scratch. The chain loop's memo and visited arrays are
+// dense and epoch-stamped, so each chain starts them afresh with a
+// counter bump instead of a map clear (or an O(n) zeroing).
 //
 // A buffer set remembers which graph its kernels are seated on (g).
 // When the pool hands it to a chain running on a different snapshot of
@@ -49,18 +49,10 @@ type chainBuffers struct {
 	bfs   *sssp.BFS      // BFS identity route (unweighted undirected)
 	dij   *sssp.Dijkstra // Dijkstra identity route (weighted undirected)
 
-	// Dependency memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch.
+	// Statistic memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch.
 	memoVal   []float64
 	memoStamp []uint32
 	memoEpoch uint32
-
-	// Memo carry-over provenance: the target the memo was filled for
-	// (-1: none) and the graph version its entries are valid from.
-	// newOracleBuffered keeps the memo alive across version bumps when
-	// the target's block was not affected in between (see the carry
-	// rules there); otherwise the epoch bump discards it as before.
-	memoTarget  int
-	memoVersion uint64
 
 	// Visited-state tracking for UniqueStates, same stamping scheme.
 	visStamp []uint32
@@ -75,11 +67,10 @@ type chainBuffers struct {
 func newChainBuffers(g *graph.Graph) *chainBuffers {
 	n := g.N()
 	b := &chainBuffers{
-		g:          g,
-		memoVal:    make([]float64, n),
-		memoStamp:  make([]uint32, n),
-		visStamp:   make([]uint32, n),
-		memoTarget: -1,
+		g:         g,
+		memoVal:   make([]float64, n),
+		memoStamp: make([]uint32, n),
+		visStamp:  make([]uint32, n),
 	}
 	switch routeFor(g) {
 	case routeBFSIdentity:
@@ -148,12 +139,11 @@ type targetState struct {
 	rows *SourceRows
 }
 
-// tspdKey addresses one target snapshot of one graph version. Target
-// snapshots are not invariant across versions even for targets outside
-// the affected blocks (distances into an edited block change), so they
-// are never carried: each version recomputes its own, and Advance
-// drops the entries of older versions. Chains already running on an
-// older snapshot keep the snapshot pointers they took at setup.
+// tspdKey addresses one target snapshot of one graph version. An edit
+// can change the distances from any target, so each version computes
+// its own snapshots, and Advance drops the entries of older versions.
+// Chains already running on an older snapshot keep the snapshot
+// pointers they took at setup.
 type tspdKey struct {
 	version uint64
 	target  int
@@ -210,20 +200,6 @@ type BufferPool struct {
 	tspdByKey map[tspdKey]*list.Element // values are *list.Element of tspdLRU
 	tspdLRU   *list.List                // front = most recently used; values *tspdNode
 
-	// lastAffected[v] is the version of the latest Advance whose
-	// affected set contained v (0: never affected). Written by Advance
-	// under the engine's swap lock, read atomically on the memo-carry
-	// hot path, so chains running concurrently with a swap see either
-	// bound — both safe: the check is conservative.
-	lastAffected []uint64
-
-	// carried counts memos continued across a version bump; discarded
-	// counts memos a chain wanted to carry but had to drop because the
-	// target's block was affected. Both are test/stats hooks proving
-	// the carry-over actually happens.
-	carried   atomic.Uint64
-	discarded atomic.Uint64
-
 	// columnChains counts chains whose oracle read a parked μ column
 	// instead of traversing (one per chain, so a Chains=4 run adds 4).
 	columnChains atomic.Uint64
@@ -249,31 +225,23 @@ type tspdNode struct {
 }
 
 // NewBufferPool returns a pool of chain buffers for g's lineage.
-// Buffers are sized to g at creation; do not share a pool across
-// unrelated graphs (snapshots of one mutation lineage are exactly what
-// it is for).
+// Buffers are sized to the snapshot they are first checked out on; do
+// not share a pool across unrelated graphs (snapshots of one mutation
+// lineage are exactly what it is for).
 func NewBufferPool(g *graph.Graph) *BufferPool {
 	return &BufferPool{
-		aliases:      make(map[uint64]*rng.Alias, aliasCacheSize),
-		tspdByKey:    make(map[tspdKey]*list.Element, targetSPDCacheSize),
-		tspdLRU:      list.New(),
-		lastAffected: make([]uint64, g.N()),
+		aliases:   make(map[uint64]*rng.Alias, aliasCacheSize),
+		tspdByKey: make(map[tspdKey]*list.Element, targetSPDCacheSize),
+		tspdLRU:   list.New(),
 	}
 }
 
-// Advance records a swap to next whose affected-block vertex set is
-// affected (nil = everything affected): chains that later check out
-// buffers judge their memos against these marks. It also drops the
-// cached target snapshots and alias tables of versions older than
-// next's (see BufferPool). Call under the same lock that serializes
+// Advance drops the cached target snapshots and alias tables of
+// versions older than next's (see BufferPool). Call it when next
+// becomes the serving snapshot, under the same lock that serializes
 // swaps so versions advance monotonically.
-func (p *BufferPool) Advance(next *graph.Graph, affected []bool) {
+func (p *BufferPool) Advance(next *graph.Graph) {
 	v := next.Version()
-	for i := range p.lastAffected {
-		if affected == nil || affected[i] {
-			atomic.StoreUint64(&p.lastAffected[i], v)
-		}
-	}
 	p.tspdMtx.Lock()
 	for el := p.tspdLRU.Front(); el != nil; {
 		nextEl := el.Next()
@@ -291,12 +259,6 @@ func (p *BufferPool) Advance(next *graph.Graph, affected []bool) {
 		}
 	}
 	p.aliasMtx.Unlock()
-}
-
-// affectedAfter reports whether v's block was affected by any swap
-// installed after version.
-func (p *BufferPool) affectedAfter(v int, version uint64) bool {
-	return atomic.LoadUint64(&p.lastAffected[v]) > version
 }
 
 // ColumnChains returns how many chains were served from a dependency

@@ -145,7 +145,7 @@ func TestSourceRowsMatchKernel(t *testing.T) {
 			}
 			packed := 0
 			for i, r := range targets {
-				o, err := newOracleBuffered(g, r, false, b, targetState{rows: table}, nil)
+				o, err := newOracleBuffered(g, r, b, targetState{rows: table}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,9 +30,9 @@ type MultiResult struct {
 // whose column the chain's stationary distribution is proportional to.
 // Build one with BC or Stat.
 type Source struct {
-	target    int                                  // BC target (when newOracle is nil)
-	rows      *SourceRows                          // BC through a row table (SourceRows.BC)
-	newOracle func(cache bool) (StatOracle, error) // Stat: one oracle per chain
+	target    int                        // BC target (when newOracle is nil)
+	rows      *SourceRows                // BC through a row table (SourceRows.BC)
+	newOracle func() (StatOracle, error) // Stat: one oracle per chain
 }
 
 // BC is the betweenness source of §4.2: every chain samples δ_v•(r)
@@ -43,14 +43,14 @@ type Source struct {
 func BC(r int) Source { return Source{target: r} }
 
 // Stat samples an arbitrary statistic oracle: newOracle is called once
-// per chain, on that chain's goroutine, with cache = !Config.DisableCache
-// (evaluation kernels are not concurrency-safe, so each chain needs its
-// own oracle; expensive per-target state should be built once by the
-// caller and shared by the closure). The estimators read d/(n−1) exactly
-// as for betweenness, so a statistic that shares betweenness's
-// normalisation (Σ_v d_v = n(n−1)·Value) reuses the whole estimator
-// stack.
-func Stat(newOracle func(cache bool) (StatOracle, error)) Source {
+// per chain, on that chain's goroutine (evaluation kernels are not
+// concurrency-safe, so each chain needs its own oracle; expensive
+// per-target state should be built once by the caller and shared by
+// the closure). The chain loop memoises the oracle's values as it does
+// betweenness's. The estimators read d/(n−1) exactly as for
+// betweenness, so a statistic that shares betweenness's normalisation
+// (Σ_v d_v = n(n−1)·Value) reuses the whole estimator stack.
+func Stat(newOracle func() (StatOracle, error)) Source {
 	return Source{newOracle: newOracle}
 }
 
@@ -68,14 +68,15 @@ func Stat(newOracle func(cache bool) (StatOracle, error)) Source {
 // combineChainResults pools them: pooling chain averages of
 // equal-length chains is again a chain average, so every guarantee
 // stated for one chain of T steps applies to the pool with T' =
-// chains·T steps. Results are deterministic given (g, src, cfg, seed,
-// chains), whatever the scheduling.
+// chains·T steps. Results, Evals and CacheHits included, are
+// deterministic given (g, src, cfg, seed, chains), whatever the
+// scheduling.
 //
 // Chains draw their buffers from pool, and a nil pool means a private
 // NewBufferPool(g) for the run; buffer reuse changes where scratch
-// memory lives, never what a chain computes. Every chain's step loop
-// polls ctx, so one cancellation aborts the run with ctx's error; a run
-// that completes is bit-identical whatever the context.
+// memory lives, never what a chain computes or counts. Every chain's
+// step loop polls ctx, so one cancellation aborts the run with ctx's
+// error; a run that completes is bit-identical whatever the context.
 func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint64, chains int, pool *BufferPool) (MultiResult, error) {
 	if chains <= 0 {
 		return MultiResult{}, fmt.Errorf("mcmc: chains must be positive, got %d", chains)
@@ -121,10 +122,10 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 		var oracle StatOracle
 		var err error
 		if newOracle != nil {
-			oracle, err = newOracle(!cfg.DisableCache)
+			oracle, err = newOracle()
 		} else {
 			var bc *Oracle
-			bc, err = newOracleBuffered(g, src.target, !cfg.DisableCache, b, ts, pool)
+			bc, err = newOracleBuffered(g, src.target, b, ts, pool)
 			if bc != nil && bc.rows != nil {
 				defer func() { bc.rows.pool.rowEvals.Add(uint64(bc.rowEvals)) }()
 			}
@@ -133,12 +134,7 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := runSingleChain(ctx, g, oracle, cfg, rnd, b, degAlias)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Evals, res.CacheHits = oracle.Work()
-		return res, nil
+		return runSingleChain(ctx, g, oracle, cfg, rnd, b, degAlias)
 	}
 	if chains == 1 {
 		res, err := chain(rng.New(seed))

@@ -74,7 +74,7 @@ func (k EstimatorKind) String() string {
 // Config parameterises the single-space sampler. The zero value is not
 // valid: Steps must be positive. Defaults chosen by DefaultConfig match
 // the paper (uniform proposal, no burn-in, chain-average estimator,
-// memoised oracle).
+// memoised chain).
 type Config struct {
 	// Steps is T, the number of MH iterations; the chain visits T+1
 	// states (Eq. 7's normalisation).
@@ -206,17 +206,17 @@ func (c *Config) validate(n int) error {
 }
 
 // StatOracle is the per-state statistic evaluator a chain runs
-// against: Dep(v) returns the non-negative per-vertex score d_v (for
+// against: Dep(v) computes the non-negative per-vertex score d_v (for
 // betweenness, δ_v•(r)) that both the acceptance ratio and the
-// estimators read, and Work reports the (evaluations, memo hits) pair
-// for work accounting. The BC Oracle implements it natively; measure
-// packages plug alternative centralities into the same chain loop by
-// implementing this interface and running it as a Stat source — every
-// estimator variant, the adaptive stopping rule, and the μ̂ diagnostics
-// carry over unchanged because they only ever see Dep values.
+// estimators read. It does no memoisation of its own: the chain loop
+// memoises every Dep value and counts Result.Evals and CacheHits. The
+// BC Oracle implements it natively; measure packages plug alternative
+// centralities into the same chain loop by implementing this interface
+// and running it as a Stat source — every estimator variant, the
+// adaptive stopping rule, and the μ̂ diagnostics carry over unchanged
+// because they only ever see Dep values.
 type StatOracle interface {
 	Dep(v int) float64
-	Work() (evals, hits int)
 }
 
 // adaptiveFirstCheck is the first empirical-Bernstein checkpoint;
@@ -258,13 +258,35 @@ func acceptMH(depCur, depNew, hastings float64, rnd *rng.RNG) bool {
 }
 
 // runSingleChain is the chain loop: Run calls it once per chain. The
-// chain's visited set lives in b's epoch-stamped array; degAlias is the
-// pool's degree-proposal table for g when cfg.DegreeProposal is set
-// (nil otherwise). The loop polls ctx every cancelCheckInterval steps;
-// on cancellation it returns ctx's error.
+// chain's memo and visited set live in b's epoch-stamped arrays, each
+// started on a fresh epoch, so a Result is the same whatever b served
+// before; degAlias is the pool's degree-proposal table for g when
+// cfg.DegreeProposal is set (nil otherwise). The loop polls ctx every
+// cancelCheckInterval steps and after every memo miss; on cancellation
+// it returns ctx's error.
 func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg Config, rnd *rng.RNG, b *chainBuffers, degAlias *rng.Alias) (Result, error) {
 	n := g.N()
 	var res Result
+
+	// The memo: a rejected proposal repeats the current state, so
+	// memoising d_v makes the chain cost O(unique states) evaluations
+	// instead of O(steps). memoVal[v] is valid iff memoStamp[v] ==
+	// memoEpoch. Config.DisableCache turns it off (ablation T8d).
+	memo := !cfg.DisableCache
+	memoVal, memoStamp, memoEpoch := b.memoVal, b.memoStamp, b.nextMemoEpoch()
+	dep := func(v int) float64 {
+		if memo && memoStamp[v] == memoEpoch {
+			res.CacheHits++
+			return memoVal[v]
+		}
+		res.Evals++
+		d := oracle.Dep(v)
+		if memo {
+			memoStamp[v] = memoEpoch
+			memoVal[v] = d
+		}
+		return d
+	}
 
 	// A context that can never be cancelled (context.Background and
 	// friends) has a nil Done channel; skip the per-step polling
@@ -290,7 +312,7 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 	if cur < 0 {
 		cur = rnd.Intn(n)
 	}
-	depCur := oracle.Dep(cur)
+	depCur := dep(cur)
 	if nonFinite(depCur) {
 		return res, fmt.Errorf("mcmc: dependency at vertex %d is %v: %w", cur, depCur, ErrNonFinite)
 	}
@@ -357,7 +379,6 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 	countState(depCur, 0)
 	eq7Sum += fOf(depCur, n)
 
-	evalsSeen, _ := oracle.Work()
 	for t := 1; t <= cfg.Steps; t++ {
 		if cancellable && t%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -365,7 +386,8 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 			}
 		}
 		prop := propose()
-		depNew := oracle.Dep(prop)
+		evals := res.Evals
+		depNew := dep(prop)
 		if nonFinite(depNew) {
 			return res, fmt.Errorf("mcmc: dependency at vertex %d is %v: %w", prop, depNew, ErrNonFinite)
 		}
@@ -373,12 +395,9 @@ func runSingleChain(ctx context.Context, g *graph.Graph, oracle StatOracle, cfg 
 		// so a chain stuck in cold-cache evaluations (memo disabled, or
 		// a large state space early in the run) aborts within one
 		// evaluation instead of cancelCheckInterval of them.
-		if cancellable {
-			if evals, _ := oracle.Work(); evals != evalsSeen {
-				evalsSeen = evals
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
+		if cancellable && res.Evals != evals {
+			if err := ctx.Err(); err != nil {
+				return res, err
 			}
 		}
 		if depNew > res.MaxDepSeen {

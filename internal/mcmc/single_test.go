@@ -19,7 +19,7 @@ func runBC(g *graph.Graph, r int, cfg Config, seed uint64, pool *BufferPool) (Re
 
 func TestOracleMatchesBrandes(t *testing.T) {
 	g := graph.KarateClub()
-	o, err := NewOracle(g, 0, true)
+	o, err := NewOracle(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,30 +29,66 @@ func TestOracleMatchesBrandes(t *testing.T) {
 			t.Fatalf("oracle dep[%d] = %v want %v", v, got, dep[v])
 		}
 	}
-	if o.Evals != g.N() {
-		t.Fatalf("evals %d", o.Evals)
-	}
-	// Second pass: all hits.
-	for v := 0; v < g.N(); v++ {
-		o.Dep(v)
-	}
-	if o.Hits != g.N() || o.Evals != g.N() {
-		t.Fatalf("cache not effective: evals=%d hits=%d", o.Evals, o.Hits)
-	}
 }
 
+// countingOracle wraps a StatOracle and counts its evaluations per
+// vertex.
+type countingOracle struct {
+	StatOracle
+	calls []int
+}
+
+func (o *countingOracle) Dep(v int) float64 {
+	o.calls[v]++
+	return o.StatOracle.Dep(v)
+}
+
+// TestOracleNoCache pins the chain loop's memo and its ablation: with
+// the memo on, every vertex the chain reads is evaluated once (Evals
+// counts the distinct vertices, and every later read is a cache hit);
+// with DisableCache every read evaluates. Either way the loop reads
+// Steps+1 states (TestCacheAblationSameResult pins the estimates).
 func TestOracleNoCache(t *testing.T) {
-	g := graph.Path(5)
-	o, _ := NewOracle(g, 2, false)
-	o.Dep(0)
-	o.Dep(0)
-	if o.Evals != 2 || o.Hits != 0 {
-		t.Fatalf("uncached oracle: evals=%d hits=%d", o.Evals, o.Hits)
+	g := graph.KarateClub()
+	const r, seed = 2, 13
+	run := func(cfg Config) (Result, []int) {
+		t.Helper()
+		bc, err := NewOracle(g, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &countingOracle{StatOracle: bc, calls: make([]int, g.N())}
+		res, err := runSingleChain(context.Background(), g, o, cfg, rng.New(seed), newChainBuffers(g), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, o.calls
+	}
+	on, calls := run(DefaultConfig(300))
+	distinct := 0
+	for v, c := range calls {
+		if c > 1 {
+			t.Fatalf("memoised chain evaluated vertex %d %d times", v, c)
+		}
+		distinct += c
+	}
+	if on.Evals != distinct || on.Evals+on.CacheHits != on.StepsRun+1 || on.CacheHits == 0 {
+		t.Fatalf("memoised chain: evals=%d hits=%d, want %d evals and %d reads", on.Evals, on.CacheHits, distinct, on.StepsRun+1)
+	}
+	cfg := DefaultConfig(300)
+	cfg.DisableCache = true
+	off, calls := run(cfg)
+	total := 0
+	for _, c := range calls {
+		total += c
+	}
+	if off.Evals != total || off.Evals != off.StepsRun+1 || off.CacheHits != 0 {
+		t.Fatalf("uncached chain: evals=%d hits=%d, %d evaluations for %d steps", off.Evals, off.CacheHits, total, off.StepsRun)
 	}
 }
 
 func TestOracleBadTarget(t *testing.T) {
-	if _, err := NewOracle(graph.Path(3), 9, true); err == nil {
+	if _, err := NewOracle(graph.Path(3), 9); err == nil {
 		t.Fatal("bad target accepted")
 	}
 }
@@ -67,7 +103,7 @@ func TestSetOracle(t *testing.T) {
 	for v := 0; v < 10; v++ {
 		deps := o.Deps(v)
 		for i, r := range R {
-			single, _ := NewOracle(g, r, false)
+			single, _ := NewOracle(g, r)
 			if math.Abs(deps[i]-single.Dep(v)) > 1e-12 {
 				t.Fatalf("set oracle deps[%d] for v=%d mismatch", i, v)
 			}

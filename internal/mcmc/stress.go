@@ -37,31 +37,18 @@ type StressResult struct {
 	CacheHits      int
 }
 
-// stressOracle memoises δS_v•(target) evaluations; it is the Stat
-// source of the stress chain.
+// stressOracle evaluates δS_v•(target); it is the Stat source of the
+// stress chain.
 type stressOracle struct {
 	c      *sssp.Computer
 	delta  []float64
 	target int
-	cache  map[int]float64
-	evals  int
-	hits   int
 }
 
 // Dep returns δS_v•(target).
 func (o *stressOracle) Dep(v int) float64 {
-	if d, ok := o.cache[v]; ok {
-		o.hits++
-		return d
-	}
-	o.evals++
-	d := brandes.StressDependencyOnTarget(o.c, o.delta, v, o.target)
-	o.cache[v] = d
-	return d
+	return brandes.StressDependencyOnTarget(o.c, o.delta, v, o.target)
 }
-
-// Work reports (evaluations, memo hits).
-func (o *stressOracle) Work() (evals, hits int) { return o.evals, o.hits }
 
 // EstimateStress runs one single-space MH chain of the given length
 // targeting P[v] ∝ δS_v•(r), seeded like Run, and returns stress
@@ -72,13 +59,11 @@ func EstimateStress(g *graph.Graph, r int, steps int, seed uint64) (StressResult
 	if r < 0 || r >= n {
 		return StressResult{}, fmt.Errorf("mcmc: stress target %d out of range", r)
 	}
-	// The memo is always on: DisableCache is never set here.
-	src := Stat(func(bool) (StatOracle, error) {
+	src := Stat(func() (StatOracle, error) {
 		return &stressOracle{
 			c:      sssp.NewComputer(g),
 			delta:  make([]float64, n),
 			target: r,
-			cache:  make(map[int]float64),
 		}, nil
 	})
 	m, err := Run(context.Background(), g, src, DefaultConfig(steps), seed, 1, nil)

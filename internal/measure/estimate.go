@@ -41,8 +41,8 @@ func Source(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mcmc.Bu
 	if err != nil {
 		return mcmc.Source{}, err
 	}
-	return mcmc.Stat(func(cache bool) (mcmc.StatOracle, error) {
-		return NewEvaluator(g, t, cache)
+	return mcmc.Stat(func() (mcmc.StatOracle, error) {
+		return NewEvaluator(g, t)
 	}), nil
 }
 

@@ -9,30 +9,23 @@ import (
 
 // Evaluator is one chain's view of a measure: it computes the
 // per-vertex statistic d_v(r) on demand and implements
-// mcmc.StatOracle, so the single-space chain drives it exactly like
-// the BC identity oracle. It owns the mutable traversal state (a BFS
-// kernel for coverage/kpath — kernels are not concurrency-safe) plus a
-// dense memo mirroring the BC oracle's cache, so each chain needs its
-// own Evaluator; the expensive read-only state is shared through the
-// Target.
+// mcmc.StatOracle, so the single-space chain drives (and memoises) it
+// exactly like the BC identity oracle. It owns the mutable traversal
+// state (a BFS kernel for coverage/kpath — kernels are not
+// concurrency-safe), so each chain needs its own Evaluator; the
+// expensive read-only state is shared through the Target.
 type Evaluator struct {
-	t     *Target
-	bfs   *sssp.BFS // coverage, kpath (nil for rwbc)
-	memo  []float64 // -1 = unevaluated; statistics are ≥ 0
-	cache bool
-	evals int
-	hits  int
+	t   *Target
+	bfs *sssp.BFS // coverage, kpath (nil for rwbc)
 }
 
 // NewEvaluator returns an evaluator for t over g (the graph t was
-// built on). cache enables the dense per-state memo — the analogue of
-// the BC oracle's dependency cache, and like it the reason chain cost
-// collapses to unique states visited rather than steps run.
-func NewEvaluator(g *graph.Graph, t *Target, cache bool) (*Evaluator, error) {
+// built on).
+func NewEvaluator(g *graph.Graph, t *Target) (*Evaluator, error) {
 	if t == nil {
 		return nil, fmt.Errorf("measure: nil target")
 	}
-	e := &Evaluator{t: t, cache: cache}
+	e := &Evaluator{t: t}
 	switch t.Spec.Kind {
 	case Coverage, KPath:
 		e.bfs = sssp.NewBFS(g)
@@ -41,35 +34,12 @@ func NewEvaluator(g *graph.Graph, t *Target, cache bool) (*Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("measure: no evaluator for %s", t.Spec)
 	}
-	if cache {
-		e.memo = make([]float64, t.n)
-		for v := range e.memo {
-			e.memo[v] = -1
-		}
-	}
 	return e, nil
 }
 
-// Dep returns d_v(r), memoised when the cache is enabled. It is the
-// mcmc.StatOracle hook the chain calls once per proposal.
+// Dep returns d_v(r): the mcmc.StatOracle hook the chain calls on each
+// memo miss, and the per-vertex step of ExactColumn.
 func (e *Evaluator) Dep(v int) float64 {
-	if e.cache && e.memo[v] >= 0 {
-		e.hits++
-		return e.memo[v]
-	}
-	e.evals++
-	d := e.eval(v)
-	if e.cache {
-		e.memo[v] = d
-	}
-	return d
-}
-
-// Work reports (fresh evaluations, memo hits) — the mcmc.StatOracle
-// accounting hook.
-func (e *Evaluator) Work() (evals, hits int) { return e.evals, e.hits }
-
-func (e *Evaluator) eval(v int) float64 {
 	switch e.t.Spec.Kind {
 	case Coverage:
 		return e.pathDep(v, false)

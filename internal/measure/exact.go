@@ -44,7 +44,7 @@ func ExactColumn(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mc
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ev, err := NewEvaluator(g, t, false)
+			ev, err := NewEvaluator(g, t)
 			if err != nil {
 				errs[w] = err
 				return
@@ -54,7 +54,7 @@ func ExactColumn(ctx context.Context, g *graph.Graph, spec Spec, r int, pool *mc
 					errs[w] = err
 					return
 				}
-				deps[v] = ev.eval(v)
+				deps[v] = ev.Dep(v)
 			}
 		}(w)
 	}

@@ -12,7 +12,8 @@
 // Every measure in this package is defined to satisfy exactly that, so
 // internal/mcmc, the Eq. 14 planner, and the estimator variants apply
 // verbatim. A measure contributes four things: a name (Kind/Spec), a
-// per-vertex statistic evaluator (Evaluator, an mcmc.StatOracle), its
+// per-vertex statistic evaluator (Evaluator, an mcmc.StatOracle, which
+// the chain loop memoises exactly as it memoises betweenness), its
 // exact column for μ/ground-truth derivation (ExactColumn/Stats), and
 // a supported-graph-class predicate (Spec.Supports).
 //

@@ -17,10 +17,6 @@ package rng
 // construct instances with New or Split.
 type RNG struct {
 	s0, s1, s2, s3 uint64
-	// cached spare normal variate for the tests' NormFloat64 (Marsaglia
-	// polar); Reseed clears it.
-	haveSpare bool
-	spare     float64
 }
 
 // splitMix64 advances the given state and returns the next SplitMix64
@@ -42,16 +38,13 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-// Reseed resets the generator to the state produced by seed, discarding
-// any cached state.
+// Reseed resets the generator to the state produced by seed.
 func (r *RNG) Reseed(seed uint64) {
 	sm := seed
 	r.s0 = splitMix64(&sm)
 	r.s1 = splitMix64(&sm)
 	r.s2 = splitMix64(&sm)
 	r.s3 = splitMix64(&sm)
-	r.haveSpare = false
-	r.spare = 0
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

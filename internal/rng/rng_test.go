@@ -251,25 +251,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(37)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance %v", variance)
-	}
-}
-
 func TestRange(t *testing.T) {
 	r := New(41)
 	for i := 0; i < 1000; i++ {
@@ -428,15 +409,19 @@ func TestAliasPropertySumPreserved(t *testing.T) {
 	}
 }
 
+// TestReseedResetsSpare checks that Reseed(s) puts a generator that
+// has already drawn back to the start of New(s)'s stream.
 func TestReseedResetsSpare(t *testing.T) {
-	r := New(71)
-	_ = r.NormFloat64() // may cache a spare
+	r := New(5)
+	for i := 0; i < 3; i++ {
+		r.Uint64()
+	}
 	r.Reseed(71)
-	a := r.NormFloat64()
-	r2 := New(71)
-	b := r2.NormFloat64()
-	if a != b {
-		t.Fatalf("Reseed did not reproduce fresh stream: %v vs %v", a, b)
+	fresh := New(71)
+	for i := 0; i < 8; i++ {
+		if a, b := r.Uint64(), fresh.Uint64(); a != b {
+			t.Fatalf("draw %d: reseeded %#x, New(71) %#x", i, a, b)
+		}
 	}
 }
 
@@ -500,27 +485,6 @@ func (r *RNG) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 		// u == 0 happens with probability 2^-53; redraw.
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method,
-// caching the spare deviate).
-func (r *RNG) NormFloat64() float64 {
-	if r.haveSpare {
-		r.haveSpare = false
-		return r.spare
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		factor := math.Sqrt(-2 * math.Log(s) / s)
-		r.spare = v * factor
-		r.haveSpare = true
-		return u * factor
 	}
 }
 

@@ -83,12 +83,11 @@ type BFS struct {
 	// neither carries state between runs and the epoch wrap needs to
 	// clear only the tag array. edges tracks the seated CSR's total row
 	// length (Σ degrees) for the direction heuristic.
-	hybrid   bool
-	ord      *graph.Ordering
-	visited  []uint64
-	front    []uint64
-	edges    int
-	orderBuf []int32 // external-id view of queue for Order under ord
+	hybrid  bool
+	ord     *graph.Ordering
+	visited []uint64
+	front   []uint64
+	edges   int
 }
 
 // Direction heuristic (Beamer et al., "Direction-Optimizing

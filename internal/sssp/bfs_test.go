@@ -172,13 +172,9 @@ func (b *BFS) Order() []int32 {
 	if b.ord == nil {
 		return b.queue
 	}
-	if cap(b.orderBuf) < len(b.queue) {
-		b.orderBuf = make([]int32, len(b.queue), cap(b.queue))
-	}
-	ob := b.orderBuf[:len(b.queue)]
+	order := make([]int32, len(b.queue))
 	for i, s := range b.queue {
-		ob[i] = b.ord.Inv[s]
+		order[i] = b.ord.Inv[s]
 	}
-	b.orderBuf = ob
-	return ob
+	return order
 }

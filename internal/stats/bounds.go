@@ -56,28 +56,6 @@ func MCMCSampleSize(eps, delta, mu float64) int {
 	return int(t)
 }
 
-// Autocorrelation returns the lag-k sample autocorrelation of xs.
-// It returns 0 when the series is too short or has zero variance.
-func Autocorrelation(xs []float64, k int) float64 {
-	n := len(xs)
-	if k < 0 || k >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i+k < n; i++ {
-		num += (xs[i] - m) * (xs[i+k] - m)
-	}
-	return num / den
-}
-
 // ESSBatchMeans estimates the effective sample size of a (possibly
 // autocorrelated) chain trace via the batch-means method with ~sqrt(n)
 // batches: ESS = n · Var(xs)/ (b · Var(batch means)) clipped to [1, n].

@@ -387,22 +387,6 @@ func TestRKSampleSize(t *testing.T) {
 	}
 }
 
-func TestAutocorrelation(t *testing.T) {
-	xs := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if !almostEq(Autocorrelation(xs, 0), 1, 1e-12) {
-		t.Fatal("lag-0 autocorrelation != 1")
-	}
-	if Autocorrelation(xs, 1) >= 0 {
-		t.Fatal("alternating series should have negative lag-1 autocorr")
-	}
-	if Autocorrelation([]float64{2, 2, 2}, 1) != 0 {
-		t.Fatal("constant series autocorr should be 0")
-	}
-	if Autocorrelation(xs, 100) != 0 {
-		t.Fatal("lag beyond length should be 0")
-	}
-}
-
 func TestESSBatchMeans(t *testing.T) {
 	// Strongly autocorrelated chain: long runs of the same value.
 	xs := make([]float64, 1024)

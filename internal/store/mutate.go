@@ -19,11 +19,11 @@ package store
 //     regardless of its size); under FsyncInterval a sustained stream
 //     group-commits into a handful of fsyncs per second;
 //   - engine.SwapGraph installs the result atomically and carries the
-//     buffer pool, unaffected μ-cache entries, and warm chain memos
-//     across the version bump, with the affected set answered by an
-//     amortized block-forest tracker (graph.AffectedTracker: sound,
-//     possibly coarser than the exact block rule after many edits in
-//     one region);
+//     buffer pool and the unaffected μ-cache entries across the
+//     version bump, with the affected set answered by an amortized
+//     block-forest tracker (graph.AffectedTracker: sound, possibly
+//     coarser than the exact block rule after many edits in one
+//     region);
 //   - once the overlay outgrows OverlayCompactEdits (or a degree-
 //     weighted fraction of the base, see graph.ShouldCompactOverlay)
 //     a background goroutine folds it into a fresh CSR and re-anchors

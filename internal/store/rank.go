@@ -251,8 +251,6 @@ func jobStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, jobs.ErrTooMany):
 		return http.StatusTooManyRequests
-	case errors.Is(err, jobs.ErrClosed):
-		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}

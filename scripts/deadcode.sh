@@ -23,8 +23,6 @@ allowlist=(
     'bcmh/internal/durable.*FaultFS*'
     'bcmh/internal/durable.(\*faultFile).*'
     'bcmh/internal/durable.Fault.String'
-    # mcmc's carry_test computes the carry sets it checks with it.
-    'bcmh/internal/graph.AffectedByEdits'
     # sssp's dijkstra_test, mcmc's rows_test, rank's rank_test, store's server_test.
     'bcmh/internal/graph.WithIntegerWeights'
     # store's TestStreamOverlayCompaction waits on them.
@@ -36,8 +34,6 @@ allowlist=(
     'bcmh/internal/rng.(\*RNG).Uint64n'
     # the root package's BenchmarkBFSClassic.
     'bcmh/internal/sssp.NewBFSClassic'
-    # mcmc's diagnostics_test (the test-only Diagnose's lag-1 autocorrelation).
-    'bcmh/internal/stats.Autocorrelation'
     # rank's rank_test scores rankings with it.
     'bcmh/internal/stats.Inversions'
     # sampler's sampler_test.
