@@ -352,9 +352,8 @@ func BenchmarkSequentialBatch32(b *testing.B) {
 }
 
 // rankFixtures builds the whole-graph ranking workload: a 400-vertex
-// scale-free graph small enough that the exact top-5 is known from
-// TestProgressiveBeatsUniform (internal/rank), plus a shared pool so
-// both allocation strategies reuse the same target snapshots.
+// scale-free graph, plus a shared pool for the measure benchmarks'
+// chains.
 var (
 	rankOnce sync.Once
 	rankBA   *graph.Graph
@@ -369,9 +368,9 @@ func rankFixtures() {
 }
 
 // BenchmarkRankProgressiveTop5 measures one whole-graph progressive
-// top-5 ranking (internal/rank defaults): short chains everywhere,
-// then confidence-interval pruning reallocates the budget to the
-// contenders. Recovers the exact top-5 set in ~560k MH steps.
+// top-5 betweenness ranking (internal/rank defaults): batches of 128,
+// 256, … shared Brandes passes until the top-5 is certified or all 400
+// sources are seen.
 func BenchmarkRankProgressiveTop5(b *testing.B) {
 	rankFixtures()
 	b.ResetTimer()
@@ -384,10 +383,9 @@ func BenchmarkRankProgressiveTop5(b *testing.B) {
 
 // BenchmarkRankRoadTop10 measures one top-10 ranking job on a road-style
 // graph, the in-process analog of the end-to-end rank-road workload: a
-// 20×20 grid with integer weights 1–10 (the Dijkstra kernel's Dial
-// route) and a 65,536-step total budget. Every candidate chain of the
-// job reads and fills the pool's row table for the graph, so each
-// vertex is traversed at most once per job.
+// 20×20 grid with integer weights 1–10 and a 65,536 total budget, of
+// which the job spends at most the 400 source passes that make it
+// exact.
 func BenchmarkRankRoadTop10(b *testing.B) {
 	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(5))
 	pool := mcmc.NewBufferPool(g)
@@ -401,11 +399,9 @@ func BenchmarkRankRoadTop10(b *testing.B) {
 	}
 }
 
-// BenchmarkRankUniformTop5 is the allocation baseline at matched
-// accuracy: the cheapest uniform per-candidate budget that recovers
-// the same exact top-5 set (2048 steps × 400 candidates = ~819k MH
-// steps, per TestProgressiveBeatsUniform) — ~1.5x the progressive
-// ranker's step count.
+// BenchmarkRankUniformTop5 is the one-batch baseline of
+// BenchmarkRankProgressiveTop5: a single batch of all 400 sources, no
+// pruning — exact Brandes through the ranker.
 func BenchmarkRankUniformTop5(b *testing.B) {
 	rankFixtures()
 	b.ResetTimer()

@@ -483,18 +483,18 @@ func runRankCLI(args []string) error {
 	var (
 		in      = fs.String("in", "", "edge-list file to rank (required)")
 		k       = fs.Int("k", rank.DefaultK, "ranking size")
-		steps   = fs.Int("steps", rank.DefaultInitialSteps, "round-1 per-candidate chain steps")
+		steps   = fs.Int("steps", rank.DefaultInitialSteps, "round-1 batch: source passes (bc) or per-candidate chain steps")
 		rounds  = fs.Int("rounds", rank.DefaultMaxRounds, "maximum refinement rounds")
-		growth  = fs.Float64("growth", rank.DefaultGrowth, "per-round budget multiplier (≥ 1)")
-		budget  = fs.Int("budget", 0, "total MH step budget over all candidates (0: unbounded)")
+		growth  = fs.Float64("growth", rank.DefaultGrowth, "per-round batch multiplier (≥ 1)")
+		budget  = fs.Int("budget", 0, "total budget: source passes (bc) or MH steps over all candidates (0: unbounded)")
 		sample  = fs.Int("sample", 0, "rank only this many highest-degree vertices (0: all)")
 		conc    = fs.Int("conc", 0, "worker pool width (0: GOMAXPROCS)")
 		seed    = fs.Uint64("seed", 1, "run seed (reproducible)")
 		z       = fs.Float64("z", rank.DefaultConfidence, "confidence-interval half-width multiplier")
-		estim   = fs.String("estimator", rank.EstimatorUnbiased.String(), `ranking statistic: "unbiased" or "chain-avg"`)
+		estim   = fs.String("estimator", rank.EstimatorUnbiased.String(), `chain statistic of a non-bc ranking: "unbiased" or "chain-avg"`)
 		meas    = fs.String("measure", "bc", `centrality measure: "bc", "coverage", "kpath", or "rwbc"`)
 		measK   = fs.Int("measure-k", 0, "k-path length bound (kpath only; 0: default)")
-		adapt   = fs.Bool("adaptive", false, "empirical-Bernstein early stop on each per-candidate chain")
+		adapt   = fs.Bool("adaptive", false, "empirical-Bernstein early stop on each per-candidate chain (non-bc)")
 		exact   = fs.Bool("exact", false, "also compute exact betweenness (O(nm) Brandes) and report the top-k overlap")
 		url     = fs.String("url", "", "rank a served graph over HTTP instead of a local file (with -graph)")
 		graphID = fs.String("graph", "", "graph session id to rank on the server at -url")
@@ -577,15 +577,16 @@ func runRankCLI(args []string) error {
 		Confidence: *z, MaxCandidates: *sample, Concurrency: *conc, Seed: *seed,
 		Estimator: estimator, Measure: spec, Adaptive: *adapt,
 	}
+	unit := rankUnit(spec.IsBC())
 	start := time.Now()
 	res, err := rank.Run(ctx, g, eng.Pool(), opts, func(p rank.Progress) {
-		log.Printf("bcserve rank: round %d done — %d candidates alive, %d steps spent", p.Round, p.Active, p.TotalSteps)
+		log.Printf("bcserve rank: round %d done — %d candidates alive, %d %s spent", p.Round, p.Active, p.TotalSteps, unit)
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# top-%d of %d candidates (n=%d, m=%d) — %d rounds, %d MH steps, %d pruned, %v\n",
-		len(res.TopK), len(res.All), g.N(), g.M(), res.Rounds, res.TotalSteps, res.Pruned, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("# top-%d of %d candidates (n=%d, m=%d) — %d rounds, %d %s, %d pruned, %v\n",
+		len(res.TopK), len(res.All), g.N(), g.M(), res.Rounds, res.TotalSteps, unit, res.Pruned, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("%4s %8s %12s %12s %8s\n", "rank", "vertex", "estimate", "±interval", "steps")
 	for i, e := range res.TopK {
 		fmt.Printf("%4d %8d %12.6f %12.6f %8d\n", i+1, labelOf(e.Vertex), e.Estimate, e.Upper-e.Estimate, e.Steps)
@@ -728,11 +729,20 @@ func remoteError(resp *http.Response) error {
 	return fmt.Errorf("server: %d %s", resp.StatusCode, http.StatusText(resp.StatusCode))
 }
 
+// rankUnit names what a ranking's step counts count: source passes for
+// betweenness (a bc result names no measure), MH steps otherwise.
+func rankUnit(bc bool) string {
+	if bc {
+		return "source passes"
+	}
+	return "MH steps"
+}
+
 // printRankResult renders a remote ranking in the local table format
 // (vertices are input labels, as served).
 func printRankResult(res store.RankResult) {
-	fmt.Printf("# top-%d of graph %s v%d (%d candidates) — %d rounds, %d MH steps, %d pruned, %.0fms\n",
-		res.K, res.Graph, res.GraphVersion, res.Candidates, res.Rounds, res.TotalSteps, res.Pruned, res.ElapsedMS)
+	fmt.Printf("# top-%d of graph %s v%d (%d candidates) — %d rounds, %d %s, %d pruned, %.0fms\n",
+		res.K, res.Graph, res.GraphVersion, res.Candidates, res.Rounds, res.TotalSteps, rankUnit(res.Measure == ""), res.Pruned, res.ElapsedMS)
 	fmt.Printf("%4s %8s %12s %12s %8s\n", "rank", "vertex", "estimate", "±interval", "steps")
 	for i, e := range res.Top {
 		fmt.Printf("%4d %8d %12.6f %12.6f %8d\n", i+1, e.Vertex, e.Estimate, e.Upper-e.Estimate, e.Steps)

@@ -41,14 +41,15 @@
 //     of idle sessions, creation singleflight, and session-coupled
 //     request contexts. cmd/bcserve mounts store.NewServerWithOptions.
 //   - internal/rank — the whole-graph top-k workload: a
-//     progressive-refinement ranker that runs short fixed-step MH
-//     chains on every candidate, prunes candidates whose confidence
-//     interval cannot reach the top-k boundary, and reallocates the
-//     freed budget to survivors round over round. Its chains take
-//     buffers from the engine's pool and share the pool's table of
-//     shortest-path rows for their snapshot (mcmc.SourceRows), so the
-//     betweenness jobs running on one snapshot traverse each vertex at
-//     most once between them.
+//     progressive-refinement ranker that samples every candidate,
+//     prunes candidates whose confidence interval cannot reach the
+//     top-k boundary, and keeps sampling the survivors round over
+//     round. A betweenness ranking shares its samples: it takes the
+//     sources of a seeded permutation in growing batches, and one
+//     Brandes pass per source (sssp.Computer + brandes.Accumulate)
+//     serves every candidate at once; once all n sources are seen the
+//     ranking is exact. Other measures run short fixed-step MH chains
+//     per candidate on buffers from the engine's pool.
 //   - internal/jobs — the async-job manager behind minutes-scale
 //     computations: job ids, live progress snapshots, retained
 //     results, bounded concurrency, and cancellation coupled to the
@@ -62,24 +63,22 @@
 // # Dependency-oracle fast path
 //
 // The samplers' hot path — one δ_v•(r) evaluation per MH step — is
-// served by one of three routes, selected automatically. Unweighted
-// undirected graphs use the identity-based fast oracle (a cached
-// target-side SPD plus one specialized epoch-reset BFS and an O(n)
-// scan per evaluation; sssp.BFS + brandes.DependencyOnTargetIdentity).
-// Weighted undirected graphs take the same identity shape on a
-// specialized Dijkstra kernel (sssp.Dijkstra — a calendar-queue bucket
-// scan when the weight range allows, a 4-ary heap otherwise, both with
+// served by one of two routes, selected automatically. Unweighted
+// graphs use the identity-based fast oracle (a cached target-side SPD
+// plus one specialized epoch-reset BFS and an O(n) scan per
+// evaluation; sssp.BFS + brandes.DependencyOnTargetIdentity).
+// Weighted graphs take the same identity shape on a specialized
+// Dijkstra kernel (sssp.Dijkstra — a calendar-queue bucket scan when
+// the weight range allows, a 4-ary heap otherwise, both with
 // epoch-stamped O(1) reset; brandes.DependencyOnTargetIdentityWeighted
-// against a cached sssp.WeightedTargetSPD). Only directed graphs keep
-// the reference Brandes accumulation (brandes.DependencyOnTarget).
-// Rank jobs, whose chains evaluate the same sources many times on one
-// snapshot, keep each traversal as a compact row (sssp.Row) in a
-// table the jobs on that snapshot share and answer later evaluations
-// of that source with an O(n) row scan
-// (brandes.DependencyOnTargetRow), bit-identical to the traversal it
-// replaces. See README.md for the selection rules,
-// equivalence guarantees, and measured speedups, and scripts/bench.sh
-// for the benchmark-tracking workflow.
+// against a cached sssp.WeightedTargetSPD). The identity needs
+// symmetry, so the chains, μ derivations and set oracles of
+// internal/mcmc refuse directed graphs, which the serving stack never
+// builds. The reference Brandes accumulation (brandes.Accumulate)
+// remains the baseline the equivalence tests hold both routes to, and
+// the pass betweenness rankings share. See README.md for the selection
+// rules, equivalence guarantees, and measured speedups, and
+// scripts/bench.sh for the benchmark-tracking workflow.
 //
 // # Serving model and cancellation
 //
@@ -97,18 +96,20 @@
 // context.Context is threaded end-to-end: each HTTP request's context,
 // merged with its session's lifecycle context, reaches the MH chain
 // step loop (mcmc.Run, the one chain runner every estimate and rank
-// chain goes through), which polls it every few hundred steps. A disconnected client maps
-// to 499, a session deleted under a running request to 503, and either
-// way the chains stop traversing promptly instead of running to their
-// full step budget.
+// chain goes through), which polls it every few hundred steps, and a
+// betweenness ranking's source passes, which poll it before each pass.
+// A disconnected client maps to 499, a session deleted under a running
+// request to 503, and either way the work stops promptly instead of
+// running to its full budget.
 //
 // Estimate, batch, exact, and rank requests all accept a "measure"
 // field ("bc" default, "coverage", "kpath" + "measure_k", "rwbc") and
 // an "adaptive" flag that swaps the fixed Eq. 14 plan for an
 // empirical-Bernstein stopping rule bounded by the step budget —
-// responses then carry steps_run/converged/eb_half_width. Requests
-// naming neither are byte-identical to the pre-measure API; golden
-// payload tests pin that.
+// responses then carry steps_run/converged/eb_half_width. A bc rank
+// request runs no chain, so "adaptive" there is a 400. Estimate, batch
+// and exact requests naming neither are byte-identical to the
+// pre-measure API; golden payload tests pin that.
 //
 // # Dynamic graphs
 //

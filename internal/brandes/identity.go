@@ -26,9 +26,9 @@ import (
 // kernel with the shared sssp.WeightEps relative tolerance, the same
 // rule the reference traversal classifies ties with.
 //
-// DependencyOnTarget in brandes.go remains the reference evaluator: it
-// is the route directed graphs take, and the baseline the equivalence
-// tests (internal/mcmc) hold both identity paths to.
+// DependencyOnTarget in brandes.go remains the reference evaluator: the
+// baseline the equivalence tests (internal/mcmc) hold both identity
+// paths to, and what DependencyVector runs on directed graphs.
 
 // DependencyOnTargetIdentity returns δ_v•(ts.Target) evaluated via the
 // pair-dependency identity. vb must already hold the traversal from v
@@ -77,30 +77,6 @@ func DependencyOnTargetIdentity(vb *sssp.BFS, ts *sssp.TargetSPD, v int) float64
 	for t, drt := range ts.Dist {
 		if drt >= 0 && vb.Reached(t) && dvr+drt == vb.DistOf(t) && t != r {
 			sum += svr * ts.Sigma[t] / vb.SigmaOf(t)
-		}
-	}
-	return sum
-}
-
-// DependencyOnTargetRow returns δ_v•(ts.Target) for v = row.Source,
-// reading v's side of the identity from its retained row instead of a
-// live traversal. The scan is DependencyOnTargetIdentity's — the same
-// exact distance test, the same t order, the same arithmetic on the
-// same float64 values (a row decodes losslessly) — so the result is
-// bit-identical to running the kernel from v. row must come from
-// sssp.NewRow on the graph ts was built on.
-func DependencyOnTargetRow(row *sssp.Row, ts *sssp.TargetSPD) float64 {
-	v, r := row.Source, ts.Target
-	packed := row.Packed[:len(ts.Dist)]
-	dr, sr := sssp.RowEntry(packed[r])
-	if v == r || sr == 0 {
-		return 0
-	}
-	dvr, svr := int32(dr), float64(sr)
-	var sum float64
-	for t, drt := range ts.Dist {
-		if d, s := sssp.RowEntry(packed[t]); drt >= 0 && s != 0 && dvr+drt == int32(d) && t != r {
-			sum += svr * ts.Sigma[t] / float64(s)
 		}
 	}
 	return sum
@@ -193,33 +169,6 @@ func DependencyOnTargetIdentityWeighted(vd *sssp.Dijkstra, ts *sssp.WeightedTarg
 		dvt := vd.DistOf(t)
 		if math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
 			sum += svr * ts.Sigma[t] / vd.SigmaOf(t)
-		}
-	}
-	return sum
-}
-
-// DependencyOnTargetRowWeighted is DependencyOnTargetRow on a weighted
-// undirected graph: δ_v•(ts.Target) for v = row.Source, with
-// DependencyOnTargetIdentityWeighted's WeightEps distance test and t
-// order over v's retained row, bit-identical to running the kernel
-// from v. row must come from sssp.NewWeightedRow on the graph ts was
-// built on.
-func DependencyOnTargetRowWeighted(row *sssp.Row, ts *sssp.WeightedTargetSPD) float64 {
-	v, r := row.Source, ts.Target
-	packed := row.Packed[:len(ts.Dist)]
-	dr, sr := sssp.RowEntry(packed[r])
-	if v == r || sr == 0 {
-		return 0
-	}
-	dvr, svr := float64(dr), float64(sr)
-	var sum float64
-	for t, drt := range ts.Dist {
-		d, s := sssp.RowEntry(packed[t])
-		if drt < 0 || t == r || s == 0 {
-			continue
-		}
-		if dvt := float64(d); math.Abs(dvr+drt-dvt) <= sssp.WeightEps*(1+math.Abs(dvt)) {
-			sum += svr * ts.Sigma[t] / float64(s)
 		}
 	}
 	return sum

@@ -78,14 +78,17 @@ func MuExact(g *graph.Graph, r int) (MuStats, error) {
 // same vertex (and vice versa). The column itself is parked in the
 // same cache entry for the next chain run on the target to take (see
 // BufferPool), so the chain a μ was derived for reads its dependencies
-// instead of re-traversing. A nil pool — or a graph on the Brandes
-// route — computes standalone. The O(nm) column computation polls ctx
+// instead of re-traversing. A nil pool computes standalone; a directed
+// graph is an error. The O(nm) column computation polls ctx
 // between source traversals and aborts with ctx's error, so a
 // lifecycle-scoped μ derivation (e.g. one owned by an evicted serving
 // session) stops within one traversal per worker.
 func MuExactPooledContext(ctx context.Context, g *graph.Graph, r int, pool *BufferPool) (MuStats, error) {
 	if r < 0 || r >= g.N() {
 		return MuStats{}, fmt.Errorf("mcmc: MuExact target %d out of range", r)
+	}
+	if g.Directed() {
+		return MuStats{}, errDirected("MuExact")
 	}
 	var ent *tspdEntry
 	if pool != nil {

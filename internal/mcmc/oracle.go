@@ -7,10 +7,11 @@
 //
 // Run is the one entry point of the single-space chain: it runs one
 // chain, or several independent chains pooled into one estimate, of a
-// Source — BC(r) for betweenness, SourceRows.BC(r) for betweenness
-// chains that share one table of shortest-path rows (a rank job's), or
-// Stat(newOracle) for any other per-vertex statistic (the measures of
-// internal/measure, and the stress chain here).
+// Source — BC(r) for betweenness, or Stat(newOracle) for any other
+// per-vertex statistic (the measures of internal/measure, and the
+// stress chain here). Every chain, μ derivation and set oracle of the
+// package needs an undirected graph: its dependency evaluations use
+// the pair-dependency identity, which holds only under symmetry.
 //
 // Estimator variants: beyond the paper's Eq. 7 the package computes, on
 // the same chain, the standard MH chain average, the proposal-side
@@ -30,75 +31,56 @@ import (
 )
 
 // oracleRoute names the dependency-evaluation strategy a graph gets.
-// Both undirected kinds take a pair-dependency identity route (the
-// identity needs σ_vr = σ_rv, i.e. symmetry); only directed graphs
-// fall back to the reference Brandes evaluator.
+// Both are pair-dependency identity routes, which need σ_vr = σ_rv:
+// the graph must be undirected (see errDirected).
 type oracleRoute int
 
 const (
-	// routeBrandes: directed graphs — full traversal plus backward
-	// accumulation per evaluation (brandes.DependencyOnTarget).
-	routeBrandes oracleRoute = iota
-	// routeBFSIdentity: unweighted undirected graphs — specialized BFS
-	// kernel plus O(n) scan (brandes.DependencyOnTargetIdentity).
-	routeBFSIdentity
-	// routeDijkstraIdentity: weighted undirected graphs — specialized
-	// Dijkstra kernel (bucket queue when the weight range allows, 4-ary
-	// heap otherwise) plus O(n) scan
+	// routeBFSIdentity: unweighted graphs — specialized BFS kernel plus
+	// O(n) scan (brandes.DependencyOnTargetIdentity).
+	routeBFSIdentity oracleRoute = iota
+	// routeDijkstraIdentity: weighted graphs — specialized Dijkstra
+	// kernel (bucket queue when the weight range allows, 4-ary heap
+	// otherwise) plus O(n) scan
 	// (brandes.DependencyOnTargetIdentityWeighted).
 	routeDijkstraIdentity
 )
 
-// routeFor selects the evaluation route for g.
+// routeFor selects the evaluation route for the undirected graph g.
 func routeFor(g *graph.Graph) oracleRoute {
-	switch {
-	case g.Directed():
-		return routeBrandes
-	case g.Weighted():
+	if g.Weighted() {
 		return routeDijkstraIdentity
-	default:
-		return routeBFSIdentity
 	}
+	return routeBFSIdentity
+}
+
+// errDirected is what every entry point answers a directed graph with:
+// routeFor would send one down an identity route, which needs symmetry.
+func errDirected(what string) error {
+	return fmt.Errorf("mcmc: %s requires an undirected graph", what)
 }
 
 // Oracle evaluates δ_v•(target), the betweenness chain's StatOracle.
 // It keeps no memo: the chain loop memoises every value it reads (see
 // runSingleChain), so each Dep call is one evaluation.
 //
-// Three evaluation routes sit behind the same interface, selected by
-// the graph (see routeFor):
+// Two evaluation routes sit behind the same interface, selected by the
+// graph (see routeFor):
 //
-//   - BFS identity route (unweighted undirected): the target-side
-//     shortest path snapshot is computed once per oracle — or shared
-//     through the BufferPool's per-target cache — and each evaluation
-//     is one specialized forward BFS from v plus an O(n) scan, via
+//   - BFS identity route (unweighted): the target-side shortest path
+//     snapshot is computed once per oracle — or shared through the
+//     BufferPool's per-target cache — and each evaluation is one
+//     specialized forward BFS from v plus an O(n) scan, via
 //     brandes.DependencyOnTargetIdentity. No Brandes backward pass.
-//   - Dijkstra identity route (weighted undirected): same shape with
-//     the weighted kernel and snapshot, via
-//     brandes.DependencyOnTargetIdentityWeighted.
-//   - Brandes route (directed): each evaluation is a full traversal
-//     plus backward accumulation, via the reference
-//     brandes.DependencyOnTarget.
+//   - Dijkstra identity route (weighted): same shape with the weighted
+//     kernel and snapshot, via brandes.DependencyOnTargetIdentityWeighted.
 //
 // An oracle of the chain run that took a μ derivation's parked column
 // (see BufferPool) reads δ_v•(target) from that column instead: the
 // column was filled by the same identity kernels, so every value, and
 // the chain's Evals/CacheHits accounting, is what a traversal would
-// have produced. An oracle of a run through a SourceRows table
-// (SourceRows.BC, the table rank jobs share per snapshot) takes its
-// target side from the target's row and answers an evaluation at v by
-// scanning v's row against it
-// (brandes.DependencyOnTargetRow[Weighted]), traversing only to build
-// a row no chain has built yet: the same values, bit for bit, at one
-// traversal per vertex per table. A vertex without a row (its
-// traversal does not pack, or the row budget is spent) takes the
-// identity route above.
+// have produced.
 type Oracle struct {
-	target int
-
-	// Brandes route state.
-	c     *sssp.Computer
-	delta []float64
 	// BFS identity route state.
 	bfs  *sssp.BFS
 	tspd *sssp.TargetSPD
@@ -108,12 +90,6 @@ type Oracle struct {
 	// col, when non-nil, is the exact column δ_·•(target) parked by a μ
 	// derivation; evaluations read it instead of traversing.
 	col []float64
-	// rows, when non-nil, is the table of source rows the run shares:
-	// evaluations scan v's row (built on this oracle's kernel if no
-	// chain has yet) instead of traversing. rowEvals counts the
-	// evaluations a row served.
-	rows     *SourceRows
-	rowEvals int
 }
 
 // newOracleBuffered wires an Oracle around the kernels of recycled
@@ -126,30 +102,11 @@ func newOracleBuffered(g *graph.Graph, target int, b *chainBuffers, ts targetSta
 	if target < 0 || target >= g.N() {
 		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
 	}
-	o := &Oracle{
-		target: target,
-		c:      b.c,
-		delta:  b.delta,
-		bfs:    b.bfs,
-		dij:    b.dij,
-		col:    ts.col,
-	}
+	o := &Oracle{bfs: b.bfs, dij: b.dij, col: ts.col}
 	if o.col != nil && pool != nil {
 		pool.columnChains.Add(1)
 	}
 	tspd, wtspd := ts.spd, ts.wspd
-	if ts.rows != nil {
-		// In an undirected graph the target's row is its target side; a
-		// target without a row takes the snapshot below.
-		o.rows = ts.rows
-		if row, _ := o.rows.row(target, o.bfs, o.dij); row != nil {
-			if o.bfs != nil {
-				tspd = row.Target(&b.tbuf)
-			} else {
-				wtspd = row.WeightedTarget(&b.wtbuf)
-			}
-		}
-	}
 	if o.bfs != nil {
 		if tspd == nil || tspd.Target != target {
 			tspd = sssp.NewTargetSPD(o.bfs, target)
@@ -166,55 +123,29 @@ func newOracleBuffered(g *graph.Graph, target int, b *chainBuffers, ts targetSta
 }
 
 // Dep returns δ_v•(target) on the oracle's route: from a parked
-// column, from v's row in the run's table, or by a traversal from v
-// and a scan (skipping the traversal when building v's row has just
-// run it and the row did not pack).
+// column, or by a traversal from v and a scan.
 func (o *Oracle) Dep(v int) float64 {
-	if o.col != nil {
-		return o.col[v]
-	}
-	ran := false
-	if o.rows != nil {
-		var row *sssp.Row
-		if row, ran = o.rows.row(v, o.bfs, o.dij); row != nil {
-			o.rowEvals++
-			if o.bfs != nil {
-				return brandes.DependencyOnTargetRow(row, o.tspd)
-			}
-			return brandes.DependencyOnTargetRowWeighted(row, o.wtspd)
-		}
-	}
 	switch {
+	case o.col != nil:
+		return o.col[v]
 	case o.bfs != nil:
-		if !ran {
-			o.bfs.Run(v)
-		}
+		o.bfs.Run(v)
 		return brandes.DependencyOnTargetIdentity(o.bfs, o.tspd, v)
-	case o.dij != nil:
-		if !ran {
-			o.dij.Run(v)
-		}
-		return brandes.DependencyOnTargetIdentityWeighted(o.dij, o.wtspd, v)
 	default:
-		return brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
+		o.dij.Run(v)
+		return brandes.DependencyOnTargetIdentityWeighted(o.dij, o.wtspd, v)
 	}
 }
 
-// SetOracle evaluates the vector (δ_v•(r))_{r ∈ R} for a fixed set R.
-// On the Brandes route a single traversal from v yields δ_v•(x) for
-// every x, so the whole R-vector costs the same O(m) as a single entry;
-// on the identity routes one specialized BFS/Dijkstra from v feeds |R|
-// O(n) scans against the per-target snapshots (one cached SPD per
-// target in R, computed once at construction). Either way the
-// joint-space sampler's per-step cost stays effectively independent of
-// |R|.
+// SetOracle evaluates the vector (δ_v•(r))_{r ∈ R} for a fixed set R:
+// one specialized BFS/Dijkstra from v feeds |R| O(n) scans against the
+// per-target snapshots (one cached SPD per target in R, computed once
+// at construction), so the joint-space sampler's per-step cost is one
+// traversal plus |R| scans.
 type SetOracle struct {
 	g       *graph.Graph
 	targets []int
 
-	// Brandes route state.
-	c     *sssp.Computer
-	delta []float64
 	// BFS identity route state: one snapshot per target in R.
 	bfs   *sssp.BFS
 	tspds []*sssp.TargetSPD
@@ -237,17 +168,16 @@ type SetOracle struct {
 }
 
 // NewSetOracle returns an oracle for the target set R (which must be
-// non-empty, in range, and duplicate-free).
+// non-empty, in range, and duplicate-free) on the undirected graph g.
 func NewSetOracle(g *graph.Graph, targets []int, useCache bool) (*SetOracle, error) {
+	if g.Directed() {
+		return nil, errDirected("set oracle")
+	}
 	o := &SetOracle{g: g}
-	switch routeFor(g) {
-	case routeBFSIdentity:
+	if routeFor(g) == routeBFSIdentity {
 		o.bfs = sssp.NewBFS(g)
-	case routeDijkstraIdentity:
+	} else {
 		o.dij = sssp.NewDijkstra(g)
-	default:
-		o.c = sssp.NewComputer(g)
-		o.delta = make([]float64, g.N())
 	}
 	if useCache {
 		o.memoStamp = make([]uint32, g.N())
@@ -278,13 +208,12 @@ func (o *SetOracle) Retarget(targets []int) error {
 		seen[r] = true
 	}
 	o.targets = append(o.targets[:0], targets...)
-	switch {
-	case o.bfs != nil:
+	if o.bfs != nil {
 		o.tspds = o.tspds[:0]
 		for _, r := range o.targets {
 			o.tspds = append(o.tspds, sssp.NewTargetSPD(o.bfs, r))
 		}
-	case o.dij != nil:
+	} else {
 		o.wtspds = o.wtspds[:0]
 		for _, r := range o.targets {
 			o.wtspds = append(o.wtspds, sssp.NewWeightedTargetSPD(o.dij, r))
@@ -319,22 +248,15 @@ func (o *SetOracle) Deps(v int) []float64 {
 	} else {
 		out = make([]float64, k)
 	}
-	switch {
-	case o.bfs != nil:
+	if o.bfs != nil {
 		o.bfs.Run(v)
 		for i, ts := range o.tspds {
 			out[i] = brandes.DependencyOnTargetIdentity(o.bfs, ts, v)
 		}
-	case o.dij != nil:
+	} else {
 		o.dij.Run(v)
 		for i, ts := range o.wtspds {
 			out[i] = brandes.DependencyOnTargetIdentityWeighted(o.dij, ts, v)
-		}
-	default:
-		spd := o.c.Run(v)
-		brandes.Accumulate(o.g, spd, o.delta)
-		for i, r := range o.targets {
-			out[i] = o.delta[r]
 		}
 	}
 	if o.memoStamp != nil {

@@ -168,8 +168,8 @@ func TestSetOracleFastMatchesReference(t *testing.T) {
 
 // TestOracleRouteSelection pins the selection rule: unweighted
 // undirected graphs take the BFS identity route, weighted undirected
-// graphs the Dijkstra identity route, and only directed graphs fall
-// back to Brandes.
+// graphs the Dijkstra identity route, and a directed graph, which has
+// no identity route, is an error at every entry point.
 func TestOracleRouteSelection(t *testing.T) {
 	w := graph.WithUniformWeights(graph.KarateClub(), 1, 9, rng.New(51))
 	o, err := NewOracle(w, 0)
@@ -187,12 +187,14 @@ func TestOracleRouteSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	od, err := NewOracle(dg, 1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Run(context.Background(), dg, BC(1), DefaultConfig(8), 1, 1, nil); err == nil {
+		t.Fatal("a chain on a directed graph must be an error")
 	}
-	if od.bfs != nil || od.dij != nil || od.c == nil {
-		t.Fatal("directed graph must take the Brandes route")
+	if _, err := NewSetOracle(dg, []int{1, 2}, true); err == nil {
+		t.Fatal("a set oracle on a directed graph must be an error")
+	}
+	if _, err := MuExactPooledContext(context.Background(), dg, 1, NewBufferPool(dg)); err == nil {
+		t.Fatal("MuExact on a directed graph must be an error")
 	}
 	so, err := NewSetOracle(w, []int{0, 1}, true)
 	if err != nil {
@@ -322,7 +324,7 @@ func TestChainBitIdenticalWhereExact(t *testing.T) {
 			}
 		}
 		cfg := DefaultConfig(600)
-		runWith := func(o *Oracle) Result {
+		runWith := func(o StatOracle) Result {
 			b := newChainBuffers(tc.g)
 			res, err := runSingleChain(context.Background(), tc.g, o, cfg, rng.New(97), b, nil)
 			if err != nil {
@@ -616,15 +618,23 @@ func NewOracle(g *graph.Graph, target int) (*Oracle, error) {
 	return newOracleBuffered(g, target, newChainBuffers(g), targetState{}, nil)
 }
 
-// newReferenceOracle forces the Brandes route regardless of graph kind —
-// the baseline the equivalence tests hold the identity route to.
-func newReferenceOracle(g *graph.Graph, target int) (*Oracle, error) {
+// referenceOracle evaluates δ_v•(target) by the reference Brandes
+// traversal and accumulation (brandes.DependencyOnTarget), whatever the
+// graph — the baseline the equivalence tests hold the identity routes
+// to.
+type referenceOracle struct {
+	c      *sssp.Computer
+	delta  []float64
+	target int
+}
+
+func (o *referenceOracle) Dep(v int) float64 {
+	return brandes.DependencyOnTarget(o.c, o.delta, v, o.target)
+}
+
+func newReferenceOracle(g *graph.Graph, target int) (*referenceOracle, error) {
 	if target < 0 || target >= g.N() {
 		return nil, fmt.Errorf("mcmc: oracle target %d out of range", target)
 	}
-	return &Oracle{
-		target: target,
-		c:      sssp.NewComputer(g),
-		delta:  make([]float64, g.N()),
-	}, nil
+	return &referenceOracle{c: sssp.NewComputer(g), delta: make([]float64, g.N()), target: target}, nil
 }

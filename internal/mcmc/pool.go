@@ -17,8 +17,7 @@ import (
 // every entry also holds a parked μ column (see tspdEntry). Advance
 // drops the entries of superseded versions, so the bound is spent on
 // the serving version (plus whatever stragglers on older snapshots
-// rebuild meanwhile). The live SourceRows tables of a pool share one
-// budget of the same bytes (see rowBudget).
+// rebuild meanwhile).
 const targetSPDCacheSize = 128
 
 // aliasCacheSize bounds the per-version degree-proposal alias cache. A
@@ -30,12 +29,11 @@ const aliasCacheSize = 8
 
 // chainBuffers is one chain's worth of reusable state. Which traversal
 // kernel it carries depends on the graph (see routeFor): unweighted
-// undirected graphs get the specialized BFS kernel the identity oracle
-// runs on; weighted undirected graphs get the specialized Dijkstra
-// kernel; directed graphs get the general Computer plus the Brandes
-// accumulation scratch. The chain loop's memo and visited arrays are
-// dense and epoch-stamped, so each chain starts them afresh with a
-// counter bump instead of a map clear (or an O(n) zeroing).
+// graphs get the specialized BFS kernel the identity oracle runs on,
+// weighted graphs the specialized Dijkstra kernel. The chain loop's
+// memo and visited arrays are dense and epoch-stamped, so each chain
+// starts them afresh with a counter bump instead of a map clear (or an
+// O(n) zeroing).
 //
 // A buffer set remembers which graph its kernels are seated on (g).
 // When the pool hands it to a chain running on a different snapshot of
@@ -44,10 +42,8 @@ const aliasCacheSize = 8
 type chainBuffers struct {
 	g *graph.Graph // the snapshot the kernels are currently seated on
 
-	c     *sssp.Computer // Brandes route (directed graphs)
-	delta []float64      // Brandes accumulation scratch
-	bfs   *sssp.BFS      // BFS identity route (unweighted undirected)
-	dij   *sssp.Dijkstra // Dijkstra identity route (weighted undirected)
+	bfs *sssp.BFS      // BFS identity route (unweighted)
+	dij *sssp.Dijkstra // Dijkstra identity route (weighted)
 
 	// Statistic memo: memoVal[v] is valid iff memoStamp[v] == memoEpoch.
 	memoVal   []float64
@@ -57,11 +53,6 @@ type chainBuffers struct {
 	// Visited-state tracking for UniqueStates, same stamping scheme.
 	visStamp []uint32
 	visEpoch uint32
-
-	// Target-side scratch a table run decodes its target's packed row
-	// into (see SourceRows); the field matching the route is used.
-	tbuf  sssp.TargetSPD
-	wtbuf sssp.WeightedTargetSPD
 }
 
 func newChainBuffers(g *graph.Graph) *chainBuffers {
@@ -72,14 +63,10 @@ func newChainBuffers(g *graph.Graph) *chainBuffers {
 		memoStamp: make([]uint32, n),
 		visStamp:  make([]uint32, n),
 	}
-	switch routeFor(g) {
-	case routeBFSIdentity:
+	if routeFor(g) == routeBFSIdentity {
 		b.bfs = sssp.NewBFS(g)
-	case routeDijkstraIdentity:
+	} else {
 		b.dij = sssp.NewDijkstra(g)
-	default:
-		b.c = sssp.NewComputer(g)
-		b.delta = make([]float64, n)
 	}
 	return b
 }
@@ -130,13 +117,11 @@ type tspdEntry struct {
 // targetState is what a chain's oracles read for their target: the
 // snapshot of the graph's identity route (the other kind stays nil)
 // and, for the chain run that took it, the parked exact dependency
-// column — or, for a run through a SourceRows table, only the table,
-// whose row for the target is the target side.
+// column.
 type targetState struct {
 	spd  *sssp.TargetSPD
 	wspd *sssp.WeightedTargetSPD
 	col  []float64
-	rows *SourceRows
 }
 
 // tspdKey addresses one target snapshot of one graph version. An edit
@@ -166,9 +151,9 @@ type tspdKey struct {
 // tables of versions older than the one it installs, so between swaps
 // the caches hold at most targetSPDCacheSize snapshots of the serving
 // version plus those that stragglers on older snapshots rebuild. A
-// straggler (a "finish" rank job, a long estimate) that needs a target
-// it had not set up before the swap rebuilds that snapshot once per
-// version bump it straddles.
+// straggler (a "finish" chain-measure rank job, a long estimate) that
+// needs a target it had not set up before the swap rebuilds that
+// snapshot once per version bump it straddles.
 //
 // The snapshot entry is also where a μ derivation hands its work to
 // the chain it was planned for. MuExactPooledContext computes the whole
@@ -176,20 +161,14 @@ type tspdKey struct {
 // chain run on that (version, target) takes it in the same lookup that
 // fetches the snapshot, and its oracles answer memo misses by reading
 // the column instead of traversing. Later runs, runs with no μ before
-// them (fixed steps), directed graphs and non-bc measures traverse on
-// every memo miss. A parked column nobody takes (an exact-only query,
-// a zero-BC target) costs 8n bytes until its entry leaves the LRU, so a
-// pool holds at most targetSPDCacheSize parked columns.
+// them (fixed steps) and non-bc measures traverse on every memo miss.
+// A parked column nobody takes (an exact-only query, a zero-BC target)
+// costs 8n bytes until its entry leaves the LRU, so a pool holds at
+// most targetSPDCacheSize parked columns.
 //
-// Runs through a SourceRows table (rank jobs) draw only their chain
-// buffers here: their target sides and memo misses come from the
-// table's rows, so they never fill or evict this LRU, and a parked μ
-// column stays for the planned chain it was derived for. The pool
-// hands out those tables, one per snapshot in use, shared by all its
-// holders (SourceRows), and keeps the one byte budget they draw on —
-// the bytes of targetSPDCacheSize snapshots — so however many rank
-// jobs run at once, their rows add at most that much beside the LRU.
-// SourceRowStats counts what the tables did.
+// A betweenness rank job takes nothing from the pool: it runs shared
+// Brandes passes on buffers of its own (internal/rank). Rank jobs by
+// another measure run chains here like any estimate.
 type BufferPool struct {
 	pool sync.Pool
 
@@ -203,20 +182,6 @@ type BufferPool struct {
 	// columnChains counts chains whose oracle read a parked μ column
 	// instead of traversing (one per chain, so a Chains=4 run adds 4).
 	columnChains atomic.Uint64
-
-	// rowsBuilt counts rows published to the SourceRows tables drawing
-	// on this pool's row budget; rowEvals counts the evaluations those
-	// tables answered with a row scan.
-	rowsBuilt atomic.Uint64
-	rowEvals  atomic.Uint64
-
-	// rowTables holds the live SourceRows table of each snapshot some
-	// holder ranks on; rowBytes is what those tables hold: taken by
-	// reserveRows, given back by a failed build and by the last
-	// SourceRows.Release.
-	rowsMtx   sync.Mutex
-	rowTables map[*graph.Graph]*SourceRows
-	rowBytes  atomic.Int64
 }
 
 type tspdNode struct {
@@ -265,32 +230,8 @@ func (p *BufferPool) Advance(next *graph.Graph) {
 // column a μ derivation parked, instead of traversing on memo misses.
 func (p *BufferPool) ColumnChains() uint64 { return p.columnChains.Load() }
 
-// SourceRowStats returns how many rows were published to the
-// SourceRows tables drawing on this pool, and how many evaluations
-// they answered with a row scan instead of a traversal and kernel
-// scan.
-func (p *BufferPool) SourceRowStats() (built, evals uint64) {
-	return p.rowsBuilt.Load(), p.rowEvals.Load()
-}
-
-// reserveRows takes size bytes of the row budget the pool's live
-// SourceRows tables share on g, or reports false when they already
-// hold too much for it.
-func (p *BufferPool) reserveRows(g *graph.Graph, size int64) bool {
-	limit := rowBudget(g)
-	for {
-		used := p.rowBytes.Load()
-		if used+size > limit {
-			return false
-		}
-		if p.rowBytes.CompareAndSwap(used, used+size) {
-			return true
-		}
-	}
-}
-
-// get checks out a buffer set seated on g, reseating or rebuilding the
-// kernels of a recycled set that last served another snapshot.
+// get checks out a buffer set seated on g, reseating the kernels of a
+// recycled set that last served another snapshot.
 func (p *BufferPool) get(g *graph.Graph) *chainBuffers {
 	b, _ := p.pool.Get().(*chainBuffers)
 	switch {
@@ -300,12 +241,8 @@ func (p *BufferPool) get(g *graph.Graph) *chainBuffers {
 		return b
 	case b.bfs != nil:
 		b.bfs.Reseat(g)
-	case b.dij != nil:
-		b.dij.Reseat(g)
 	default:
-		// Brandes route (directed): no edit path exists, so a snapshot
-		// change cannot happen — but handle it by rebuilding.
-		return newChainBuffers(g)
+		b.dij.Reseat(g)
 	}
 	b.g = g
 	return b
@@ -337,16 +274,11 @@ func (p *BufferPool) tspdLookup(key tspdKey) *tspdEntry {
 
 // target returns the LRU entry for (g's version, r) with the snapshot
 // of g's identity route built on first request (concurrent first
-// requests share one build). It returns nil on the Brandes route:
-// directed graphs have no identity fast path, hence no snapshot.
+// requests share one build).
 func (p *BufferPool) target(g *graph.Graph, r int) *tspdEntry {
-	route := routeFor(g)
-	if route == routeBrandes {
-		return nil
-	}
 	ent := p.tspdLookup(tspdKey{version: g.Version(), target: r})
 	ent.once.Do(func() {
-		if route == routeBFSIdentity {
+		if routeFor(g) == routeBFSIdentity {
 			ent.spd = sssp.NewTargetSPD(sssp.NewBFS(g), r)
 		} else {
 			ent.wspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), r)
@@ -361,9 +293,6 @@ func (p *BufferPool) target(g *graph.Graph, r int) *tspdEntry {
 // after the derivation gets it (every chain of that run shares it).
 func (p *BufferPool) chainTarget(g *graph.Graph, r int) targetState {
 	ent := p.target(g, r)
-	if ent == nil {
-		return targetState{}
-	}
 	ts := targetState{spd: ent.spd, wspd: ent.wspd}
 	if col := ent.col.Swap(nil); col != nil {
 		ts.col = *col

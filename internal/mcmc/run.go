@@ -31,15 +31,14 @@ type MultiResult struct {
 // Build one with BC or Stat.
 type Source struct {
 	target    int                        // BC target (when newOracle is nil)
-	rows      *SourceRows                // BC through a row table (SourceRows.BC)
 	newOracle func() (StatOracle, error) // Stat: one oracle per chain
 }
 
 // BC is the betweenness source of §4.2: every chain samples δ_v•(r)
-// through the graph's identity oracle (the Brandes oracle on directed
-// graphs) on buffers drawn from the run's pool, and the run's chains
-// share one target-side snapshot from the pool's cache (and the μ
-// column parked there, when this run takes one).
+// through the graph's identity oracle on buffers drawn from the run's
+// pool, and the run's chains share one target-side snapshot from the
+// pool's cache (and the μ column parked there, when this run takes
+// one).
 func BC(r int) Source { return Source{target: r} }
 
 // Stat samples an arbitrary statistic oracle: newOracle is called once
@@ -55,7 +54,8 @@ func Stat(newOracle func() (StatOracle, error)) Source {
 }
 
 // Run runs `chains` independent single-space Metropolis–Hastings
-// samplers (§4.2) of src on the connected graph g. Proposals are
+// samplers (§4.2) of src on the connected undirected graph g (a
+// directed one is an error). Proposals are
 // uniform (Eq. 6) or degree-weighted (Hastings-corrected); the move
 // v→v' is accepted with probability min{1, d_{v'}/d_v}, so the
 // stationary distribution is ∝ d (Eq. 5, the optimal sampling
@@ -85,6 +85,9 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 	if n < 2 {
 		return MultiResult{}, fmt.Errorf("mcmc: graph too small (n=%d)", n)
 	}
+	if g.Directed() {
+		return MultiResult{}, errDirected("a chain")
+	}
 	if err := cfg.validate(n); err != nil {
 		return MultiResult{}, err
 	}
@@ -100,17 +103,9 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 			// target snapshot for an invalid vertex would panic mid-BFS.
 			return MultiResult{}, fmt.Errorf("mcmc: oracle target %d out of range", r)
 		}
-		switch {
-		case src.rows == nil:
-			// Target-side state is chain-independent and read-only: one
-			// lookup per run, shared by every chain.
-			ts = pool.chainTarget(g, r)
-		case src.rows.g != g:
-			return MultiResult{}, fmt.Errorf("mcmc: source rows belong to another graph snapshot")
-		default:
-			// Each chain decodes the target's row into its own buffers.
-			ts = targetState{rows: src.rows}
-		}
+		// Target-side state is chain-independent and read-only: one
+		// lookup per run, shared by every chain.
+		ts = pool.chainTarget(g, r)
 	}
 	var degAlias *rng.Alias
 	if cfg.DegreeProposal {
@@ -124,12 +119,7 @@ func Run(ctx context.Context, g *graph.Graph, src Source, cfg Config, seed uint6
 		if newOracle != nil {
 			oracle, err = newOracle()
 		} else {
-			var bc *Oracle
-			bc, err = newOracleBuffered(g, src.target, b, ts, pool)
-			if bc != nil && bc.rows != nil {
-				defer func() { bc.rows.pool.rowEvals.Add(uint64(bc.rowEvals)) }()
-			}
-			oracle = bc
+			oracle, err = newOracleBuffered(g, src.target, b, ts, pool)
 		}
 		if err != nil {
 			return Result{}, err

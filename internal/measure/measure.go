@@ -164,8 +164,8 @@ func (s Spec) IsBC() bool { return s.Kind == BC }
 // requirements enforced at graph preparation; this predicate adds the
 // per-measure restrictions on top:
 //
-//   - bc: any prepared graph (the weighted Dijkstra identity route and
-//     the directed Brandes route exist);
+//   - bc: any prepared graph, weighted or not (the Dijkstra identity
+//     route serves weighted ones);
 //   - coverage, kpath: unweighted only — the hop-count semantics of
 //     both measures read BFS levels, and the weighted generalisation
 //     has genuinely different (tolerance-laden) tie rules this package

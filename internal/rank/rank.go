@@ -1,54 +1,61 @@
 // Package rank answers the whole-graph question the single-vertex
 // samplers cannot: "which k vertices matter most?" It ranks candidates
-// by betweenness with a progressive-refinement allocation in the spirit
-// of the adaptive top-k literature (Chehreghani et al. 2018's adaptive
-// centrality estimators, Mahmoody et al. 2016's sampling maximization):
-// instead of spending the same chain budget on every vertex — most of
-// which are obviously not in the top k — it spends a little everywhere,
-// prunes the vertices whose confidence interval cannot reach the top-k
-// boundary, and reallocates the freed budget to the survivors.
+// by progressive refinement in the spirit of the adaptive top-k
+// literature (Chehreghani et al. 2018's adaptive centrality estimators,
+// Mahmoody et al. 2016's sampling maximization): it samples a little
+// for every candidate, prunes the vertices whose confidence interval
+// cannot reach the top-k boundary, and keeps sampling for the rest.
 //
-// Round t runs one short Metropolis–Hastings chain (internal/mcmc,
-// fixed step count, so no O(nm) μ derivation is ever paid) on every
-// surviving candidate, roughly doubling the per-candidate budget each
-// round. Chains from different rounds are independent restarts, so a
-// candidate's running estimate pools them by step count and its
-// interval half-width is Confidence·√(Σ wᵢ²·MCSEᵢ²) with the per-chain
+// A betweenness ranking shares its samples. One Brandes pass from a
+// source s (sssp.Computer and brandes.Accumulate) gives δ_s•(c) for
+// every candidate c at once: the uniform-source sampler of the source
+// paper's §3.2 (Bader et al.), drawn once for all vertices as Mahmoody
+// et al. do. Run shuffles the n sources once, with a permutation seeded
+// by Options.Seed, and takes them in batches of InitialSteps·Growth^(t−1)
+// passes; each pass adds f = δ_s•(c)/(n−1) to every candidate. After a
+// batch, with m of the n sources seen, a candidate's estimate is the
+// mean of its f, unbiased for BC(c), and its interval half-width is
+//
+//	z·√((1−m/n)·s²/m) + (1−m/n)·z²/(2m)
+//
+// with s² the sample variance of f and z = Confidence: a z-scaled
+// standard error under the finite-population correction of sampling
+// without replacement, plus a slack that keeps a zero-variance sample
+// from certifying its mean on next to no evidence. At m = n the interval
+// is the point BC(c), so a ranking that sees every source is exact. For
+// betweenness, budgets, batch sizes and step counts all count source
+// passes.
+//
+// Other measures have no one-pass form. Round t of their ranking runs
+// one short Metropolis–Hastings chain (internal/mcmc, fixed step count,
+// so no O(nm) μ derivation is ever paid) on every surviving candidate,
+// roughly doubling the per-candidate budget each round. Chains from
+// different rounds are independent restarts, so a candidate's running
+// estimate pools them by step count and its interval half-width is
+// Confidence·√(Σ wᵢ²·MCSEᵢ²) + Confidence²/(2N), with the per-chain
 // Monte-Carlo standard errors taken from the trace diagnostics
-// (batch-means ESS, stats.ESSBatchMeans). A candidate
-// is pruned when its upper bound falls strictly below the k-th largest
-// lower bound; refinement stops when at most k candidates survive, the
-// round limit is hit, or the total step budget is exhausted.
+// (batch-means ESS, stats.ESSBatchMeans). The default chain statistic
+// is the proposal-side sample stream (EstimatorUnbiased), whose samples
+// are iid with mean exactly the measure's value. The chain average
+// converges to Σd²/((n−1)Σd) instead, which inflates differently per
+// vertex (the T10 soundness finding): on a 400-vertex Barabási–Albert
+// graph its limiting betweenness top-5 set already differs from the
+// exact one, so no amount of refinement converges to the true ranking.
+// EstimatorChainAverage remains available for the paper-literal
+// statistic of the chain measures; a betweenness ranking rejects it.
 //
-// The default ranking statistic is each chain's proposal-side sample
-// stream (EstimatorUnbiased), not the chain average: the chain
-// average's asymptotic limit Σδ²/((n-1)Σδ) inflates differently per
-// vertex (the T10 soundness finding), enough to reorder vertices near
-// the top-k boundary — on a 400-vertex Barabási–Albert graph its
-// limiting top-5 set already differs from the exact one, so no amount
-// of refinement would converge to the true ranking. The proposal-side
-// samples are iid with mean exactly BC(r), so intervals are honest and
-// the ranking converges; EstimatorChainAverage remains available for
-// the paper-literal statistic.
+// Either way a candidate is pruned when its upper bound falls strictly
+// below the k-th largest lower bound, and refinement stops when at most
+// k candidates survive, the round limit is hit, the budget is spent, or
+// (betweenness) every source has been seen.
 //
-// All chains draw traversal buffers from one mcmc.BufferPool —
-// internal/store passes each session's engine pool (engine.Pool). The
-// chains of a betweenness ranking all run on one graph snapshot and
-// keep proposing the same sources (a top-10 job on a 400-vertex road
-// grid evaluates each source about 143 times), so each Run holds the
-// pool's mcmc.SourceRows table of that snapshot, shared with any other
-// ranking of it running at the same time: a vertex's shortest-path row
-// is computed at most once per table, a memo miss is an O(n) row scan
-// instead of a traversal, and a chain's target side is its candidate's
-// row. Ranking therefore neither fills nor evicts the pool's
-// target-snapshot LRU that the μ-cache and the estimate traffic use —
-// unless the pool makes no table (a graph too large for the row
-// budget to hold half its rows, or a directed one), in which case the
-// chains run as plain BC chains. (Rankings by another measure run
-// their internal/measure sources, which read that LRU.) Run is
-// deterministic for a fixed (Options, graph): per-chain seeds depend
-// only on (Seed, round, vertex), never on scheduling, and rows are the
-// same whichever chain builds them.
+// Run is deterministic for a fixed (Options, graph). A betweenness
+// ranking sums its passes in sourceLanes partial sums merged in lane
+// order, whatever Concurrency is; a chain's seed depends only on (Seed,
+// round, vertex). Chains draw traversal buffers from one
+// mcmc.BufferPool — internal/store passes each session's engine pool
+// (engine.Pool) — and read its target-snapshot LRU; betweenness passes
+// run on kernels of their own and leave the pool alone.
 package rank
 
 import (
@@ -60,10 +67,12 @@ import (
 	"strconv"
 	"sync"
 
+	"bcmh/internal/brandes"
 	"bcmh/internal/graph"
 	"bcmh/internal/mcmc"
 	"bcmh/internal/measure"
 	"bcmh/internal/rng"
+	"bcmh/internal/sssp"
 	"bcmh/internal/stats"
 )
 
@@ -71,26 +80,36 @@ import (
 const (
 	// DefaultK is the ranking size.
 	DefaultK = 10
-	// DefaultInitialSteps is the per-candidate chain length of round 1.
+	// DefaultInitialSteps is the round-1 batch: source passes for
+	// betweenness, the per-candidate chain length otherwise.
 	DefaultInitialSteps = 128
-	// DefaultGrowth multiplies the per-candidate chain length each round.
+	// DefaultGrowth multiplies the batch or chain length each round.
 	DefaultGrowth = 2.0
 	// DefaultMaxRounds bounds refinement rounds (with DefaultGrowth the
-	// last round's chains are ~2¹¹ times the first round's).
+	// last round's batch is ~2¹¹ times the first round's).
 	DefaultMaxRounds = 12
 	// DefaultConfidence is the interval half-width multiplier z: wider
 	// intervals prune later but mis-prune less.
 	DefaultConfidence = 3.0
 )
 
+// sourceLanes is how many partial sums a betweenness ranking splits
+// its source passes over. The j-th source of the permutation adds into
+// lane j mod sourceLanes, each lane takes its sources in permutation
+// order, and lanes merge in lane order, so no sum depends on how many
+// workers ran the lanes. It also caps those workers.
+const sourceLanes = 8
+
 // Estimator selects the per-chain statistic candidates are ranked by.
+// It applies to the chain measures only: a betweenness ranking averages
+// its source passes, and accepts only EstimatorUnbiased.
 type Estimator int
 
 const (
 	// EstimatorUnbiased (default) ranks by the chain's proposal-side
-	// sample stream: iid samples whose mean is exactly BC(r), so
-	// intervals are honest and the ranking converges to the exact
-	// top-k.
+	// sample stream: iid samples whose mean is exactly the measure's
+	// value, so intervals are honest and the ranking converges to the
+	// exact top-k.
 	EstimatorUnbiased Estimator = iota
 	// EstimatorChainAverage ranks by the MH chain average — the
 	// paper's primary estimator, lower-variance for concentrated
@@ -112,48 +131,53 @@ func (e Estimator) String() string {
 }
 
 // Options configures a ranking run. The zero value means "rank the
-// top DefaultK with default refinement".
+// top DefaultK betweenness vertices with default refinement".
 type Options struct {
 	// K is the ranking size (default DefaultK, clamped to the candidate
 	// count).
 	K int
-	// InitialSteps is the round-1 per-candidate chain length (default
-	// DefaultInitialSteps). Fixed steps, not (ε,δ)-planned: planning
-	// would cost an O(nm) μ derivation per candidate, exactly the cost
-	// progressive refinement exists to avoid.
+	// InitialSteps is the round-1 batch (default DefaultInitialSteps):
+	// source passes for betweenness, the per-candidate chain length
+	// otherwise. Fixed, not (ε,δ)-planned: planning a chain would cost
+	// an O(nm) μ derivation per candidate, exactly the cost progressive
+	// refinement exists to avoid.
 	InitialSteps int
-	// Growth multiplies the per-candidate chain length each round
-	// (default DefaultGrowth; must be ≥ 1).
+	// Growth multiplies the batch or chain length each round (default
+	// DefaultGrowth; must be ≥ 1).
 	Growth float64
 	// MaxRounds bounds refinement rounds (default DefaultMaxRounds).
 	MaxRounds int
-	// TotalBudget, when positive, caps the total MH steps summed over
-	// all candidates and rounds; a round that cannot afford its full
-	// per-candidate chunk spreads what remains evenly and finishes.
-	// Zero means unbounded (MaxRounds bounds the work).
+	// TotalBudget, when positive, caps the work: source passes for
+	// betweenness (at least 2; passes past n are never run), otherwise
+	// the MH steps summed over all candidates and rounds, where a round
+	// that cannot afford its full per-candidate chunk spreads what
+	// remains evenly and finishes. Zero means unbounded (MaxRounds, and
+	// for betweenness n, bound the work).
 	TotalBudget int
 	// Confidence is the interval half-width multiplier (default
 	// DefaultConfidence).
 	Confidence float64
 	// MaxCandidates, when positive and below n, restricts the candidate
 	// set to the MaxCandidates highest-degree vertices — the cheap
-	// degree-biased screen for huge graphs, where scanning every vertex
-	// even once is too expensive and high-betweenness vertices are
-	// overwhelmingly high-degree. Zero ranks every vertex.
+	// degree-biased screen for huge graphs, where high-betweenness
+	// vertices are overwhelmingly high-degree. Zero ranks every vertex.
+	// Betweenness passes still draw their sources from every vertex.
 	MaxCandidates int
-	// Concurrency bounds the per-round worker pool (default GOMAXPROCS).
+	// Concurrency bounds the worker pool (default GOMAXPROCS). A
+	// betweenness ranking sums its passes in 8 lanes and uses at most
+	// one worker per lane.
 	Concurrency int
-	// Seed makes the run reproducible; candidate v's round-t chain seed
-	// is a function of (Seed, t, v) alone.
+	// Seed makes the run reproducible: it seeds a betweenness ranking's
+	// source permutation, and candidate v's round-t chain seed is a
+	// function of (Seed, t, v) alone.
 	Seed uint64
-	// Estimator selects the ranking statistic (default
+	// Estimator selects the chain statistic (default
 	// EstimatorUnbiased).
 	Estimator Estimator
 	// Measure selects the centrality measure candidates are ranked by.
-	// The zero spec is betweenness, byte-identical to the pre-measure
-	// ranking path; coverage, k-path, and random-walk betweenness run
-	// the same chains against their internal/measure statistic oracles
-	// (the graph must satisfy Measure.Supports — unweighted and
+	// The zero spec is betweenness; coverage, k-path, and random-walk
+	// betweenness run chains against their internal/measure statistic
+	// oracles (the graph must satisfy Measure.Supports — unweighted and
 	// undirected for the non-bc measures).
 	Measure measure.Spec
 	// Adaptive enables the empirical-Bernstein early stop on every
@@ -161,7 +185,8 @@ type Options struct {
 	// pinned to ±Epsilon at confidence 1−Delta stops before its round
 	// chunk ends, and the unspent steps stay in the total budget for
 	// later rounds. Rankings with Adaptive false are byte-identical to
-	// the fixed-chunk path.
+	// the fixed-chunk path. A betweenness ranking runs no chain and
+	// rejects it.
 	Adaptive bool
 	// Epsilon and Delta parameterise the adaptive stop (defaults 0.01
 	// and 0.1, matching core.Options). Ignored unless Adaptive is set.
@@ -201,9 +226,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Entry is one candidate's state in a ranking: the pooled estimate,
-// its confidence interval, and the total MH steps spent on it (pruned
-// candidates stop accumulating early — that is the point).
+// Validate reports the options no graph can rank: an invalid measure,
+// or a betweenness ranking naming a knob only per-candidate chains
+// use. EstimatorChainAverage would rank by the chain-average limit,
+// which converges to the wrong top-k, and Adaptive stops chains early;
+// neither means anything for shared source passes. Run checks it
+// first; a server checks it before starting a job.
+func (o Options) Validate() error {
+	if err := o.Measure.Validate(); err != nil {
+		return fmt.Errorf("rank: %w", err)
+	}
+	if !o.Measure.IsBC() {
+		return nil
+	}
+	switch {
+	case o.Estimator == EstimatorChainAverage:
+		return fmt.Errorf("rank: estimator %q ranks by the chain-average limit, which converges to the wrong top-k; a betweenness ranking averages shared source passes (omit the estimator)", o.Estimator)
+	case o.Adaptive:
+		return fmt.Errorf("rank: \"adaptive\" stops per-candidate chains early, and a betweenness ranking runs none; it stops once the top-k is certified or every source has been seen")
+	}
+	return nil
+}
+
+// Entry is one candidate's state in a ranking: the estimate, its
+// confidence interval, and the work behind it — the MH steps spent on
+// the candidate (pruned candidates stop accumulating early — that is
+// the point), or for betweenness the source passes its estimate
+// averages.
 type Entry struct {
 	Vertex   int     `json:"vertex"`
 	Estimate float64 `json:"estimate"`
@@ -219,7 +268,8 @@ type Progress struct {
 	Round int `json:"round"`
 	// Active is how many candidates survive into the next round.
 	Active int `json:"active"`
-	// TotalSteps is the MH steps spent so far, summed over candidates.
+	// TotalSteps is the work spent so far: source passes for
+	// betweenness, MH steps summed over candidates otherwise.
 	TotalSteps int `json:"total_steps"`
 	// Top is the current top-K by estimate — the partial ranking.
 	Top []Entry `json:"top"`
@@ -240,8 +290,9 @@ type Result struct {
 	All []Entry `json:"-"`
 	// Rounds is how many refinement rounds ran.
 	Rounds int `json:"rounds"`
-	// TotalSteps is the total MH steps spent across all candidates and
-	// rounds — the number a uniform allocation is compared against.
+	// TotalSteps is the total work: source passes for betweenness, MH
+	// steps across all candidates and rounds otherwise — the number a
+	// uniform allocation is compared against.
 	TotalSteps int `json:"total_steps"`
 	// Pruned is how many candidates were eliminated before the final
 	// round.
@@ -251,10 +302,14 @@ type Result struct {
 // cand is one candidate's accumulator across rounds.
 type cand struct {
 	v       int
-	steps   int     // Σ chain states absorbed
+	steps   int     // Σ chain states absorbed, or source passes seen
 	est     float64 // pooled mean of f = δ/(n-1), i.e. the measure estimate
-	varMean float64 // variance of est (independent-chain pooling)
-	active  bool
+	varMean float64 // variance of est
+	// seen is the fraction of the source population behind est: m/n
+	// for betweenness, 0 for chains, whose samples come from an
+	// unbounded stream.
+	seen   float64
+	active bool
 	// src caches the candidate's chain source (measure.Source): a
 	// measure's target-side shortest-path or current-flow state is
 	// per-candidate and round-independent, so survivors reuse it across
@@ -263,17 +318,20 @@ type cand struct {
 }
 
 // halfWidth is the candidate's interval half-width: the z-scaled
-// standard error of the pooled mean plus a z²/(2N) missing-mass slack.
+// standard error of the pooled mean plus a z²/(2N) missing-mass slack,
+// both scaled by the unseen fraction of a finite source population.
 // The slack keeps intervals honest when the sample variance
 // degenerates: N all-zero samples of a [0,1)-valued f bound the true
 // mean only to O(ln(1/δ)/N), so a zero-variance trace (constant — or
 // single-sample — chunks) must not yield a zero-width interval that
-// "certifies" its estimate and prunes on next to no evidence.
+// "certifies" its estimate and prunes on next to no evidence. A
+// betweenness candidate that has seen every source has nothing unseen
+// and a zero-width interval.
 func (c *cand) halfWidth(z float64) float64 {
 	if c.steps == 0 {
 		return math.Inf(1)
 	}
-	return z*math.Sqrt(c.varMean) + z*z/(2*float64(c.steps))
+	return z*math.Sqrt(c.varMean) + (1-c.seen)*z*z/(2*float64(c.steps))
 }
 
 // absorb folds one chain's f-trace into the candidate's pooled
@@ -302,6 +360,21 @@ func (c *cand) absorb(trace []float64) {
 	c.est = w1*c.est + w2*m2
 	c.varMean = w1*w1*c.varMean + w2*w2*v2
 	c.steps = nTot
+}
+
+// setSources sets a betweenness candidate's state from its sums Σf and
+// Σf² over the first m of n sources: the sample mean, and the variance
+// of that mean under sampling without replacement, (1−m/n)·s²/m.
+func (c *cand) setSources(sum, sq float64, m, n int) {
+	mean := sum / float64(m)
+	var s2 float64
+	if m > 1 {
+		s2 = max((sq-sum*mean)/float64(m-1), 0)
+	}
+	c.steps = m
+	c.est = mean
+	c.seen = float64(m) / float64(n)
+	c.varMean = (1 - c.seen) * s2 / float64(m)
 }
 
 // ChainSeed returns the seed of candidate v's round-round chain under a
@@ -336,33 +409,24 @@ func Candidates(g *graph.Graph, max int) []int {
 	return vs
 }
 
-// Run ranks the top-K betweenness vertices of g by progressive
-// refinement. g must be valid for estimation (connected, undirected —
-// e.g. an engine's prepared graph); pool supplies chain buffers and,
-// for a betweenness ranking, the row table its chains share for the
-// whole Run (nil builds a private pool; see the package doc). progress,
-// when non-nil, is called after every round from Run's own goroutine.
-// Cancelling ctx aborts the in-flight chains promptly and returns ctx's
-// error.
+// Run ranks the top-K vertices of g by progressive refinement (see the
+// package doc). g must be valid for estimation (connected, undirected —
+// e.g. an engine's prepared graph). pool supplies the buffers of a
+// chain measure's chains (nil builds a private pool); a betweenness
+// ranking does not use it. progress, when non-nil, is called after
+// every round from Run's own goroutine. Cancelling ctx aborts the
+// in-flight work promptly and returns ctx's error.
 func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Options, progress func(Progress)) (Result, error) {
 	n := g.N()
 	if n < 2 {
 		return Result{}, fmt.Errorf("rank: graph too small (n=%d)", n)
 	}
 	o := opts.withDefaults()
-	if err := o.Measure.Validate(); err != nil {
-		return Result{}, fmt.Errorf("rank: %w", err)
+	if err := o.Validate(); err != nil {
+		return Result{}, err
 	}
 	if err := o.Measure.Supports(g); err != nil {
 		return Result{}, fmt.Errorf("rank: %w", err)
-	}
-	if pool == nil {
-		pool = mcmc.NewBufferPool(g)
-	}
-	var rows *mcmc.SourceRows
-	if o.Measure.IsBC() {
-		rows = pool.SourceRows(g)
-		defer rows.Release()
 	}
 
 	vs := Candidates(g, o.MaxCandidates)
@@ -375,17 +439,208 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 		cands[i] = &cand{v: v, active: true}
 	}
 
+	var res Result
+	var err error
+	if o.Measure.IsBC() {
+		res, err = rankBySources(ctx, g, cands, k, o, progress)
+	} else {
+		if pool == nil {
+			pool = mcmc.NewBufferPool(g)
+		}
+		res, err = rankByChains(ctx, g, pool, cands, k, o, progress)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	survivors := make([]*cand, 0, len(cands))
+	for _, c := range cands {
+		if c.active {
+			survivors = append(survivors, c)
+		} else {
+			res.Pruned++
+		}
+	}
+	res.All = allEntries(cands, o.Confidence)
+	res.TopK = topEntries(survivors, k, o.Confidence)
+	return res, nil
+}
+
+// Uniform is the non-adaptive baseline progressive refinement is
+// benchmarked against: one round, no pruning, in which every candidate
+// gets exactly per steps (for betweenness, one batch of per source
+// passes serves them all). It is Run with MaxRounds = 1 and an exact
+// round-1 chunk, so the two allocations share every detail.
+func Uniform(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, k, per int, opts Options) (Result, error) {
+	opts.K = k
+	opts.InitialSteps = per
+	opts.MaxRounds = 1
+	opts.TotalBudget = 0
+	return Run(ctx, g, pool, opts, nil)
+}
+
+// nextChunk grows a round's batch or chain length by growth, by at
+// least one so that Growth == 1 and rounding still make progress.
+func nextChunk(chunk int, growth float64) int {
+	if next := int(float64(chunk) * growth); next > chunk {
+		return next
+	}
+	return chunk + 1
+}
+
+// rankBySources runs a betweenness ranking's rounds: batch t adds the
+// next InitialSteps·Growth^(t−1) sources of the seeded permutation, up
+// to the budget and n, to every candidate; then the candidates'
+// intervals are recomputed and pruned.
+func rankBySources(ctx context.Context, g *graph.Graph, cands []*cand, k int, o Options, progress func(Progress)) (Result, error) {
+	n := g.N()
+	if o.TotalBudget == 1 {
+		return Result{}, fmt.Errorf("rank: total budget 1 cannot fund the two source passes a sample variance needs")
+	}
+	budget := n
+	if o.TotalBudget > 0 && o.TotalBudget < n {
+		budget = o.TotalBudget
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rng.New(o.Seed).ShuffleInts(order)
+	p := newSourcePasses(g, cands, order, min(o.Concurrency, sourceLanes))
+
+	var res Result
+	for m, batch := 0, o.InitialSteps; m < budget && res.Rounds < o.MaxRounds; batch = nextChunk(batch, o.Growth) {
+		to := m + min(batch, budget-m)
+		if err := p.run(ctx, m, to); err != nil {
+			return Result{}, err
+		}
+		m = to
+		res.Rounds++
+		res.TotalSteps = m
+		for i, c := range cands {
+			var sum, sq float64
+			for l := range p.lanes {
+				sum += p.lanes[l].sum[i]
+				sq += p.lanes[l].sq[i]
+			}
+			c.setSources(sum, sq, m, n)
+		}
+		activeCount := prune(activeOf(cands), k, o.Confidence)
+		if progress != nil {
+			progress(Progress{Round: res.Rounds, Active: activeCount, TotalSteps: m, Top: topEntries(cands, k, o.Confidence)})
+		}
+		if activeCount <= k {
+			break
+		}
+	}
+	return res, nil
+}
+
+// lane is one partial sum of a betweenness ranking's passes: Σf and
+// Σf² per candidate, in candidate order.
+type lane struct {
+	sum, sq []float64
+}
+
+// sourcePasses runs the reference Brandes passes of a betweenness
+// ranking into its lanes, on one kernel per worker.
+type sourcePasses struct {
+	g     *graph.Graph
+	vs    []int // candidate vertices, in candidate order
+	order []int // the source permutation
+	lanes [sourceLanes]lane
+	comps []*sssp.Computer
+	delta [][]float64
+}
+
+func newSourcePasses(g *graph.Graph, cands []*cand, order []int, workers int) *sourcePasses {
+	p := &sourcePasses{g: g, vs: make([]int, len(cands)), order: order}
+	for i, c := range cands {
+		p.vs[i] = c.v
+	}
+	for l := range p.lanes {
+		p.lanes[l] = lane{sum: make([]float64, len(cands)), sq: make([]float64, len(cands))}
+	}
+	for w := 0; w < workers; w++ {
+		p.comps = append(p.comps, sssp.NewComputer(g))
+		p.delta = append(p.delta, make([]float64, g.N()))
+	}
+	return p
+}
+
+// run adds the passes from sources order[from:to] into their lanes,
+// the workers taking whole lanes. It returns ctx's error if ctx ends
+// first, else the first lane's error in lane order.
+func (p *sourcePasses) run(ctx context.Context, from, to int) error {
+	lanes := make(chan int, sourceLanes)
+	for l := range p.lanes {
+		lanes <- l
+	}
+	close(lanes)
+	errs := make([]error, sourceLanes)
+	var wg sync.WaitGroup
+	for w := range p.comps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := range lanes {
+				errs[l] = p.lane(ctx, w, l, from, to)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lane runs lane l's sources among order[from:to] on worker w's kernel
+// and adds each pass's f and f² to the lane's sums. A pass holding a
+// NaN or ±Inf dependency (path counts past float64's range) is an
+// error wrapping mcmc.ErrNonFinite.
+func (p *sourcePasses) lane(ctx context.Context, w, l, from, to int) error {
+	comp, delta := p.comps[w], p.delta[w]
+	sum, sq := p.lanes[l].sum, p.lanes[l].sq
+	nm1 := float64(p.g.N() - 1)
+	j := from - from%sourceLanes + l // lane l's first source at or past from
+	if j < from {
+		j += sourceLanes
+	}
+	for ; j < to; j += sourceLanes {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s := p.order[j]
+		brandes.Accumulate(p.g, comp.Run(s), delta)
+		for v, d := range delta {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return fmt.Errorf("rank: dependency of source %d on vertex %d is %v: %w", s, v, d, mcmc.ErrNonFinite)
+			}
+		}
+		for i, v := range p.vs {
+			f := delta[v] / nm1
+			sum[i] += f
+			sq[i] += f * f
+		}
+	}
+	return nil
+}
+
+// rankByChains runs a chain measure's rounds: one chain per surviving
+// candidate per round, each round's chunk grown by Growth, under the
+// MH-step budget.
+func rankByChains(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, cands []*cand, k int, o Options, progress func(Progress)) (Result, error) {
 	budgetLeft := o.TotalBudget
 	unbounded := o.TotalBudget == 0
 	chunk := o.InitialSteps
 	var res Result
 	for round := 1; round <= o.MaxRounds; round++ {
-		active := make([]*cand, 0, len(cands))
-		for _, c := range cands {
-			if c.active {
-				active = append(active, c)
-			}
-		}
+		active := activeOf(cands)
 		per := chunk
 		lastRound := false
 		if !unbounded {
@@ -404,7 +659,7 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 				lastRound = true
 			}
 		}
-		spent, err := runRound(ctx, g, pool, rows, active, per, round, o)
+		spent, err := runRound(ctx, g, pool, active, per, round, o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -425,35 +680,20 @@ func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Option
 		if activeCount <= k || lastRound {
 			break
 		}
-		chunk = int(float64(chunk) * o.Growth)
-		if chunk <= per { // Growth == 1 or rounding: still make progress
-			chunk = per + 1
-		}
+		chunk = nextChunk(chunk, o.Growth)
 	}
-
-	survivors := make([]*cand, 0, len(cands))
-	for _, c := range cands {
-		if c.active {
-			survivors = append(survivors, c)
-		} else {
-			res.Pruned++
-		}
-	}
-	res.All = allEntries(cands, o.Confidence)
-	res.TopK = topEntries(survivors, k, o.Confidence)
 	return res, nil
 }
 
-// Uniform is the non-adaptive baseline progressive refinement is
-// benchmarked against: every candidate gets exactly per steps, one
-// round, no pruning. (It is Run with MaxRounds = 1 and an exact
-// round-1 chunk, so the two allocations share every chain detail.)
-func Uniform(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, k, per int, opts Options) (Result, error) {
-	opts.K = k
-	opts.InitialSteps = per
-	opts.MaxRounds = 1
-	opts.TotalBudget = 0
-	return Run(ctx, g, pool, opts, nil)
+// activeOf returns the candidates not yet pruned.
+func activeOf(cands []*cand) []*cand {
+	active := make([]*cand, 0, len(cands))
+	for _, c := range cands {
+		if c.active {
+			active = append(active, c)
+		}
+	}
+	return active
 }
 
 // runRound runs one chain per active candidate over a worker pool and
@@ -464,7 +704,7 @@ func Uniform(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, k, per 
 // the returned step total is what the budget accounting deducts, so
 // early stops refund their unspent steps. Each candidate's chain
 // source is built on its first round and cached for later ones.
-func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, rows *mcmc.SourceRows, active []*cand, per, round int, o Options) (int, error) {
+func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, active []*cand, per, round int, o Options) (int, error) {
 	if len(active) == 0 {
 		return 0, nil
 	}
@@ -492,7 +732,7 @@ func runRound(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, rows *
 					cfg.AdaptiveEps = o.Epsilon
 					cfg.AdaptiveDelta = o.Delta
 				}
-				r, err := runChain(ctx, g, pool, rows, c, cfg, ChainSeed(o.Seed, round, c.v), o.Measure)
+				r, err := runChain(ctx, g, pool, c, cfg, ChainSeed(o.Seed, round, c.v), o.Measure)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -533,17 +773,13 @@ dispatch:
 }
 
 // runChain runs one candidate chain of the ranking's measure, seeded
-// with seed, building the candidate's source on first use: a
-// betweenness chain reads the job's row table, any other measure its
-// internal/measure source.
-func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, rows *mcmc.SourceRows, c *cand, cfg mcmc.Config, seed uint64, spec measure.Spec) (mcmc.Result, error) {
+// with seed, building the candidate's internal/measure source on first
+// use.
+func runChain(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, c *cand, cfg mcmc.Config, seed uint64, spec measure.Spec) (mcmc.Result, error) {
 	if c.src == nil {
-		src := rows.BC(c.v)
-		if !spec.IsBC() {
-			var err error
-			if src, err = measure.Source(ctx, g, spec, c.v, pool); err != nil {
-				return mcmc.Result{}, err
-			}
+		src, err := measure.Source(ctx, g, spec, c.v, pool)
+		if err != nil {
+			return mcmc.Result{}, err
 		}
 		c.src = &src
 	}

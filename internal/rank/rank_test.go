@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"bcmh/internal/brandes"
 	"bcmh/internal/core"
 	"bcmh/internal/graph"
-	"bcmh/internal/mcmc"
+	"bcmh/internal/measure"
 	"bcmh/internal/rng"
 	"bcmh/internal/stats"
 )
@@ -83,9 +84,10 @@ func TestRankKarateTop5(t *testing.T) {
 		res.Rounds, res.TotalSteps, res.Pruned, len(res.All), stats.Inversions(est, bc))
 }
 
-// TestRankDeterministic pins that two runs with equal options are
-// identical entry for entry — chain seeds depend only on
-// (seed, round, vertex), never on worker scheduling.
+// TestRankDeterministic pins that runs with equal options are
+// identical entry for entry whatever their worker count — a
+// betweenness ranking's lanes are summed in lane order, never in
+// scheduling order.
 func TestRankDeterministic(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, rng.New(7))
 	opts := Options{K: 5, InitialSteps: 64, MaxRounds: 4, Seed: 42, Concurrency: 8}
@@ -93,134 +95,130 @@ func TestRankDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Concurrency = 2
-	b, err := Run(context.Background(), g, nil, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.All) != len(b.All) || a.TotalSteps != b.TotalSteps || a.Rounds != b.Rounds {
-		t.Fatalf("shape mismatch: %+v vs %+v", a, b)
-	}
-	for i := range a.All {
-		if a.All[i] != b.All[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, a.All[i], b.All[i])
-		}
-	}
-}
-
-// checkReplay holds a one-round Uniform ranking to table-free replays:
-// every candidate's Estimate must equal, bit for bit, the mean of the
-// proposal trace mcmc.Run produces for the candidate's round-1 seed on
-// a fresh pool. The ranking's chains read the job's row table and the
-// replays traverse, so a single wrong δ served by the table fails it.
-func checkReplay(t *testing.T, g *graph.Graph, res Result, per int, seed uint64) {
-	t.Helper()
-	if len(res.All) != g.N() {
-		t.Fatalf("%d entries for %d candidates", len(res.All), g.N())
-	}
-	cfg := mcmc.Config{Steps: per, InitState: -1, CollectProposalTrace: true}
-	for _, e := range res.All {
-		r, err := mcmc.Run(context.Background(), g, mcmc.BC(e.Vertex), cfg, ChainSeed(seed, 1, e.Vertex), 1, mcmc.NewBufferPool(g))
+	for _, workers := range []int{2, 1} {
+		opts.Concurrency = workers
+		b, err := Run(context.Background(), g, nil, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := stats.Mean(r.Combined.ProposalFTrace); math.Float64bits(e.Estimate) != math.Float64bits(want) {
-			t.Fatalf("vertex %d: ranked estimate %v, replay %v", e.Vertex, e.Estimate, want)
+		if len(a.All) != len(b.All) || a.TotalSteps != b.TotalSteps || a.Rounds != b.Rounds {
+			t.Fatalf("shape mismatch: %+v vs %+v", a, b)
+		}
+		for i := range a.All {
+			if a.All[i] != b.All[i] {
+				t.Fatalf("concurrency %d: entry %d differs: %+v vs %+v", workers, i, a.All[i], b.All[i])
+			}
 		}
 	}
 }
 
-// TestRankChainSeedReplay pins that every candidate's round chain is
-// replayable through the public seed derivation, with the ranking's
-// row table serving the same values a traversing chain computes — on
-// the BFS route, the Dial route and the calendar route.
-func TestRankChainSeedReplay(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
+// exactTestGraphs are the route-spanning graphs the exactness tests
+// rank: karate on the BFS loop, an integer-weight grid on the Dial
+// route, and a fractional-weight BA graph on the calendar route.
+func exactTestGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
 		"karate":     graph.KarateClub(),
 		"int-grid":   graph.WithIntegerWeights(graph.Grid(8, 8), 1, 10, rng.New(3)),
 		"fractional": graph.WithUniformWeights(graph.BarabasiAlbert(80, 2, rng.New(4)), 1, 10, rng.New(5)),
-	} {
+	}
+}
+
+// TestRankExactAtFullBudget pins the m = n end of a betweenness
+// ranking: once every source has been seen, each estimate is the exact
+// betweenness, each interval is that point, and TopK is the exact
+// top-k with ties broken by id.
+func TestRankExactAtFullBudget(t *testing.T) {
+	for name, g := range exactTestGraphs() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Uniform(context.Background(), g, nil, 5, 64, Options{Seed: 9, Concurrency: 3})
+			n := g.N()
+			res, err := Run(context.Background(), g, nil, Options{K: 5, Seed: 9, InitialSteps: 16, TotalBudget: n + 7, Concurrency: 3}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkReplay(t, g, res, 64, 9)
-		})
-	}
-}
-
-// TestRankRowTableBounded ranks a graph whose rows exceed the table's
-// budget (382 rows fit of 600): the table stops short of one row per
-// vertex, and the ranking still replays exactly. A second Run on the
-// same pool builds as many rows again, so the first handed its budget
-// back when it returned.
-func TestRankRowTableBounded(t *testing.T) {
-	g := graph.BarabasiAlbert(600, 3, rng.New(8))
-	pool := mcmc.NewBufferPool(g)
-	var first uint64
-	for run := 0; run < 2; run++ {
-		res, err := Uniform(context.Background(), g, pool, 5, 32, Options{Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		built, _ := pool.SourceRowStats()
-		if run == 0 {
-			first = built
-		}
-		if first == 0 || first >= uint64(g.N()) || built != first*uint64(run+1) {
-			t.Fatalf("run %d: %d rows built in all, %d by the first run, for %d vertices: want the budget to stop each table at the same row count", run, built, first, g.N())
-		}
-		checkReplay(t, g, res, 32, 4)
-	}
-}
-
-// TestRankJobsShareRowTable runs a second job on a snapshot while a
-// first one is still ranking it: the two share one row table, so
-// between them they build at most one row per vertex, and the second
-// job's result is bit-identical to a run of its own.
-func TestRankJobsShareRowTable(t *testing.T) {
-	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(21))
-	pool := mcmc.NewBufferPool(g)
-	opts := func(seed uint64) Options {
-		return Options{K: 5, Seed: seed, InitialSteps: 32, MaxRounds: 2}
-	}
-	aRound1, bDone := make(chan struct{}), make(chan struct{})
-	var aErr error
-	aFinished := make(chan struct{})
-	go func() {
-		defer close(aFinished)
-		_, aErr = Run(context.Background(), g, pool, opts(1), func(p Progress) {
-			if p.Round == 1 {
-				close(aRound1)
-				<-bDone // hold the first job, and its table, until the second has run
+			if res.TotalSteps != n || len(res.All) != n {
+				t.Fatalf("%d passes, %d entries on %d vertices", res.TotalSteps, len(res.All), n)
+			}
+			bc := brandes.BC(g)
+			for _, e := range append(res.All, res.TopK...) {
+				if want := bc[e.Vertex]; math.Abs(e.Estimate-want) > 1e-12*want {
+					t.Fatalf("vertex %d: estimate %v, exact %v", e.Vertex, e.Estimate, want)
+				}
+				if e.Lower != e.Estimate || e.Upper != e.Estimate || e.Steps != n {
+					t.Fatalf("vertex %d: interval [%v, %v] around %v after %d passes, want the point", e.Vertex, e.Lower, e.Upper, e.Estimate, e.Steps)
+				}
+			}
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool { return bc[order[a]] > bc[order[b]] })
+			for i, e := range res.TopK {
+				if want := bc[order[i]]; math.Abs(bc[e.Vertex]-want) > 1e-12*want {
+					t.Fatalf("top-%d is %v, exact order %v", len(res.TopK), res.TopK, order[:len(res.TopK)])
+				}
+				if i > 0 && e.Estimate == res.TopK[i-1].Estimate && e.Vertex < res.TopK[i-1].Vertex {
+					t.Fatalf("tie at %v not broken by id: %v", e.Estimate, res.TopK)
+				}
 			}
 		})
-	}()
-	<-aRound1
-	b, err := Run(context.Background(), g, pool, opts(2), nil)
-	close(bDone)
-	<-aFinished
-	if err != nil || aErr != nil {
-		t.Fatal(err, aErr)
-	}
-	if built, _ := pool.SourceRowStats(); built == 0 || built > uint64(g.N()) {
-		t.Fatalf("%d rows built by two overlapping jobs on %d vertices: want one shared table", built, g.N())
-	}
-	solo, err := Run(context.Background(), g, mcmc.NewBufferPool(g), opts(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b, solo) {
-		t.Fatalf("job on a shared table %+v, alone %+v", b.TopK, solo.TopK)
 	}
 }
 
-// TestRankCancellation pins prompt abort: a ranking with a huge budget
-// must return with the context's error well before finishing once
-// cancelled.
+// TestRankIntervalCoverage checks the half-width formula empirically:
+// over 200 seeds, with a quarter of the sources seen, at most 5% of the
+// returned top-5 intervals may miss the exact value.
+func TestRankIntervalCoverage(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"karate":   graph.KarateClub(),
+		"int-grid": graph.WithIntegerWeights(graph.Grid(12, 12), 1, 10, rng.New(6)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			bc := brandes.BC(g)
+			budget := (g.N() + 3) / 4
+			misses, total := 0, 0
+			for seed := uint64(1); seed <= 200; seed++ {
+				res, err := Run(context.Background(), g, nil, Options{K: 5, Seed: seed, TotalBudget: budget}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range res.TopK {
+					total++
+					if bc[e.Vertex] < e.Lower || bc[e.Vertex] > e.Upper {
+						misses++
+					}
+				}
+			}
+			if misses*20 > total {
+				t.Fatalf("%d of %d top-5 intervals miss the exact value", misses, total)
+			}
+			t.Logf("%s: %d of %d top-5 intervals miss the exact value at m = %d of %d", name, misses, total, budget, g.N())
+		})
+	}
+}
+
+// TestRankRejectsChainKnobs pins that a betweenness ranking refuses the
+// knobs only per-candidate chains use, instead of ignoring them.
+func TestRankRejectsChainKnobs(t *testing.T) {
+	g := graph.KarateClub()
+	for _, opts := range []Options{
+		{K: 5, Estimator: EstimatorChainAverage},
+		{K: 5, Adaptive: true, Epsilon: 0.05},
+	} {
+		if _, err := Run(context.Background(), g, nil, opts, nil); err == nil {
+			t.Fatalf("%+v: accepted", opts)
+		}
+		opts.Measure = measure.Spec{Kind: measure.Coverage}
+		if _, err := Run(context.Background(), g, nil, opts, nil); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+	}
+}
+
+// TestRankCancellation pins prompt abort: a ranking of 5,000 sources,
+// seconds of passes, must return with the context's error well before
+// finishing once cancelled.
 func TestRankCancellation(t *testing.T) {
-	g := graph.BarabasiAlbert(1000, 3, rng.New(11))
+	g := graph.BarabasiAlbert(5000, 3, rng.New(11))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
@@ -330,49 +328,4 @@ func TestRankProgress(t *testing.T) {
 			t.Fatalf("steps %v not increasing", steps)
 		}
 	}
-}
-
-// TestProgressiveBeatsUniform is the efficiency acceptance test:
-// progressive refinement must reach the exact top-5 set with fewer
-// total MH steps than the cheapest uniform allocation that does the
-// same. Fully deterministic (fixed seeds); the logged numbers are the
-// ones README quotes.
-func TestProgressiveBeatsUniform(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical allocation comparison (~12s); run without -short")
-	}
-	g := graph.BarabasiAlbert(400, 3, rng.New(31))
-	exact, _ := exactTopK(t, g, 5)
-	pool := mcmc.NewBufferPool(g)
-
-	prog, err := Run(context.Background(), g, pool, Options{K: 5, Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := topSet(prog.TopK); !sameSet(got, exact) {
-		t.Fatalf("progressive top-5 %v != exact %v", got, exact)
-	}
-
-	// Smallest power-of-two uniform per-candidate budget that recovers
-	// the same set.
-	uniformTotal := 0
-	for per := 64; per <= 1<<16; per *= 2 {
-		res, err := Uniform(context.Background(), g, pool, 5, per, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sameSet(topSet(res.TopK), exact) {
-			uniformTotal = res.TotalSteps
-			break
-		}
-	}
-	if uniformTotal == 0 {
-		t.Fatal("uniform allocation never matched the exact top-5")
-	}
-	if prog.TotalSteps >= uniformTotal {
-		t.Fatalf("progressive spent %d steps, uniform needed only %d", prog.TotalSteps, uniformTotal)
-	}
-	t.Logf("BA(400,3) top-5: progressive %d steps (%d rounds, %d pruned) vs uniform %d steps — %.1fx fewer",
-		prog.TotalSteps, prog.Rounds, prog.Pruned, uniformTotal,
-		float64(uniformTotal)/float64(prog.TotalSteps))
 }

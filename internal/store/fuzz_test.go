@@ -22,11 +22,15 @@ const fuzzRankWorkBound = 1 << 18
 // rankWork bounds the MH steps a ranking request can run on an n-vertex
 // graph: every candidate runs every round's chunk, capped by the total
 // budget, where an unset budget counts as the serving default
-// MaxRankBudget. Zero knobs take the internal/rank defaults.
+// MaxRankBudget. Zero knobs take the internal/rank defaults. A bc
+// ranking runs no chain: it makes at most n source passes.
 func rankWork(req RankRequest, n int) int {
 	budget := req.TotalBudget
 	if budget <= 0 {
 		budget = MaxRankBudget
+	}
+	if req.Measure == "" || req.Measure == "bc" {
+		return min(budget, n)
 	}
 	cands := n
 	if req.MaxCandidates > 0 && req.MaxCandidates < n {

@@ -4,23 +4,48 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"bcmh/internal/brandes"
 	"bcmh/internal/graph"
 )
 
 // TestGoldenRankBCPayload pins the synchronous rank route's ranking
-// payload for the default measure (bc) to a fixture captured before the
-// measure-generic redesign: a rank request that does not name a measure
+// payload for the default measure (bc), captured when bc rankings moved
+// to shared source passes: a rank request that does not name a measure
 // must keep producing byte-identical Top entries. ElapsedMS is
 // wall-clock, so the pin covers the re-marshaled Top array plus the
 // deterministic scalar fields. Regenerate with GOLDEN_UPDATE=1 only for
 // an intentional payload change.
 func TestGoldenRankBCPayload(t *testing.T) {
 	pinRankGolden(t, `{"k":5,"seed":42,"initial_steps":256,"sync":true}`, "rank_bc_golden.json")
+}
+
+// TestGoldenRankBCExact holds the bc fixture to Brandes: its 256-pass
+// first batch sees all 34 sources, so each of its five entries is the
+// exact betweenness, and its interval is that point.
+func TestGoldenRankBCExact(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "rank_bc_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res RankResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	bc := brandes.BC(graph.KarateClub())
+	if len(res.Top) != 5 {
+		t.Fatalf("fixture has %d entries", len(res.Top))
+	}
+	for _, e := range res.Top {
+		if want := bc[e.Vertex]; math.Abs(e.Estimate-want) > 1e-12*want || e.Lower != e.Estimate || e.Upper != e.Estimate {
+			t.Fatalf("vertex %d: %v in [%v, %v], exact %v", e.Vertex, e.Estimate, e.Lower, e.Upper, want)
+		}
+	}
 }
 
 // TestGoldenRankCoveragePayload pins a rank job ranking by a non-bc

@@ -348,8 +348,10 @@ func TestRankJobOnMutateCancel(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, "")
 	g := graph.BarabasiAlbert(300, 3, rng.New(9))
 	uploadGraph(t, srv, "ba", g)
+	// Coverage chains keep the job running past the PATCH; a bc job on
+	// 300 vertices is done after 300 source passes.
 	jid := startRankJob(t, srv, "ba", RankRequest{
-		K: 5, InitialSteps: 65536, MaxRounds: 16, Seed: 1,
+		K: 5, InitialSteps: 65536, MaxRounds: 16, Seed: 1, Measure: "coverage",
 		OnMutate: OnMutateCancel,
 	})
 	// Meta records the start version and policy from the outset.

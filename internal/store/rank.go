@@ -23,31 +23,35 @@ import (
 )
 
 // Request guards for POST /graphs/{id}/rank, in the spirit of the
-// engine's per-request budget caps: a ranking fans chains over every
-// candidate, so unchecked knobs would let one request monopolise the
-// server for hours.
+// engine's per-request budget caps: a chain-measure ranking fans chains
+// over every candidate, so unchecked knobs would let one request
+// monopolise the server for hours.
 const (
 	// MaxRankK caps the requested ranking size.
 	MaxRankK = 1024
 	// MaxRankRounds caps refinement rounds.
 	MaxRankRounds = 64
-	// MaxRankInitialSteps caps the round-1 per-candidate chain length.
+	// MaxRankInitialSteps caps the round-1 batch: the per-candidate
+	// chain length, or for bc the source passes.
 	MaxRankInitialSteps = engine.MaxRequestSteps
-	// MaxRankBudget caps the total-step budget one request may demand —
-	// and is the budget a request gets when it names none, so every
-	// HTTP-initiated ranking terminates within a bounded step count no
-	// matter how the other knobs multiply out (the library keeps
-	// unbounded-by-choice semantics; the serving surface does not).
+	// MaxRankBudget caps the total budget one request may demand — and
+	// is the budget a request gets when it names none, so every
+	// HTTP-initiated chain-measure ranking terminates within a bounded
+	// step count no matter how the other knobs multiply out (the library
+	// keeps unbounded-by-choice semantics; the serving surface does
+	// not). A betweenness ranking's budget counts source passes, and n
+	// of them already make it exact, so it never spends more than n.
 	MaxRankBudget = 1 << 28
 	// MaxRankGrowth caps the per-round budget multiplier.
 	MaxRankGrowth = 16
 	// MaxRankConcurrency caps the ranking worker pool.
 	MaxRankConcurrency = 256
 	// MaxRankConfidence caps the interval multiplier z. A half-width is
-	// z·√var + z²/(2N), so a large enough z overflows every interval to
-	// ±Inf, and a job record holding one cannot be encoded — GET /jobs
-	// would fail for every client until the record aged out. The default
-	// z is 3; any z that keeps z² finite would do.
+	// z·√var + z²/(2N) (for betweenness both terms scaled by the unseen
+	// fraction of the sources), so a large enough z overflows every
+	// interval to ±Inf, and a job record holding one cannot be encoded —
+	// GET /jobs would fail for every client until the record aged out.
+	// The default z is 3; any z that keeps z² finite would do.
 	MaxRankConfidence = 1000
 	// DefaultSyncRankCap bounds the graph size a client may force into
 	// the synchronous path with "sync": true. Synchronous rankings run
@@ -62,7 +66,10 @@ const (
 // knobs take the internal/rank defaults (k=10, 128 initial steps,
 // doubling rounds, z=3 intervals, every vertex a candidate) — except
 // TotalBudget, which defaults to MaxRankBudget on the serving surface
-// so every job terminates within a bounded step count.
+// so every job terminates within a bounded step count. For the default
+// measure, bc, InitialSteps and TotalBudget count shared source passes
+// (see internal/rank), and the chain-only knobs — "estimator":
+// "chain-avg" and "adaptive" — are a 400.
 type RankRequest struct {
 	K             int     `json:"k,omitempty"`
 	InitialSteps  int     `json:"initial_steps,omitempty"`
@@ -73,8 +80,8 @@ type RankRequest struct {
 	MaxCandidates int     `json:"max_candidates,omitempty"`
 	Concurrency   int     `json:"concurrency,omitempty"`
 	Seed          uint64  `json:"seed,omitempty"`
-	// Estimator selects the ranking statistic: "unbiased" (default) or
-	// "chain-avg" (see rank.Estimator).
+	// Estimator selects the chain statistic of a non-bc ranking:
+	// "unbiased" (default) or "chain-avg" (see rank.Estimator).
 	Estimator string `json:"estimator,omitempty"`
 	// Measure selects the centrality measure candidates are ranked by:
 	// "bc" (default), "coverage", "kpath", or "rwbc". MeasureK is the
@@ -83,8 +90,9 @@ type RankRequest struct {
 	Measure  string `json:"measure,omitempty"`
 	MeasureK int    `json:"measure_k,omitempty"`
 	// Adaptive enables the empirical-Bernstein early stop on every
-	// per-candidate chain (see rank.Options.Adaptive); Epsilon and Delta
-	// parameterise it and are only valid with Adaptive.
+	// per-candidate chain of a non-bc ranking (see
+	// rank.Options.Adaptive); Epsilon and Delta parameterise it and are
+	// only valid with Adaptive.
 	Adaptive bool    `json:"adaptive,omitempty"`
 	Epsilon  float64 `json:"epsilon,omitempty"`
 	Delta    float64 `json:"delta,omitempty"`
@@ -97,8 +105,8 @@ type RankRequest struct {
 	Sync *bool `json:"sync,omitempty"`
 	// OnMutate picks the job's fate when the session's graph mutates
 	// mid-run: "finish" (default) completes on the snapshot the job
-	// started on — every chain stays bit-identical to a no-mutation
-	// run, the result just describes the version stamped in the
+	// started on — every pass and chain stays bit-identical to a
+	// no-mutation run, the result just describes the version stamped in the
 	// payloads; "cancel" aborts the job promptly with a versioned cause
 	// (the record reports which version invalidated it). Synchronous
 	// rankings always behave like "finish".
@@ -333,13 +341,19 @@ func (s *storeServer) handleRank(w http.ResponseWriter, r *http.Request) {
 		engine.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	opts := req.options()
+	// The ranker's own check, here so an async job cannot start on
+	// options its Run would refuse.
+	if err := opts.Validate(); err != nil {
+		engine.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
 	sess, release, err := s.st.Acquire(r.PathValue("id"))
 	if err != nil {
 		engine.WriteError(w, storeStatus(err), err)
 		return
 	}
 	eng := sess.Engine()
-	opts := req.options()
 	// One consistent snapshot for the whole ranking: graph, pool, and
 	// version are captured together, so a mutation landing mid-run can
 	// never hand the ranker a pool sized for a different CSR, and the
@@ -442,8 +456,8 @@ func (s *storeServer) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleJobCancel serves DELETE /jobs/{jid}. Cancellation is
 // asynchronous: the reply (202) carries the job snapshot, which flips
-// to "cancelled" as soon as the ranking's chains observe the context —
-// poll GET /jobs/{jid} for the terminal state.
+// to "cancelled" as soon as the ranking's passes or chains observe the
+// context — poll GET /jobs/{jid} for the terminal state.
 func (s *storeServer) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	job, err := s.jobs.Cancel(r.PathValue("jid"))
 	if err != nil {

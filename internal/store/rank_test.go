@@ -143,9 +143,11 @@ func TestRankSyncFastPath(t *testing.T) {
 }
 
 // slowRankBody is a ranking request sized to run for minutes if never
-// cancelled: every vertex of a 2000-vertex graph gets 2^20-step chains.
+// cancelled: every vertex of a 2000-vertex graph gets a 2^20-step
+// coverage chain. (A bc ranking of that graph makes at most 2000
+// source passes, under a second.)
 func slowRankBody() RankRequest {
-	return RankRequest{K: 5, InitialSteps: 1 << 20, MaxRounds: 1, Seed: 1}
+	return RankRequest{K: 5, InitialSteps: 1 << 20, MaxRounds: 1, Seed: 1, Measure: "coverage"}
 }
 
 // TestRankJobCancelPromptly pins the DELETE /jobs/{id} abort path: a
@@ -213,6 +215,18 @@ func TestRankRequestValidation(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/rank", RankRequest{Growth: 0.5}, nil); code != http.StatusBadRequest {
 		t.Fatalf("sub-1 growth: status %d", code)
+	}
+	// Knobs only per-candidate chains use are a 400 on a bc ranking,
+	// in both modes, rather than a silent change of meaning.
+	for _, sync := range []bool{true, false} {
+		for name, req := range map[string]RankRequest{
+			"chain-avg": {K: 5, Estimator: "chain-avg", Sync: &sync},
+			"adaptive":  {K: 5, Adaptive: true, Epsilon: 0.05, Sync: &sync},
+		} {
+			if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/rank", req, nil); code != http.StatusBadRequest {
+				t.Fatalf("bc rank with %s (sync %v): status %d", name, sync, code)
+			}
+		}
 	}
 	// A budget below the candidate count is a ranker-level error; the
 	// sync path must surface it as 400, not a 200 with a broken body.
@@ -309,13 +323,13 @@ func TestRankMeasureSync(t *testing.T) {
 		t.Fatalf("coverage top-5 %v, exact %v", got, want)
 	}
 
-	// Adaptive ranking: accepted, echoed, and completes.
+	// Adaptive coverage ranking: accepted, echoed, and completes.
 	var ares RankResult
-	areq := RankRequest{K: 5, Seed: 1, Adaptive: true, Epsilon: 0.05, Delta: 0.1, Sync: &syncTrue}
+	areq := RankRequest{K: 5, Seed: 1, Measure: "coverage", Adaptive: true, Epsilon: 0.05, Delta: 0.1, Sync: &syncTrue}
 	if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/karate/rank", areq, &ares); code != http.StatusOK {
 		t.Fatalf("adaptive rank: status %d", code)
 	}
-	if !ares.Adaptive || ares.Measure != "" {
+	if !ares.Adaptive || ares.Measure != "coverage" {
 		t.Fatalf("adaptive echo: %+v", ares)
 	}
 

@@ -261,39 +261,6 @@ func TestMuColumnChainsCounted(t *testing.T) {
 	}
 }
 
-// TestSourceRowsCounted drives a whole-graph rank job on a road-style
-// graph (20×20 grid, integer weights 1–10) through HTTP: its row table
-// traverses each vertex at most once, and row scans answer many times
-// more evaluations than there are vertices. Both stats routes report
-// the counters.
-func TestSourceRowsCounted(t *testing.T) {
-	st := New(Config{})
-	t.Cleanup(st.Close)
-	g := graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(5))
-	if _, err := st.CreateFromGraph("road", g, nil, true); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServerWithOptions(st, ServerOptions{DefaultID: "road"}))
-	t.Cleanup(srv.Close)
-	syncTrue := true
-	var res RankResult
-	if code := doJSON(t, http.MethodPost, srv.URL+"/graphs/road/rank", RankRequest{K: 10, Seed: 1, TotalBudget: 65536, Sync: &syncTrue}, &res); code != http.StatusOK {
-		t.Fatalf("rank: status %d", code)
-	}
-	n := float64(g.N())
-	for _, path := range []string{"/stats", "/graphs/road/stats"} {
-		var stats map[string]any
-		if code := doJSON(t, http.MethodGet, srv.URL+path, nil, &stats); code != http.StatusOK {
-			t.Fatalf("%s: status %d", path, code)
-		}
-		built, _ := stats["source_rows_built"].(float64)
-		evals, _ := stats["source_row_evals"].(float64)
-		if built < 1 || built > n || evals <= 10*n {
-			t.Fatalf("%s: source_rows_built %v, source_row_evals %v (n = %v)", path, built, evals, n)
-		}
-	}
-}
-
 func TestAliasRoutesWithoutDefaultSession(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, "")
 	var errResp map[string]string

@@ -23,7 +23,7 @@ allowlist=(
     'bcmh/internal/durable.*FaultFS*'
     'bcmh/internal/durable.(\*faultFile).*'
     'bcmh/internal/durable.Fault.String'
-    # sssp's dijkstra_test, mcmc's rows_test, rank's rank_test, store's server_test.
+    # sssp's dijkstra_test, rank's rank_test, the root package's BenchmarkRankRoadTop10.
     'bcmh/internal/graph.WithIntegerWeights'
     # store's TestStreamOverlayCompaction waits on them.
     'bcmh/internal/graph.(\*Graph).HasOverlay'
