@@ -709,6 +709,44 @@ func BenchmarkT12Adaptive(b *testing.B) {
 	}
 }
 
+// BenchmarkBrandesPassRoad / BenchmarkBrandesPassBA2000 time one
+// Brandes pass (a traversal plus the dependency accumulation that gives
+// δ_s•(v) for every v) per op, the unit of work of a bc rank job and of
+// exact betweenness: the reference sssp.Computer + brandes.Accumulate
+// beside the fast kernel's pull-form pass (brandes.NewPass), on
+// rank-road's weighted 20×20 grid (Dial route) and on the scale-free
+// 2000-vertex fixture (hybrid BFS).
+func BenchmarkBrandesPassRoad(b *testing.B) {
+	benchBrandesPass(b, graph.WithIntegerWeights(graph.Grid(20, 20), 1, 10, rng.New(5)))
+}
+
+func BenchmarkBrandesPassBA2000(b *testing.B) {
+	fixtures()
+	benchBrandesPass(b, fixBA)
+}
+
+func benchBrandesPass(b *testing.B, g *graph.Graph) {
+	n := g.N()
+	b.Run("reference", func(b *testing.B) {
+		c := sssp.NewComputer(g)
+		delta := make([]float64, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			brandes.Accumulate(g, c.Run(i%n), delta)
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		p := brandes.NewPass(g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Run(i % n)
+			p.Accumulate()
+		}
+	})
+}
+
 // BenchmarkBFSHybrid / BenchmarkBFSClassic pin the two traversal
 // kernels against each other on both workload shapes: the scale-free
 // graph where the direction-optimizing kernel's bottom-up levels and

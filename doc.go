@@ -46,10 +46,11 @@
 //     top-k boundary, and keeps sampling the survivors round over
 //     round. A betweenness ranking shares its samples: it takes the
 //     sources of a seeded permutation in growing batches, and one
-//     Brandes pass per source (sssp.Computer + brandes.Accumulate)
-//     serves every candidate at once; once all n sources are seen the
-//     ranking is exact. Other measures run short fixed-step MH chains
-//     per candidate on buffers from the engine's pool.
+//     Brandes pass per source (a fast kernel's traversal and pull-form
+//     backward pass, brandes.NewPass) serves every candidate at once;
+//     once all n sources are seen the ranking is exact. Other
+//     measures run short fixed-step MH chains per candidate on buffers
+//     from the engine's pool.
 //   - internal/jobs — the async-job manager behind minutes-scale
 //     computations: job ids, live progress snapshots, retained
 //     results, bounded concurrency, and cancellation coupled to the
@@ -75,10 +76,13 @@
 // symmetry, so the chains, μ derivations and set oracles of
 // internal/mcmc refuse directed graphs, which the serving stack never
 // builds. The reference Brandes accumulation (brandes.Accumulate)
-// remains the baseline the equivalence tests hold both routes to, and
-// the pass betweenness rankings share. See README.md for the selection
-// rules, equivalence guarantees, and measured speedups, and
-// scripts/bench.sh for the benchmark-tracking workflow.
+// remains the baseline the equivalence tests hold both routes to. The
+// same two kernels also carry Brandes' backward pass in pull form
+// (sssp.BFS and sssp.Dijkstra Accumulate/DeltaOf): betweenness
+// rankings share it and brandes.BCParallel runs it on undirected
+// graphs, within 1e-12 relative of the reference. See README.md for
+// the selection rules, equivalence guarantees, and measured speedups,
+// and scripts/bench.sh for the benchmark-tracking workflow.
 //
 // # Serving model and cancellation
 //

@@ -87,13 +87,38 @@ func BC(g *graph.Graph) []float64 {
 	return bc
 }
 
+// Pass is one Brandes pass on a fast traversal kernel: Run traverses
+// from a source, Accumulate runs the kernel's backward pass over that
+// traversal, and DeltaOf reads δ_source•(v) by vertex id. *sssp.BFS
+// and *sssp.Dijkstra implement it.
+type Pass interface {
+	Run(source int)
+	Accumulate()
+	DeltaOf(v int) float64
+}
+
+// NewPass returns the fast kernel for the undirected graph g: an
+// sssp.Dijkstra when g is weighted, sssp.NewBFS's kernel otherwise.
+func NewPass(g *graph.Graph) Pass {
+	if g.Weighted() {
+		return sssp.NewDijkstra(g)
+	}
+	return sssp.NewBFS(g)
+}
+
 // BCParallel computes exact betweenness with sources fanned out over
-// `workers` goroutines (0 means GOMAXPROCS). The result is identical to
-// BC: each worker accumulates into a private vector and the vectors are
-// summed in worker order, so only the float addition order over a
-// deterministic partition differs — with non-negative dependency terms
-// this stays bit-reproducible across runs with the same worker count.
+// `workers` goroutines (0 means GOMAXPROCS), each running the fast
+// kernel's Brandes pass (NewPass: a BFS or Dijkstra traversal and
+// its pull-form backward pass). Worker w takes sources w, w+workers, ...
+// into a private vector and the vectors are summed in worker order, so
+// the result is bit-reproducible for a fixed worker count. It agrees
+// with BC up to rounding, since the pull-form pass and the addition
+// order differ from BC's (the tests hold it within 1e-12). A directed
+// graph, which the fast kernels do not take, gets BC itself.
 func BCParallel(g *graph.Graph, workers int) []float64 {
+	if g.Directed() {
+		return BC(g)
+	}
 	n := g.N()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -101,24 +126,19 @@ func BCParallel(g *graph.Graph, workers int) []float64 {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n == 0 {
-		return BC(g)
-	}
 	partial := make([][]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := sssp.NewComputer(g)
-			delta := make([]float64, n)
+			k := NewPass(g)
 			acc := make([]float64, n)
-			// Strided partition: worker w handles sources w, w+workers, ...
 			for s := w; s < n; s += workers {
-				spd := c.Run(s)
-				Accumulate(g, spd, delta)
-				for v := 0; v < n; v++ {
-					acc[v] += delta[v]
+				k.Run(s)
+				k.Accumulate()
+				for v := range acc {
+					acc[v] += k.DeltaOf(v)
 				}
 			}
 			partial[w] = acc

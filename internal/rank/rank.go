@@ -7,14 +7,15 @@
 // cannot reach the top-k boundary, and keeps sampling for the rest.
 //
 // A betweenness ranking shares its samples. One Brandes pass from a
-// source s (sssp.Computer and brandes.Accumulate) gives δ_s•(c) for
-// every candidate c at once: the uniform-source sampler of the source
-// paper's §3.2 (Bader et al.), drawn once for all vertices as Mahmoody
-// et al. do. Run shuffles the n sources once, with a permutation seeded
-// by Options.Seed, and takes them in batches of InitialSteps·Growth^(t−1)
-// passes; each pass adds f = δ_s•(c)/(n−1) to every candidate. After a
-// batch, with m of the n sources seen, a candidate's estimate is the
-// mean of its f, unbiased for BC(c), and its interval half-width is
+// source s (a fast kernel's traversal and pull-form backward pass,
+// brandes.NewPass) gives δ_s•(c) for every candidate c at once: the
+// uniform-source sampler of the source paper's §3.2 (Bader et al.),
+// drawn once for all vertices as Mahmoody et al. do. Run shuffles the
+// n sources once, with a permutation seeded by Options.Seed, and takes
+// them in batches of InitialSteps·Growth^(t−1) passes; each pass adds
+// f = δ_s•(c)/(n−1) to every candidate. After a batch, with m of the
+// n sources seen, a candidate's estimate is the mean of its f,
+// unbiased for BC(c), and its interval half-width is
 //
 //	z·√((1−m/n)·s²/m) + (1−m/n)·z²/(2m)
 //
@@ -72,7 +73,6 @@ import (
 	"bcmh/internal/mcmc"
 	"bcmh/internal/measure"
 	"bcmh/internal/rng"
-	"bcmh/internal/sssp"
 	"bcmh/internal/stats"
 )
 
@@ -411,15 +411,19 @@ func Candidates(g *graph.Graph, max int) []int {
 
 // Run ranks the top-K vertices of g by progressive refinement (see the
 // package doc). g must be valid for estimation (connected, undirected —
-// e.g. an engine's prepared graph). pool supplies the buffers of a
-// chain measure's chains (nil builds a private pool); a betweenness
-// ranking does not use it. progress, when non-nil, is called after
-// every round from Run's own goroutine. Cancelling ctx aborts the
-// in-flight work promptly and returns ctx's error.
+// e.g. an engine's prepared graph); a directed g is an error. pool
+// supplies the buffers of a chain measure's chains (nil builds a
+// private pool); a betweenness ranking does not use it. progress, when
+// non-nil, is called after every round from Run's own goroutine.
+// Cancelling ctx aborts the in-flight work promptly and returns ctx's
+// error.
 func Run(ctx context.Context, g *graph.Graph, pool *mcmc.BufferPool, opts Options, progress func(Progress)) (Result, error) {
 	n := g.N()
 	if n < 2 {
 		return Result{}, fmt.Errorf("rank: graph too small (n=%d)", n)
+	}
+	if g.Directed() {
+		return Result{}, fmt.Errorf("rank: ranking requires an undirected graph")
 	}
 	o := opts.withDefaults()
 	if err := o.Validate(); err != nil {
@@ -541,15 +545,14 @@ type lane struct {
 	sum, sq []float64
 }
 
-// sourcePasses runs the reference Brandes passes of a betweenness
-// ranking into its lanes, on one kernel per worker.
+// sourcePasses runs the Brandes passes of a betweenness ranking into
+// its lanes, on one fast kernel per worker.
 type sourcePasses struct {
 	g     *graph.Graph
 	vs    []int // candidate vertices, in candidate order
 	order []int // the source permutation
 	lanes [sourceLanes]lane
-	comps []*sssp.Computer
-	delta [][]float64
+	kerns []brandes.Pass
 }
 
 func newSourcePasses(g *graph.Graph, cands []*cand, order []int, workers int) *sourcePasses {
@@ -561,8 +564,7 @@ func newSourcePasses(g *graph.Graph, cands []*cand, order []int, workers int) *s
 		p.lanes[l] = lane{sum: make([]float64, len(cands)), sq: make([]float64, len(cands))}
 	}
 	for w := 0; w < workers; w++ {
-		p.comps = append(p.comps, sssp.NewComputer(g))
-		p.delta = append(p.delta, make([]float64, g.N()))
+		p.kerns = append(p.kerns, brandes.NewPass(g))
 	}
 	return p
 }
@@ -578,7 +580,7 @@ func (p *sourcePasses) run(ctx context.Context, from, to int) error {
 	close(lanes)
 	errs := make([]error, sourceLanes)
 	var wg sync.WaitGroup
-	for w := range p.comps {
+	for w := range p.kerns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -604,9 +606,10 @@ func (p *sourcePasses) run(ctx context.Context, from, to int) error {
 // NaN or ±Inf dependency (path counts past float64's range) is an
 // error wrapping mcmc.ErrNonFinite.
 func (p *sourcePasses) lane(ctx context.Context, w, l, from, to int) error {
-	comp, delta := p.comps[w], p.delta[w]
+	kern := p.kerns[w]
 	sum, sq := p.lanes[l].sum, p.lanes[l].sq
-	nm1 := float64(p.g.N() - 1)
+	n := p.g.N()
+	nm1 := float64(n - 1)
 	j := from - from%sourceLanes + l // lane l's first source at or past from
 	if j < from {
 		j += sourceLanes
@@ -616,14 +619,15 @@ func (p *sourcePasses) lane(ctx context.Context, w, l, from, to int) error {
 			return err
 		}
 		s := p.order[j]
-		brandes.Accumulate(p.g, comp.Run(s), delta)
-		for v, d := range delta {
-			if math.IsNaN(d) || math.IsInf(d, 0) {
+		kern.Run(s)
+		kern.Accumulate()
+		for v := 0; v < n; v++ {
+			if d := kern.DeltaOf(v); math.IsNaN(d) || math.IsInf(d, 0) {
 				return fmt.Errorf("rank: dependency of source %d on vertex %d is %v: %w", s, v, d, mcmc.ErrNonFinite)
 			}
 		}
 		for i, v := range p.vs {
-			f := delta[v] / nm1
+			f := kern.DeltaOf(v) / nm1
 			sum[i] += f
 			sq[i] += f * f
 		}

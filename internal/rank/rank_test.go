@@ -214,6 +214,20 @@ func TestRankRejectsChainKnobs(t *testing.T) {
 	}
 }
 
+// TestRankRejectsDirected pins that a directed graph, weighted or not,
+// gets an error instead of reaching a kernel built for undirected rows.
+func TestRankRejectsDirected(t *testing.T) {
+	for _, w := range []float64{1, 2.5} {
+		b := graph.NewDirectedBuilder(4)
+		for v := 0; v < 4; v++ {
+			b.AddWeightedEdge(v, (v+1)%4, w)
+		}
+		if _, err := Run(context.Background(), b.MustBuild(), nil, Options{K: 2}, nil); err == nil {
+			t.Fatalf("weight %v: directed graph accepted", w)
+		}
+	}
+}
+
 // TestRankCancellation pins prompt abort: a ranking of 5,000 sources,
 // seconds of passes, must return with the context's error well before
 // finishing once cancelled.

@@ -36,12 +36,13 @@ import (
 // sums are exact and order-independent while every partial sum stays
 // ≤ 2^53 (see SigmaExactLimit), so summing a vertex's parents in
 // bottom-up row order instead of top-down discovery order produces the
-// same bits. Only the intra-level positions in Order differ, and Order
-// promises level order, not queue order. The classic path remains
-// constructible (NewBFSClassic) for benchmarking and for pins that
-// want the historical queue order; directed graphs always take it
-// (bottom-up scans a vertex's out-row for its parents, which finds
-// in-neighbors only under symmetry).
+// same bits. Only the intra-level positions in the visit queue differ,
+// and nothing reads them: the backward pass sums each vertex's own
+// row, in row order. The classic path remains constructible
+// (NewBFSClassic) for benchmarking and for pins that want the
+// historical queue order; directed graphs always take it (bottom-up
+// scans a vertex's out-row for its parents, which finds in-neighbors
+// only under symmetry).
 //
 // The private CSR is laid out for cheap reseating across delta-overlay
 // versions (graph.ApplyEditsOverlay): per-vertex bounds live in one
@@ -56,11 +57,12 @@ import (
 // σ path counts remain float64: they grow combinatorially and would
 // overflow any fixed-width integer on graphs the samplers care about.
 //
+// Accumulate runs Brandes' backward pass over the latest Run (see the
+// package doc); DeltaOf reads its dependencies.
+//
 // A BFS is not safe for concurrent use; create one per goroutine.
 // DistOf and SigmaOf are undefined at vertices not reached by the
-// latest Run — consult Reached (or iterate Order, which lists exactly
-// the reached vertices) before reading them. Order aliases an internal
-// buffer invalidated by the next Run.
+// latest Run — consult Reached before reading them.
 type BFS struct {
 	g       *graph.Graph
 	bnd     []int32 // len 2n; adjacency of slot s is adj[bnd[2s]:bnd[2s+1]]
@@ -88,6 +90,11 @@ type BFS struct {
 	visited []uint64
 	front   []uint64
 	edges   int
+
+	// Brandes backward pass scratch over slots, allocated on the first
+	// Accumulate: delta[s] = δ_source•(s) and coeff[s] = (1+δ)/σ, the
+	// term slot s contributes to each predecessor's sum.
+	delta, coeff []float64
 }
 
 // Direction heuristic (Beamer et al., "Direction-Optimizing
@@ -456,6 +463,49 @@ func (b *BFS) DistOf(v int) int32 {
 // SigmaOf returns σ_source,v of the latest Run. Defined only at
 // reached vertices.
 func (b *BFS) SigmaOf(v int) float64 { return b.sigma[b.slotOf(v)] }
+
+// Accumulate runs Brandes' backward pass over the latest Run, giving
+// δ_source•(v) for every vertex v (read with DeltaOf). It works in
+// pull form: slots in reverse level order, each summing over its own
+// row, δ(u) = σ_u · Σ (1+δ(w))/σ(w) over the successors w, the row
+// entries whose tag is u's plus one level. Each sum follows u's row,
+// which every kernel layout keeps in the graph's neighbour order, so
+// the values are bit-identical across the hybrid and classic kernels,
+// overlay seats and a unit-weight Dijkstra. It allocates only on its
+// first call.
+func (b *BFS) Accumulate() {
+	if b.delta == nil {
+		b.delta = make([]float64, len(b.tag))
+		b.coeff = make([]float64, len(b.tag))
+	}
+	bnd, adj := b.bnd, b.adj
+	tag, sigma, delta, coeff := b.tag, b.sigma, b.delta, b.coeff
+	q := b.queue
+	for i := len(q) - 1; i > 0; i-- {
+		u := q[i]
+		next := tag[u] + 1
+		var s float64
+		for _, w := range adj[bnd[2*u]:bnd[2*u+1]] {
+			if tag[w] == next {
+				s += coeff[w]
+			}
+		}
+		d := sigma[u] * s
+		delta[u] = d
+		coeff[u] = (1 + d) / sigma[u]
+	}
+	delta[q[0]] = 0 // the source
+}
+
+// DeltaOf returns δ_source•(v) from the latest Accumulate: 0 at the
+// source and at vertices the latest Run did not reach.
+func (b *BFS) DeltaOf(v int) float64 {
+	s := b.slotOf(v)
+	if uint32(b.tag[s]>>32) != b.epoch {
+		return 0
+	}
+	return b.delta[s]
+}
 
 // TargetSPD is a retained dense snapshot of the shortest-path data
 // rooted at one fixed vertex of an unweighted graph: d(target, t) and

@@ -65,13 +65,14 @@ const dialMaxRatio = 64
 // relative tolerance on the heap route, exactly on the bucket route)
 // adds σ_u.
 //
+// Accumulate runs Brandes' backward pass over the latest Run's settle
+// order (non-decreasing in distance, exactly on the heap and integer
+// routes, up to one bucket width on the calendar route); DeltaOf reads
+// its dependencies.
+//
 // A Dijkstra is not safe for concurrent use; create one per goroutine.
 // DistOf and SigmaOf are undefined at vertices not reached by the
-// latest Run — consult Reached (or iterate Order, which lists exactly
-// the reached vertices in non-decreasing distance order, exact on the
-// heap and integer routes, up to one bucket width on the calendar
-// route) before reading them. Order aliases an internal buffer
-// invalidated by the next Run.
+// latest Run — consult Reached before reading them.
 type Dijkstra struct {
 	g       *graph.Graph
 	bnd     []int32   // len 2n; adjacency of u is adj[bnd[2u]:bnd[2u+1]]
@@ -108,6 +109,13 @@ type Dijkstra struct {
 	dial    bool
 	delta   float64
 	buckets [][]int32
+
+	// Brandes backward pass scratch, allocated on the first Accumulate:
+	// dep[v] = δ_source•(v), coeff[v] = (1+δ)/σ, the term v contributes
+	// to each predecessor's sum, and pos[v], v's place in the settle
+	// order.
+	dep, coeff []float64
+	pos        []int32
 }
 
 // NewDijkstra returns a Dijkstra kernel for g. It panics if g is
@@ -445,6 +453,62 @@ func (d *Dijkstra) DistOf(v int) float64 { return d.dist[v] }
 // SigmaOf returns σ_source,v of the latest Run. Defined only at
 // reached vertices.
 func (d *Dijkstra) SigmaOf(v int) float64 { return d.sigma[v] }
+
+// Accumulate runs Brandes' backward pass over the latest Run, giving
+// δ_source•(v) for every vertex v (read with DeltaOf). It works in
+// pull form, as BFS.Accumulate does: vertices in reverse settle order,
+// δ(u) = σ_u · Σ (1+δ(w))/σ(w) over the successors w in u's row. As
+// in Run, which adds σ_u into σ_w only for a w not yet settled, a
+// successor is a neighbour with d(u)+w(u,w) = d(w) within WeightEps
+// (the test SPD.OnShortestPath applies) that settles after u, so its
+// term is final when u reads it. With weights well above
+// WeightEps·(1+d) every neighbour passing the tolerance test settles
+// after u anyway (on the calendar route at least one bucket further
+// on); the settle-order test keeps an edge lighter than that, which
+// passes the tolerance test both ways, from reading a term an earlier
+// source left. On unit weights both tests are exact and the sums
+// follow the same rows as BFS.Accumulate, bit for bit. It allocates
+// only on its first call.
+func (d *Dijkstra) Accumulate() {
+	if d.dep == nil {
+		n := len(d.dist)
+		d.dep, d.coeff, d.pos = make([]float64, n), make([]float64, n), make([]int32, n)
+	}
+	dist, sigma, dep, coeff, pos := d.dist, d.sigma, d.dep, d.coeff, d.pos
+	ws := d.wts
+	order := d.order
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		u := order[i]
+		du := dist[u]
+		var s float64
+		for j, end := d.bnd[2*u], d.bnd[2*u+1]; j < end; j++ {
+			w := d.adj[j]
+			wt := 1.0
+			if ws != nil {
+				wt = ws[j]
+			}
+			if dw := dist[w]; math.Abs(du+wt-dw) <= WeightEps*(1+math.Abs(dw)) && pos[w] > int32(i) {
+				s += coeff[w]
+			}
+		}
+		dd := sigma[u] * s
+		dep[u] = dd
+		coeff[u] = (1 + dd) / sigma[u]
+	}
+	dep[order[0]] = 0 // the source
+}
+
+// DeltaOf returns δ_source•(v) from the latest Accumulate: 0 at the
+// source and at vertices the latest Run did not reach.
+func (d *Dijkstra) DeltaOf(v int) float64 {
+	if d.tag[v] != d.epoch {
+		return 0
+	}
+	return d.dep[v]
+}
 
 // WeightedTargetSPD is the weighted analog of TargetSPD: a retained
 // dense snapshot of the shortest-path data rooted at one fixed vertex

@@ -47,7 +47,7 @@
 //     rows — the rows that dominate parent hits — from the front of the
 //     adjacency array, and the frontier bitset's hot bits cluster in
 //     its low words. The relabeling is internal; every public accessor
-//     (Reached, DistOf, SigmaOf, Order, TargetSPD) speaks external
+//     (Reached, DistOf, SigmaOf, DeltaOf, TargetSPD) speaks external
 //     vertex ids, and dependency scans accumulate in external index
 //     order, so results are bit-identical to the classic kernel's.
 //
@@ -66,6 +66,42 @@
 // dist, σ, and reached set, across overlay seating and Reseat — by the
 // randomized property test in this package, and σ ≤ 2^53 is enforced
 // by an opt-in debug sweep (sigmaCheck).
+//
+// # The Brandes backward pass
+//
+// BFS and Dijkstra each carry Brandes' backward pass over their latest
+// Run: Accumulate computes δ_s•(v) = Σ_{t≠s,v} σ_st(v)/σ_st for every
+// vertex v, and DeltaOf reads it by external vertex id (0 at the
+// source and at unreached vertices). One traversal and one pass serve
+// every vertex at once; this is the unit of work of exact betweenness
+// on undirected graphs (brandes.BCParallel) and of a betweenness
+// ranking's shared source passes (internal/rank), which pick the
+// kernel for a graph with brandes.NewPass.
+//
+// The pass works in pull form. It walks the traversal order backwards
+// and each vertex u sums over its own row,
+//
+//	δ(u) = σ_u · Σ_{w successor of u} (1+δ(w))/σ(w),
+//
+// with successors told apart by the kernel's own shortest-path test:
+// the level tag on BFS (w's tag is u's plus one); on Dijkstra the
+// WeightEps tie test plus the settle order, as Run adds σ only into
+// vertices not yet settled. Each term (1+δ(w))/σ(w) is computed once,
+// when w is done, and each sum runs in u's row order, which every
+// kernel layout keeps (the hybrid kernel relabels slots, not row
+// order; an overlay seat appends the replaced rows as the graph lists
+// them). So δ is
+// bit-identical across the hybrid and classic BFS kernels, a
+// unit-weight Dijkstra, and a reseated kernel versus a fresh one on
+// the compacted graph. The push form of the reference
+// (brandes.Accumulate, which scatters σ_u·(1+δ(w))/σ(w) into every
+// predecessor u in traversal order) rounds differently; the two agree
+// within 1e-12 relative, and betweenness summed from the pass agrees
+// with Brandes in exact math/big arithmetic within 1e-15 relative, as
+// the tests in this package hold them. The pass's scratch (two
+// n-length float arrays, and on Dijkstra the settle positions) is
+// allocated on its first call, so the chains' kernels, which never run
+// it, do not grow.
 //
 // Measured on the in-tree benchmarks (single-core Xeon 2.10GHz,
 // go1.24, medians): the kernel pair BenchmarkBFSHybrid vs

@@ -16,8 +16,11 @@ import (
 
 // TestGoldenRankBCPayload pins the synchronous rank route's ranking
 // payload for the default measure (bc), captured when bc rankings moved
-// to shared source passes: a rank request that does not name a measure
-// must keep producing byte-identical Top entries. ElapsedMS is
+// to shared source passes and re-pinned once when those passes moved to
+// the fast kernels' pull-form backward pass (vertex 2's value moved in
+// its last bit, onto the exact value rounded to float64): a rank
+// request that does not name a measure must keep producing
+// byte-identical Top entries. ElapsedMS is
 // wall-clock, so the pin covers the re-marshaled Top array plus the
 // deterministic scalar fields. Regenerate with GOLDEN_UPDATE=1 only for
 // an intentional payload change.

@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 MODE=${1:-record}
 
-BENCH=${BENCH:-'BenchmarkT2SingleVertex|BenchmarkT9Weighted|BenchmarkEngineBatch32|BenchmarkEngineBatch32Weighted|BenchmarkSequentialBatch32|BenchmarkApplyEdits|BenchmarkSwapGraphWarm|BenchmarkWALAppend|BenchmarkStreamEdits|BenchmarkOverlayBFS|BenchmarkEstimateCoverage|BenchmarkRWBCSolve|BenchmarkEstimateAdaptive|BenchmarkBFSHybrid|BenchmarkBFSClassic|BenchmarkRankProgressiveTop5|BenchmarkRankRoadTop10'}
+BENCH=${BENCH:-'BenchmarkT2SingleVertex|BenchmarkT9Weighted|BenchmarkEngineBatch32|BenchmarkEngineBatch32Weighted|BenchmarkSequentialBatch32|BenchmarkApplyEdits|BenchmarkSwapGraphWarm|BenchmarkWALAppend|BenchmarkStreamEdits|BenchmarkOverlayBFS|BenchmarkEstimateCoverage|BenchmarkRWBCSolve|BenchmarkEstimateAdaptive|BenchmarkBFSHybrid|BenchmarkBFSClassic|BenchmarkRankProgressiveTop5|BenchmarkRankRoadTop10|BenchmarkBrandesPassRoad|BenchmarkBrandesPassBA2000'}
 BENCHTIME=${BENCHTIME:-2s}
 COUNT=${COUNT:-3}
 THRESHOLD_PCT=${THRESHOLD_PCT:-15}
