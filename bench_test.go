@@ -6,6 +6,7 @@ package bcmh_test
 import (
 	"context"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
@@ -749,10 +750,11 @@ func benchBrandesPass(b *testing.B, g *graph.Graph) {
 
 // BenchmarkBFSHybrid / BenchmarkBFSClassic pin the two traversal
 // kernels against each other on both workload shapes: the scale-free
-// graph where the direction-optimizing kernel's bottom-up levels and
-// degree-ordered layout win, and the high-diameter grid whose narrow
-// frontiers must never trigger them (the pair's grid numbers agreeing
-// is the "no high-diameter regression" guard in CI's bench smoke).
+// graphs where the direction-optimizing kernel's bottom-up levels and
+// degree-ordered layout win (ba10000 is the estimate-ba workload's
+// shape), and the high-diameter grid whose narrow frontiers must never
+// trigger them (the pair's grid numbers agreeing is the "no
+// high-diameter regression" guard in CI's bench smoke).
 func BenchmarkBFSHybrid(b *testing.B) {
 	benchBFSKernel(b, sssp.NewBFS)
 }
@@ -763,10 +765,11 @@ func BenchmarkBFSClassic(b *testing.B) {
 
 func benchBFSKernel(b *testing.B, mk func(*graph.Graph) *sssp.BFS) {
 	fixtures()
+	ba10000, _ := readFixtures()
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"ba2000", fixBA}, {"grid40x40", fixGrid}} {
+	}{{"ba2000", fixBA}, {"ba10000", ba10000}, {"grid40x40", fixGrid}} {
 		b.Run(tc.name, func(b *testing.B) {
 			k := mk(tc.g)
 			b.ReportAllocs()
@@ -776,4 +779,52 @@ func benchBFSKernel(b *testing.B, mk func(*graph.Graph) *sssp.BFS) {
 			}
 		})
 	}
+}
+
+// readFixtures builds the estimate-ba workload's shape on first use: a
+// 10,000-vertex scale-free graph (attach 3) and its 512 highest-degree
+// vertices, the read targets.
+var (
+	readOnce sync.Once
+	readBA   *graph.Graph
+	readHubs []int
+)
+
+func readFixtures() (*graph.Graph, []int) {
+	readOnce.Do(func() {
+		readBA = graph.BarabasiAlbert(10000, 3, rng.New(41))
+		byDeg := make([]int, readBA.N())
+		for v := range byDeg {
+			byDeg[v] = v
+		}
+		sort.SliceStable(byDeg, func(i, j int) bool { return readBA.Degree(byDeg[i]) > readBA.Degree(byDeg[j]) })
+		readHubs = byDeg[:512]
+	})
+	return readBA, readHubs
+}
+
+// BenchmarkEstimateReadBA10000 is the in-process counterpart of the
+// estimate-ba workload: per op one fixed 128-step read through
+// engine.EstimateContext, each with its own seed, the targets cycling
+// over the 512 highest-degree vertices of a 10,000-vertex scale-free
+// graph. 512 targets cycle through the 128-entry snapshot LRU, so every
+// read builds its target snapshot; evals/op counts the traversals a
+// read pays for its memo misses.
+func BenchmarkEstimateReadBA10000(b *testing.B) {
+	g, hubs := readFixtures()
+	eng, err := engine.New(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evals := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est, err := eng.EstimateContext(context.Background(), hubs[i%len(hubs)], core.Options{Steps: 128, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += est.Diagnostics.Evals
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }

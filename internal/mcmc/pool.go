@@ -137,13 +137,14 @@ type tspdKey struct {
 // BufferPool recycles chain buffers across estimation calls on one
 // graph lineage and owns the caches every chain wants to share: the
 // target-side shortest-path snapshots the identity oracle reads (one
-// per distinct (version, target), LRU-bounded) and the
-// degree-proposal alias tables (one per version in flight). One pool
-// serves *all* snapshots of its lineage — methods take the snapshot
-// being served, buffers reseat their kernels to it on checkout, and
-// caches are keyed by version — so a mutation never rebuilds the
-// pool. Safe for concurrent use; every buffer set it hands out is
-// private to one chain until returned.
+// per distinct (version, target), LRU-bounded, each taken on a kernel
+// checked out of the pool) and the degree-proposal alias tables (one
+// per version in flight). One pool serves *all* snapshots of its
+// lineage — methods take the snapshot being served, buffers reseat
+// their kernels to it on checkout, and caches are keyed by version —
+// so a mutation never rebuilds the pool. Safe for concurrent use;
+// every buffer set it hands out is private to one chain until
+// returned.
 //
 // Memory: because the pool outlives every version, Advance is what
 // keeps its caches from filling with superseded versions. It drops the
@@ -274,15 +275,21 @@ func (p *BufferPool) tspdLookup(key tspdKey) *tspdEntry {
 
 // target returns the LRU entry for (g's version, r) with the snapshot
 // of g's identity route built on first request (concurrent first
-// requests share one build).
+// requests share one build). The build traverses on a kernel checked
+// out of the pool, so a cold target allocates only the snapshot's own
+// arrays. A reseated kernel traverses bit-identically to a fresh one
+// and the snapshot is indexed by external id, so which kernel took it
+// does not show.
 func (p *BufferPool) target(g *graph.Graph, r int) *tspdEntry {
 	ent := p.tspdLookup(tspdKey{version: g.Version(), target: r})
 	ent.once.Do(func() {
-		if routeFor(g) == routeBFSIdentity {
-			ent.spd = sssp.NewTargetSPD(sssp.NewBFS(g), r)
+		b := p.get(g)
+		if b.bfs != nil {
+			ent.spd = sssp.NewTargetSPD(b.bfs, r)
 		} else {
-			ent.wspd = sssp.NewWeightedTargetSPD(sssp.NewDijkstra(g), r)
+			ent.wspd = sssp.NewWeightedTargetSPD(b.dij, r)
 		}
+		p.put(b)
 	})
 	return ent
 }

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"math"
 	"math/bits"
 
 	"bcmh/internal/graph"
@@ -106,7 +107,13 @@ type BFS struct {
 // them), so its saving is cheaper probes — sequential row streaming
 // against an L1-resident frontier bitset versus scattered tag probes —
 // rather than fewer probes, and hybridAlpha is accordingly far more
-// conservative than the early-exit literature value of 14.
+// conservative than the early-exit literature value of 14. Each probe
+// is branch-free: the frontier bit becomes an all-ones or all-zeros
+// mask ANDed into the neighbour's σ bits, since whether a neighbour
+// sits on a frontier holding a quarter to over half the graph is a
+// branch the predictor misses. The mask is an AND, not a multiply, so
+// a stale ±Inf or NaN σ left at a slot by an earlier Run adds +0 (a
+// multiply would make it NaN).
 const (
 	hybridAlpha = 2
 	hybridBeta  = 24
@@ -330,8 +337,7 @@ func (b *BFS) runClassic(src int32) {
 // runHybrid is the direction-optimizing levelized loop: per level the
 // α/β heuristic picks a top-down frontier expansion or a bottom-up
 // sweep of the undiscovered slots. Both steps append the next level to
-// the shared queue, so lo:hi always brackets the current frontier and
-// Order stays level-ordered.
+// the shared queue, so lo:hi always brackets the current frontier.
 func (b *BFS) runHybrid(src int32) {
 	n := len(b.tag)
 	q := b.queue[:0]
@@ -407,10 +413,11 @@ func (b *BFS) stepTopDown(q []int32, lo, hi int) ([]int32, int) {
 // sit on the current frontier. No early exit is possible — σ_w is the
 // sum over *all* level-d parents of w — so the win over top-down is
 // per-probe cost, not probe count: rows stream sequentially (hubs
-// first under the degree ordering) and the frontier test is one AND
-// against an L1-resident bitset. Row-order summation is exact by the
-// σ ≤ 2^53 integer argument (SigmaExactLimit), so the resulting σ
-// match the top-down kernel bit for bit.
+// first under the degree ordering) and the frontier test is a masked
+// add against an L1-resident bitset (see hybridAlpha). Row-order
+// summation is exact by the σ ≤ 2^53 integer argument
+// (SigmaExactLimit), and a masked term is +0, so the resulting σ match
+// the top-down kernel bit for bit.
 func (b *BFS) stepBottomUp(q []int32, lo, hi int) ([]int32, int) {
 	bnd, adj := b.bnd, b.adj
 	tag, sigma := b.tag, b.sigma
@@ -433,9 +440,9 @@ func (b *BFS) stepBottomUp(q []int32, lo, hi int) ([]int32, int) {
 			w := int32(wi<<6 | tz)
 			var s float64
 			for _, u := range adj[bnd[2*w]:bnd[2*w+1]] {
-				if front[u>>6]&(1<<(uint(u)&63)) != 0 {
-					s += sigma[u]
-				}
+				// m is all ones iff u is on the frontier (see hybridAlpha).
+				m := -(front[u>>6] >> (uint(u) & 63) & 1)
+				s += math.Float64frombits(math.Float64bits(sigma[u]) & m)
 			}
 			if s != 0 { // ≥1 frontier parent: w joins the next level
 				tag[w] = next
@@ -486,9 +493,12 @@ func (b *BFS) Accumulate() {
 		next := tag[u] + 1
 		var s float64
 		for _, w := range adj[bnd[2*u]:bnd[2*u+1]] {
-			if tag[w] == next {
-				s += coeff[w]
-			}
+			// x is 0 iff w is a successor, and m is then all ones. As in
+			// the bottom-up step, the AND makes a non-successor's stale
+			// coeff (±Inf or NaN after σ overflowed) add +0.
+			x := tag[w] ^ next
+			m := (x|-x)>>63 - 1
+			s += math.Float64frombits(math.Float64bits(coeff[w]) & m)
 		}
 		d := sigma[u] * s
 		delta[u] = d

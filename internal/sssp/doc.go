@@ -30,7 +30,14 @@
 //     vertices' row lengths instead of the frontier's — on low-diameter
 //     heavy-tailed graphs, where one or two levels hold most of the
 //     graph, that is the difference between touching every edge twice
-//     and touching most of them once.
+//     and touching most of them once. The σ gather is branch-free: a
+//     bottom-up frontier holds a quarter to over half the graph, so a
+//     branch on its bit mispredicts often; instead the bit becomes an
+//     all-ones or all-zeros mask ANDed into the neighbour's σ bits.
+//     The AND rather than a multiply is what keeps it exact: a stale
+//     ±Inf or NaN σ an earlier run left at an off-frontier slot
+//     becomes +0, adding +0 changes no partial sum, and a multiply
+//     would turn it into NaN.
 //
 //   - The per-level switch is the standard α/β edge-count heuristic:
 //     go bottom-up when frontierEdges·α exceeds the edges not yet

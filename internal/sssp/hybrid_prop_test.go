@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"bcmh/internal/graph"
@@ -131,6 +132,71 @@ func diamondChain(k int) *graph.Graph {
 		prev = next
 	}
 	return b.MustBuild()
+}
+
+// TestBottomUpMaskDropsStaleSigma holds the bottom-up σ gather's mask
+// to an AND. The graph joins a chain of 1,100 diamonds, where σ from
+// the chain's end passes float64's range, and a BA-2000. A run from
+// the chain's end leaves +Inf σ at chain slots; later runs from BA
+// vertices sweep those never-reached slots bottom-up and must leave
+// them unreached. A multiplied mask turns the stale +Inf into NaN, and
+// a NaN sum reads as a parent found.
+func TestBottomUpMaskDropsStaleSigma(t *testing.T) {
+	chain := diamondChain(1100)
+	ba := graph.BarabasiAlbert(2000, 3, rng.New(5))
+	off := chain.N()
+	bld := graph.NewBuilder(off + ba.N())
+	chain.ForEachEdge(func(u, v int, _ float64) { bld.AddEdge(u, v) })
+	ba.ForEachEdge(func(u, v int, _ float64) { bld.AddEdge(off+u, off+v) })
+	g := bld.MustBuild()
+	n := g.N()
+	hy, cl := newBFS(g, true), NewBFSClassic(g)
+	hy.Run(0)
+	if !math.IsInf(hy.SigmaOf(off-1), 1) {
+		t.Fatalf("σ at the chain's far end = %g, want +Inf", hy.SigmaOf(off-1))
+	}
+	for s := off; s < n; s += 97 {
+		hy.Run(s)
+		cl.Run(s)
+		assertKernelsAgree(t, hy, cl, n, fmt.Sprintf("BA source %d", s))
+	}
+}
+
+// TestAccumulateMaskDropsStaleCoeff holds the backward pass's
+// successor mask to an AND. A pass from the end of a chain of 1,100
+// diamonds leaves NaN and ±Inf terms in the kernel's scratch; a pass
+// from the middle hub, where every σ is finite, reads those slots as
+// non-successors before it rewrites them, and must give finite δ equal
+// to a fresh kernel's bit for bit.
+func TestAccumulateMaskDropsStaleCoeff(t *testing.T) {
+	g := diamondChain(1100)
+	n := g.N()
+	mid := n / 2 // hub 550
+	for _, hybrid := range []bool{true, false} {
+		b := newBFS(g, hybrid)
+		b.Run(0)
+		b.Accumulate()
+		stale := 0
+		for v := 0; v < n; v++ {
+			if d := b.DeltaOf(v); math.IsNaN(d) || math.IsInf(d, 0) {
+				stale++
+			}
+		}
+		if stale == 0 {
+			t.Fatalf("hybrid=%v: every δ from the chain's end is finite", hybrid)
+		}
+		b.Run(mid)
+		b.Accumulate()
+		fresh := newBFS(g, hybrid)
+		fresh.Run(mid)
+		fresh.Accumulate()
+		for v := 0; v < n; v++ {
+			d, want := b.DeltaOf(v), fresh.DeltaOf(v)
+			if math.IsNaN(d) || math.IsInf(d, 0) || math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("hybrid=%v: δ(%d) = %v after the overflowing pass, fresh kernel %v", hybrid, v, d, want)
+			}
+		}
+	}
 }
 
 // TestSigmaExactLimitDetected drives σ across 2^53 with a diamond-gadget
